@@ -2,8 +2,7 @@
 
 A run is fully determined by its command line: no configuration files,
 no environment variables, no randomness.  All serialized output is
-UTF-8 and newline-terminated, and is byte-identical across re-runs and
-thread counts.
+UTF-8 and newline-terminated, and is byte-identical across re-runs.
 
 Exit codes: 0 all hard assertions pass, 1 hard invariant failure,
 2 usage error.  MISMATCH entries in the claims ledger are findings, not
@@ -13,10 +12,9 @@ failures.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .census import census, table_to_csv, table_to_json
+from .census import FIXTURES, census, table_to_csv, table_to_json
 from .formulas import (
     claims_check,
     lemma26_sum,
@@ -41,12 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if max_len:
             sp.add_argument("--max-len", type=int, required=True, help="word-length budget")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="census worker threads; 0 = auto (never changes output bytes)",
-        )
 
     sp = sub.add_parser("census", help="per-length, per-category class counts")
     common(sp)
@@ -68,15 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="scaled hand-verified fixture and invariant suite")
     sp.add_argument("--max-len", type=int, default=14, help="cross-validation length budget")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", default=None)
     return parser
-
-
-def _threads(value: int) -> int:
-    if value < 0:
-        raise DomainError("--threads must be >= 0")
-    return value if value > 0 else (os.cpu_count() or 1)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -101,7 +86,7 @@ def family_seed(params: GroupParams, table) -> list[int]:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     params = make_params(args.p)
-    table = census(params, args.max_len, workers=_threads(args.threads))
+    table = census(params, args.max_len)
     text = table_to_csv(table) if args.format == "csv" else table_to_json(table)
     _emit(text, args.out)
     return 0
@@ -110,7 +95,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_claims(args: argparse.Namespace) -> int:
     params = make_params(args.p)
     params.require_even()
-    table = census(params, args.max_len, workers=_threads(args.threads))
+    table = census(params, args.max_len)
     spectral = analyze_growth(params.r)
     ledger = claims_check(params, table, spectral=spectral)
     _emit(ledger.to_json(), args.out)
@@ -120,7 +105,7 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 def _cmd_growth(args: argparse.Namespace) -> int:
     params = make_params(args.p)
     r = params.require_even()
-    table = census(params, args.max_len, workers=_threads(args.threads))
+    table = census(params, args.max_len)
     report = analyze_growth(r, tol=args.tol)
     seed = family_seed(params, table)
     if len(seed) < r + 1:
@@ -150,22 +135,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checks.append((name, ok, detail))
 
     p4, p6 = make_params(4), make_params(6)
-    t4 = census(p4, max(7, min(args.max_len, 24)))
-    t6 = census(p6, max(8, min(args.max_len, 24)))
-
-    fixtures = [
-        ("p=4 reciprocal len 3", t4.reciprocal_total(3), 1),
-        ("p=4 reciprocal len 4", t4.reciprocal_total(4), 1),
-        ("p=4 reciprocal len 7", t4.reciprocal_total(7), 2),
-        ("p=6 reciprocal len 4", t6.reciprocal_total(4), 2),
-        ("p=6 reciprocal len 6", t6.reciprocal_total(6), 1),
-        ("p=4 symmetric len 4", t4.rows[4].symmetric, 1),
-        ("p=6 symmetric len 6", t6.rows[6].symmetric, 1),
-        ("p=6 symmetric len 8", t6.rows[8].symmetric, 2),
-        ("p=4 p_reciprocal len 10", t4.rows[10].p_reciprocal if t4.max_len >= 10 else None, 1),
-        ("p=4 p_reciprocal len 8", t4.rows[8].p_reciprocal if t4.max_len >= 8 else None, 0),
-    ]
-    for name, got, want in fixtures:
+    tables = {
+        4: census(p4, max(7, min(args.max_len, 24))),
+        6: census(p6, max(8, min(args.max_len, 24))),
+    }
+    for p, column, length, want in FIXTURES:
+        row = tables[p].rows.get(length)
+        got = getattr(row, column) if row else None
+        name = f"p={p} {column.removesuffix('_total')} len {length}"
         check(f"fixture: {name}", got == want, f"expected {want}, got {got}")
 
     # classification cross-validation: reflection method vs coset search
@@ -201,13 +178,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     check("rho(r=2) golden", abs(g2.rho - 1.6180339887) < 1e-9, f"rho={g2.rho!r}")
     check("rho(r=3) golden", abs(g3.rho - 1.8392867552) < 1e-9, f"rho={g3.rho!r}")
     check("squarefree r=2..10", all(analyze_growth(rr).s == 1 for rr in range(2, 11)))
-
-    # determinism across worker counts
-    base = table_to_json(census(p6, 14, workers=1))
-    check(
-        "worker-count determinism",
-        all(table_to_json(census(p6, 14, workers=w)) == base for w in (2, 8)),
-    )
 
     # normal-form soundness
     sound = True

@@ -224,7 +224,8 @@ def symmetric_p_count(l: int, params: GroupParams, corrected: bool = False) -> E
 
 
 def _sixth(l: int) -> Fraction:
-    return Fraction(2**l + 2 * (-1) ** l, 6)
+    # exact for every integer l: the odd-length family reaches l < 0 when p >= 8
+    return (Fraction(2) ** l + (2 if l % 2 == 0 else -2)) / 6
 
 
 def total_count_even(l: int, params: GroupParams):
@@ -505,30 +506,15 @@ def _odd_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTa
     u = params.u
     assert r is not None and u is not None
     if r % 2 != 0:
-        ledger.add(
-            "L4.7.1",
-            {"p": params.p},
-            "r even",
-            f"r={r} odd",
-            "NOT-APPLICABLE",
-            "odd-length family requires even r",
-        )
-        ledger.add(
-            "L4.7.2",
-            {"p": params.p},
-            "r even",
-            f"r={r} odd",
-            "NOT-APPLICABLE",
-            "odd-length family requires even r",
-        )
-        ledger.add(
-            "L4.7.3",
-            {"p": params.p},
-            "r even",
-            f"r={r} odd",
-            "NOT-APPLICABLE",
-            "odd-length family requires even r",
-        )
+        for claim_id in ("L4.7.1", "L4.7.2", "L4.7.3"):
+            ledger.add(
+                claim_id,
+                {"p": params.p},
+                "r even",
+                f"r={r} odd",
+                "NOT-APPLICABLE",
+                "odd-length family requires even r",
+            )
         return
     max_l = (table.max_len + 1) // 2
     for l in range(2, max_l + 1):
@@ -596,9 +582,8 @@ def _category_recurrence_probe(
 
 def _fixture_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable) -> None:
     """Pinned small cross-p fixtures, present in every ledger."""
-    if params.p == 6 and table.max_len >= 4:
-        pass  # L4.1.1 (p=6, l=2) is already covered by the main loop
-    else:
+    # skipped where the main loop already covers L4.1.1 (p=6, l=2)
+    if params.p != 6 or table.max_len < 4:
         p6 = make_params(6)
         t6 = census(p6, 4)
         ledger.compare(
@@ -608,9 +593,8 @@ def _fixture_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable
             t6.rows[4].reciprocal_total,
             "pinned fixture: reciprocal count at word length 4",
         )
-    if params.p == 4 and table.max_len >= 7:
-        pass  # L4.7.1 (p=4, l=4) covered by the main loop
-    else:
+    # skipped where the main loop already covers L4.7.1 (p=4, l=4)
+    if params.p != 4 or table.max_len < 7:
         p4 = make_params(4)
         t4 = census(p4, 7)
         ledger.compare(

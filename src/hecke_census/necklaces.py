@@ -6,6 +6,9 @@ block tuple ``(k1, ..., kn)``.  Blocks are encoded one byte per exponent
 in the fixed syllable order (g^1 < g^-1 < g^2 < g^-2 < ... < g^r), so
 lexicographic comparison of the byte strings matches the class-key order
 and reversal/negation is a C-speed ``translate``.
+
+``reflection_category`` is the reflection classifier shared by the census
+and ``reciprocal.classify``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import DomainError, GroupParams
+from .words import GroupParams
+
+# reflection categories, also the census counter indices
+NONE, SYM, PREC, SYMP = range(4)
 
 
 def exponent_ordinal(k: int) -> int:
@@ -34,6 +40,7 @@ class BlockAlphabet:
     exponents: tuple[int, ...]     # sorted by ordinal
     weights: tuple[int, ...]       # 1 + |k|, aligned with exponents
     neg_table: bytes               # ordinal -> ordinal of canonical(-k)
+    r_ord: int | None              # ordinal of g^r, the self-negating block; None for odd p
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -55,6 +62,7 @@ class BlockAlphabet:
             exponents=tuple(exps),
             weights=tuple(1 + abs(k) for k in exps),
             neg_table=bytes(table),
+            r_ord=exponent_ordinal(p // 2) if p % 2 == 0 else None,
         )
 
     @staticmethod
@@ -101,36 +109,44 @@ def reversal_offsets_bytes(alphabet: BlockAlphabet, s: bytes) -> list[int]:
     return [t for t in range(n) if u2[t : t + n] == s]
 
 
-def is_reciprocal_bytes(alphabet: BlockAlphabet, s: bytes) -> bool:
-    return s in alphabet.rev_neg(s) * 2
+def reflection_category(alphabet: BlockAlphabet, s: bytes) -> int:
+    """Reciprocal category of a necklace: NONE, SYM, PREC or SYMP.
 
-
-def fixed_positions(n: int, t: int) -> tuple[int, int]:
-    """Syllable positions fixed by the reversal at offset t.
-
-    The reversal acts on the 2n syllable positions as the reflection
-    ``pos -> 2c - pos (mod 2n)`` with ``c = -t mod n``; its fixed points
-    are ``c`` and ``c + n``.
+    A reversal at offset t (the inverse class rotated left by t equals s)
+    acts on the 2n syllable positions as the reflection
+    ``pos -> 2c - pos (mod 2n)`` with ``c = -t mod n``, fixing syllables
+    ``c`` and ``c + n``.  Even positions carry ``i`` and make the class
+    symmetric (inverted by a conjugate of iota); odd positions carry a
+    gamma block, which must equal its own negative, hence g^r, and make
+    it p-reciprocal.  For odd n the two fixed syllables have opposite
+    parity, so one reversal gives both families.
     """
-    c = (-t) % n
-    return c, c + n
-
-
-def offset_types(params: GroupParams, blocks: tuple[int, ...], t: int) -> set[str]:
-    """Reciprocator families fixed by the reversal at offset t.
-
-    Even syllable positions carry ``i``, odd positions carry a gamma
-    block; a fixed gamma block must equal its own negative, hence r.
-    """
-    n = len(blocks)
-    types: set[str] = set()
-    for pos in fixed_positions(n, t):
-        pos %= 2 * n
-        if pos % 2 == 0:
-            types.add("iota")
+    n = len(s)
+    r_ord = alphabet.r_ord
+    u2 = alphabet.rev_neg(s) * 2
+    iota_t = False
+    gamma_t = False
+    odd_n = n % 2 == 1
+    for t in range(n):
+        if u2[t : t + n] != s:
+            continue
+        c = (-t) % n
+        if odd_n:
+            pos = c if c % 2 == 1 else c + n
+            assert s[(pos - 1) // 2] == r_ord, "fixed gamma block must be g^r"
+            iota_t = gamma_t = True
+            break
+        if c % 2 == 0:
+            iota_t = True
         else:
-            k = blocks[(pos - 1) // 2]
-            if params.canonical_exponent(-k) != k:
-                raise DomainError(f"invalid reversal offset {t} for blocks {blocks}")
-            types.add("tilde_gamma")
-    return types
+            assert s[(c - 1) // 2] == r_ord and s[((c - 1) // 2 + n // 2) % n] == r_ord
+            gamma_t = True
+        if iota_t and gamma_t:
+            break
+    if iota_t and gamma_t:
+        return SYMP
+    if iota_t:
+        return SYM
+    if gamma_t:
+        return PREC
+    return NONE

@@ -8,8 +8,9 @@ antipodal syllables, and the fixed syllables (``i`` or ``g^r``) name the
 two possible conjugacy families of involutions that invert ``g``.
 
 Two independent classification routes are provided: the reflection
-fixed-point method (primary) and an explicit involution search in the
-reciprocator coset (oracle).  They must always agree.
+fixed-point method (primary, ``necklaces.reflection_category``) and an
+explicit involution search in the reciprocator coset (oracle).  They must
+always agree.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .necklaces import BlockAlphabet, offset_types, reversal_offsets_bytes
+from .necklaces import BlockAlphabet, reflection_category, reversal_offsets_bytes
 from .words import CyclicWord, DomainError, GroupParams, InvolutionType, Word
 
 
@@ -32,19 +33,15 @@ class ConsistencyError(RuntimeError):
     """An internal guarantee failed; indicates an implementation bug."""
 
 
-_TYPE_BY_NAME = {
-    "iota": InvolutionType.IOTA_TYPE,
-    "tilde_gamma": InvolutionType.TILDE_GAMMA_TYPE,
-}
+_IOTA, _TILDE = InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE
 
-_CATEGORY_BY_TYPES = {
-    frozenset(): Category.NOT_RECIPROCAL,
-    frozenset({InvolutionType.IOTA_TYPE}): Category.SYMMETRIC,
-    frozenset({InvolutionType.TILDE_GAMMA_TYPE}): Category.P_RECIPROCAL,
-    frozenset(
-        {InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE}
-    ): Category.SYMMETRIC_P_RECIPROCAL,
-}
+# indexed by necklaces.reflection_category: NONE, SYM, PREC, SYMP
+_BY_REFLECTION_CATEGORY = (
+    (Category.NOT_RECIPROCAL, frozenset()),
+    (Category.SYMMETRIC, frozenset({_IOTA})),
+    (Category.P_RECIPROCAL, frozenset({_TILDE})),
+    (Category.SYMMETRIC_P_RECIPROCAL, frozenset({_IOTA, _TILDE})),
+)
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,6 @@ class ReciprocalInfo:
     power_exponent: int | None
     reciprocator_types: frozenset[InvolutionType]
     witnesses: tuple[Word, ...] = ()
-    reflection_offsets: tuple[int, ...] = ()
 
 
 def _require_blocks(c: CyclicWord) -> tuple[int, ...]:
@@ -75,50 +71,29 @@ def is_reciprocal(c: CyclicWord) -> bool:
     return bool(reversal_offsets(c))
 
 
-def reflection_fixed_syllables(
-    c: CyclicWord, t: int
-) -> list[tuple[int, InvolutionType]]:
-    """The two (syllable index, reciprocator family) pairs fixed at offset t."""
-    blocks = _require_blocks(c)
-    n = len(blocks)
-    if t not in reversal_offsets(c):
-        raise DomainError(f"{t} is not a reversal offset of {c}")
-    pos = (-t) % n
-    out = []
-    for i in (pos, pos + n):
-        syl = c.syllables[i]
-        if syl.is_iota:
-            out.append((i, InvolutionType.IOTA_TYPE))
-        else:
-            out.append((i, InvolutionType.TILDE_GAMMA_TYPE))
-    return out
-
-
 def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
     """Full reciprocity verdict for an infinite-order class."""
     blocks = _require_blocks(c)
     params = c.params
-    offsets = reversal_offsets(c)
-    types: set[InvolutionType] = set()
-    for t in offsets:
-        for name in offset_types(params, blocks, t):
-            types.add(_TYPE_BY_NAME[name])
-    category = _CATEGORY_BY_TYPES[frozenset(types)]
+    alphabet = BlockAlphabet.for_params(params)
+    category, types = _BY_REFLECTION_CATEGORY[
+        reflection_category(alphabet, alphabet.encode(blocks))
+    ]
+    reciprocal = category is not Category.NOT_RECIPROCAL
     is_power = (
         params.even
         and all(k == params.r for k in blocks)
     )
     witnesses: tuple[Word, ...] = ()
-    if offsets and with_witnesses:
+    if reciprocal and with_witnesses:
         witnesses = tuple(reciprocator_witnesses(c))
     return ReciprocalInfo(
-        is_reciprocal=bool(offsets),
+        is_reciprocal=reciprocal,
         category=category,
         is_power_of_iota_tilde_gamma=is_power,
         power_exponent=len(blocks) if is_power else None,
-        reciprocator_types=frozenset(types),
+        reciprocator_types=types,
         witnesses=witnesses,
-        reflection_offsets=tuple(offsets),
     )
 
 

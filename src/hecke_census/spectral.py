@@ -62,10 +62,6 @@ def build_growth_poly(r: int) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
-def poly_eval_exact(poly: IntPoly, x: Fraction) -> Fraction:
-    return poly(Fraction(x))
-
-
 def growth_poly_at_2(poly: IntPoly) -> int:
     return poly(2)
 

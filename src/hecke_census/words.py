@@ -32,14 +32,12 @@ class GroupParams:
     """Parameters of the group Z_2 * Z_p.
 
     ``r = p/2`` and the parity witness ``u`` (``r = 2u`` or ``r = 2u+1``)
-    are defined only for even ``p``.  ``lambda_p = 2*cos(pi/p)`` is kept
-    for reference only; no arithmetic depends on it.
+    are defined only for even ``p``.
     """
 
     p: int
     r: int | None
     u: int | None
-    lambda_p: float
 
     def canonical_exponent(self, k: int) -> int:
         """Reduce ``k`` mod p into the canonical range ``(-p/2, p/2]``."""
@@ -78,11 +76,7 @@ def make_params(p: int) -> GroupParams:
     else:
         r = None
         u = None
-    return GroupParams(p=p, r=r, u=u, lambda_p=2.0 * math.cos(math.pi / p))
-
-
-def canonical_exponent(k: int, params: GroupParams) -> int:
-    return params.canonical_exponent(k)
+    return GroupParams(p=p, r=r, u=u)
 
 
 IOTA = "i"
@@ -265,18 +259,6 @@ class Word:
         return self.params.p // math.gcd(k % self.params.p, self.params.p)
 
 
-def multiply(w1: Word, w2: Word) -> Word:
-    return w1 * w2
-
-
-def inverse(w: Word) -> Word:
-    return w.inverse()
-
-
-def word_length(w: Word) -> int:
-    return w.length()
-
-
 @dataclass(frozen=True, eq=False)
 class CyclicWord:
     """Rotation-canonical cyclically reduced word: a conjugacy-class key.
@@ -353,26 +335,6 @@ class CyclicWord:
 
     def __str__(self) -> str:
         return str(self.to_word())
-
-
-def class_key(w: Word) -> CyclicWord:
-    return w.class_key()
-
-
-def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
-    return w.cyclic_reduce()
-
-
-def involution_type(w: Word) -> InvolutionType:
-    return w.involution_type()
-
-
-def element_order(w: Word) -> int | None:
-    return w.order()
-
-
-def primitive_decomposition(c: CyclicWord) -> tuple[CyclicWord, int]:
-    return c.primitive_decomposition()
 
 
 def all_reduced_words(params: GroupParams, length: int) -> Iterator[Word]:

@@ -6,13 +6,14 @@ import pytest
 
 from hecke_census.census import (
     CSV_HEADER,
+    CensusRow,
     census,
     enumerate_classes,
     table_to_csv,
     table_to_json,
 )
-from hecke_census.reciprocal import is_reciprocal
-from hecke_census.words import DomainError, all_reduced_words, make_params
+from hecke_census.reciprocal import is_reciprocal, reciprocator_witnesses
+from hecke_census.words import DomainError, InvolutionType, all_reduced_words, make_params
 
 
 P4 = make_params(4)
@@ -125,6 +126,32 @@ def test_reciprocal_total_matches_classifier():
         assert t.reciprocal_total(length) == by_len.get(length, 0)
 
 
+@pytest.mark.parametrize("p", range(3, 11))
+def test_category_columns_match_witness_search(p):
+    """Every census column equals a tally of the involution witness search,
+    a route that shares no code with the reflection classifier."""
+    params = make_params(p)
+    max_len = 12
+    column = {
+        frozenset({InvolutionType.IOTA_TYPE}): 0,
+        frozenset({InvolutionType.TILDE_GAMMA_TYPE}): 1,
+        frozenset({InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE}): 2,
+    }
+    tally = {length: [0] * 5 for length in range(2, max_len + 1)}  # sym, prec, symp, power, all
+    for c in enumerate_classes(params, max_len):
+        counts = tally[c.word_length()]
+        counts[4] += 1
+        try:
+            witnesses = reciprocator_witnesses(c)
+        except DomainError:  # not reciprocal
+            continue
+        counts[column[frozenset(h.involution_type() for h in witnesses)]] += 1
+        if params.even and all(k == params.r for k in c.block_exponents):
+            counts[3] += 1
+    expected = {length: CensusRow(*counts) for length, counts in tally.items()}
+    assert census(params, max_len).rows == expected
+
+
 def test_inverse_closure():
     emitted = set(enumerate_classes(P6, 9))
     for c in emitted:
@@ -133,13 +160,6 @@ def test_inverse_closure():
 
 # ---------------------------------------------------------------------------
 # determinism and serialization
-
-
-def test_worker_count_determinism():
-    base = census(P6, 12, workers=1)
-    for workers in (2, 3, 8):
-        assert census(P6, 12, workers=workers) == base
-        assert table_to_json(census(P6, 12, workers=workers)) == table_to_json(base)
 
 
 def test_csv_shape():

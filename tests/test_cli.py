@@ -36,15 +36,6 @@ def test_census_json_schema(capsys):
     jsonschema.validate(json.loads(out), schema("census"))
 
 
-def test_census_thread_determinism(capsys):
-    outs = []
-    for threads in ("1", "2", "0"):
-        code, out = run(capsys, "census", "--p", "6", "--max-len", "12", "--threads", threads)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
-
-
 def test_census_out_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, _ = run(capsys, "census", "--p", "4", "--max-len", "4",
@@ -60,6 +51,18 @@ def test_claims_schema_and_exit_zero_despite_mismatches(capsys):
     doc = json.loads(out)
     jsonschema.validate(doc, schema("claims"))
     assert any(e["status"] == "MISMATCH" for e in doc["claims"])
+
+
+@pytest.mark.parametrize("p,expected", [("8", "-1/4"), ("12", "3/8")])
+def test_claims_p_multiple_of_four_reports_out_of_range_terms(capsys, p, expected):
+    # the odd-length family evaluates 2^l at negative l for p >= 8
+    jsonschema = pytest.importorskip("jsonschema")
+    code, out = run(capsys, "claims", "--p", p, "--max-len", "10")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("claims"))
+    first = next(e for e in doc["claims"] if e["id"] == "L4.7.1" and e["params"]["l"] == "2")
+    assert (first["expected"], first["observed"], first["status"]) == (expected, "0", "MISMATCH")
 
 
 def test_poly_r2_golden(capsys):
@@ -95,6 +98,9 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["census", "--p", "4", "--max-len", "4", "--unknown-flag"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--p", "4", "--max-len", "4", "--threads", "2"])  # removed option
     assert exc.value.code == 2
 
 

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecke_census.necklaces import (
+    NONE,
     BlockAlphabet,
     exponent_ordinal,
-    fixed_positions,
     is_minimal_rotation,
-    is_reciprocal_bytes,
     minimal_rotation,
     ordinal_exponent,
+    reflection_category,
     reversal_offsets_bytes,
 )
 from hecke_census.words import make_params
@@ -84,16 +84,9 @@ def test_reversal_offsets_examples():
     assert reversal_offsets_bytes(A4, A4.encode((1, -1))) == [0]
     # i g: not reciprocal
     assert reversal_offsets_bytes(A4, A4.encode((1,))) == []
-    assert not is_reciprocal_bytes(A4, A4.encode((1,)))
+    assert reflection_category(A4, A4.encode((1,))) == NONE
 
 
 def test_reversal_offsets_all_rotations_of_power():
     s = A4.encode((2, 2, 2))
     assert reversal_offsets_bytes(A4, s) == [0, 1, 2]
-
-
-def test_fixed_positions_antipodal():
-    for n in (1, 2, 3, 5):
-        for t in range(n):
-            a, b = fixed_positions(n, t)
-            assert (b - a) % (2 * n) == n

@@ -9,7 +9,6 @@ from hecke_census.reciprocal import (
     is_reciprocal,
     normal_form_generate,
     reciprocator_witnesses,
-    reflection_fixed_syllables,
     reversal_offsets,
 )
 from hecke_census.words import CyclicWord, DomainError, InvolutionType, Word, make_params
@@ -74,19 +73,6 @@ def test_torsion_rejected():
 
 # ---------------------------------------------------------------------------
 # reflection structure
-
-
-def test_reflection_fixed_syllables_power():
-    c = cls(P4, (2,))
-    pairs = reflection_fixed_syllables(c, 0)
-    types = {t for _, t in pairs}
-    assert types == {InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE}
-
-
-def test_reflection_fixed_syllables_bad_offset():
-    c = cls(P4, (1, -1))
-    with pytest.raises(DomainError):
-        reflection_fixed_syllables(c, 1)
 
 
 def test_inverse_class_closure():
