@@ -71,11 +71,6 @@ class CensusTable:
     def reciprocal_total(self, length: int) -> int:
         return self.rows[length].reciprocal_total
 
-    def column(self, name: str) -> dict[int, int]:
-        if name == "reciprocal_total":
-            return {l: row.reciprocal_total for l, row in self.rows.items()}
-        return {l: getattr(row, name) for l, row in self.rows.items()}
-
 
 def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]) -> None:
     """Visit ``(word length, bytes)`` of every self-minimal necklace within budget.

@@ -4,9 +4,9 @@ A run is fully determined by its command line: no configuration files,
 no environment variables, no randomness.  All serialized output is
 UTF-8 and newline-terminated, and is byte-identical across re-runs.
 
-Exit codes: 0 all hard assertions pass, 1 hard invariant failure,
-2 usage error.  MISMATCH entries in the claims ledger are findings, not
-failures.
+Exit codes: 0 all hard assertions pass, 1 hard invariant failure or
+numeric failure (a root iteration that does not converge), 2 usage
+error.  MISMATCH entries in the claims ledger are findings, not failures.
 """
 
 from __future__ import annotations
@@ -134,14 +134,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, detail))
 
+    # each fixture table reaches its longest fixture; --max-len bounds the cross-checks
     p4, p6 = make_params(4), make_params(6)
-    tables = {
-        4: census(p4, max(7, min(args.max_len, 24))),
-        6: census(p6, max(8, min(args.max_len, 24))),
-    }
+    longest = {p: max(length for q, _, length, _ in FIXTURES if q == p) for p in (4, 6)}
+    tables = {params.p: census(params, longest[params.p]) for params in (p4, p6)}
     for p, column, length, want in FIXTURES:
-        row = tables[p].rows.get(length)
-        got = getattr(row, column) if row else None
+        got = getattr(tables[p].rows[length], column)
         name = f"p={p} {column.removesuffix('_total')} len {length}"
         check(f"fixture: {name}", got == want, f"expected {want}, got {got}")
 
@@ -222,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,15 +1,17 @@
 """Published counting formulas, the recurrence engine, and the claims ledger.
 
-Every formula is implemented twice: a ``verbatim`` mode evaluating the
-printed index bounds exactly as published, and a ``corrected`` mode
-applying the mechanical index fixes (summand subscript n-q, inclusive
-upper bound for the count q of blocks equal to r, and the empty-
-composition convention Psi_0(0) = 1).  The claims ledger compares both
-against the brute-force census; mismatches are findings, not errors.
+Each double-sum formula has a ``verbatim`` mode evaluating the printed
+index bounds exactly as published, and a ``corrected`` mode applying the
+mechanical index fixes (summand subscript n-q, inclusive upper bound for
+the count q of blocks equal to r, and the empty-composition convention
+Psi_0(0) = 1).  The claims ledger compares the verbatim forms against the
+brute-force census; mismatches are findings, not errors.  The corrected
+forms are library functions outside the ledger; the tests and ``verify``
+check the corrected Lemma 2.6 sum against its dynamic-programming count.
 
-Formula divisions (the 1/2 and 1/6 factors) are exact integer divisions;
-a failed divisibility check surfaces as a MISMATCH ledger entry with the
-fractional value recorded.
+Formulas return an ``int``, or a ``Fraction`` where the published 1/2 or
+1/6 factor does not divide exactly; the ledger records such a value as a
+MISMATCH finding.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .census import CensusTable, census
+from .census import FIXTURES, CensusTable
 from .words import DomainError, GroupParams, make_params
 
 
@@ -108,64 +110,44 @@ def _double_sum(
     return total
 
 
-def lemma26_sum(x: int, r: int, corrected: bool = False) -> int:
-    """The published double sum for ``signed_syllable_count``."""
-    if r < 2 or x < 2:
-        raise DomainError("requires r >= 2 and x >= 2")
+def _signed_sum(x: int, r: int, corrected: bool, n_min: int = 0) -> int:
+    """The Lemma 2.6 double sum in x, with block counts n >= ``n_min``."""
     q_max = x // (r + 1) if corrected else _ceil_div(x, r + 1) - 1
     return _double_sum(
         x,
         r,
         q_max,
         corrected,
-        n_lo=lambda q: _ceil_div(x - q, r),
+        n_lo=lambda q: max(_ceil_div(x - q, r), n_min),
         n_hi=lambda q: (x - (r - 1) * q) // 2,
         arg=lambda n, q: x - n - r * q,
     )
 
 
-@dataclass(frozen=True)
-class ExactHalf:
-    """An integer half; non-integral values are preserved as fractions."""
-
-    numerator2: int  # twice the value
-
-    @property
-    def exact(self) -> bool:
-        return self.numerator2 % 2 == 0
-
-    def value(self):
-        if self.exact:
-            return self.numerator2 // 2
-        return Fraction(self.numerator2, 2)
-
-    def __add__(self, k: int) -> "ExactHalf":
-        return ExactHalf(self.numerator2 + 2 * k)
+def lemma26_sum(x: int, r: int, corrected: bool = False) -> int:
+    """The published double sum for ``signed_syllable_count``."""
+    if r < 2 or x < 2:
+        raise DomainError("requires r >= 2 and x >= 2")
+    return _signed_sum(x, r, corrected)
 
 
-def symmetric_count(l: int, params: GroupParams, corrected: bool = False) -> ExactHalf:
+def _as_int_or_fraction(v: Fraction):
+    return int(v) if v.denominator == 1 else v
+
+
+def symmetric_count(l: int, params: GroupParams, corrected: bool = False):
     """Published count of symmetric reciprocal classes of word length 2l."""
     r = params.require_even()
     if l < 2:
         raise DomainError("l must be >= 2")
-    q_max = l // (r + 1) if corrected else _ceil_div(l, r + 1) - 1
-    total = _double_sum(
-        l,
-        r,
-        q_max,
-        corrected,
-        n_lo=lambda q: _ceil_div(l - q, r),
-        n_hi=lambda q: (l - (r - 1) * q) // 2,
-        arg=lambda n, q: l - n - r * q,
-    )
-    return ExactHalf(total)
+    return _as_int_or_fraction(Fraction(_signed_sum(l, r, corrected), 2))
 
 
-def p_reciprocal_count(l: int, params: GroupParams, corrected: bool = False) -> ExactHalf:
+def p_reciprocal_count(l: int, params: GroupParams, corrected: bool = False):
     """Published count of p-reciprocal classes of word length 2l."""
     r = params.require_even()
     if l < r + 2:
-        return ExactHalf(0)
+        return 0
     q_max = (
         (l - r - 1) // (r + 1) if corrected else _ceil_div(l, r + 1) - 2
     )
@@ -178,7 +160,7 @@ def p_reciprocal_count(l: int, params: GroupParams, corrected: bool = False) -> 
         n_hi=lambda q: (l - 1 - (r + 1) * q - r) // 2,
         arg=lambda n, q: l - (n + 1) - (q + 1) * r,
     )
-    return ExactHalf(total)
+    return _as_int_or_fraction(Fraction(total, 2))
 
 
 def symmetric_p_word_length(l: int, params: GroupParams) -> int:
@@ -188,7 +170,7 @@ def symmetric_p_word_length(l: int, params: GroupParams) -> int:
     return 2 * l if r % 2 == 1 else 2 * l + 1
 
 
-def symmetric_p_count(l: int, params: GroupParams, corrected: bool = False) -> ExactHalf:
+def symmetric_p_count(l: int, params: GroupParams, corrected: bool = False):
     """Published count of symmetric p-reciprocal classes at family index l.
 
     The published shift is ``x = l - u`` for both parities of r; the
@@ -200,32 +182,38 @@ def symmetric_p_count(l: int, params: GroupParams, corrected: bool = False) -> E
     u = params.u
     assert u is not None
     word_length = symmetric_p_word_length(l, params)
-    if corrected and r % 2 == 1:
-        x = l - u - 1
-    else:
-        x = l - u
-    if x < 0:
-        total = 0
-    else:
-        q_max = x // (r + 1) if corrected else _ceil_div(x, r + 1) - 1
-        total = _double_sum(
-            x,
-            r,
-            q_max,
-            corrected,
-            n_lo=lambda q: max(_ceil_div(x - q, r), 1) if corrected else _ceil_div(x - q, r),
-            n_hi=lambda q: (x - (r - 1) * q) // 2,
-            arg=lambda n, q: x - n - r * q,
-        )
-    half = ExactHalf(total)
+    x = l - u - 1 if corrected and r % 2 == 1 else l - u
+    total = _signed_sum(x, r, corrected, n_min=1 if corrected else 0) if x >= 0 else 0
     if word_length % (r + 1) == 0 and word_length >= r + 1:
-        half = half + 1
-    return half
+        total += 2  # the power class, counted once after halving
+    return _as_int_or_fraction(Fraction(total, 2))
 
 
 def _sixth(l: int) -> Fraction:
     # exact for every integer l: the odd-length family reaches l < 0 when p >= 8
     return (Fraction(2) ** l + (2 if l % 2 == 0 else -2)) / 6
+
+
+def _recur(a, l: int, r: int):
+    """Term l of a_l = 2*sum_{j=1}^{r-1} a_{l-j-1} + a_{l-r-1}; ``a`` maps index to term."""
+    return 2 * sum(a[l - j - 1] for j in range(1, r)) + a[l - r - 1]
+
+
+def _piecewise_family(l: int, params: GroupParams, shift: int):
+    """Term l of the published piecewise family: (2^k + 2(-1)^k)/6 at k = m - shift
+    up to k = r, a u-correction at k = r + 1, then the recurrence."""
+    r, u = params.r, params.u
+    assert r is not None and u is not None
+    seq: dict[int, Fraction] = {}
+    for m in range(1, l + 1):
+        k = m - shift
+        if k <= r:
+            seq[m] = _sixth(k)
+        elif k == r + 1:
+            seq[m] = _sixth(k) + _sixth(u + 1) - 1
+        else:
+            seq[m] = _recur(seq, m, r)
+    return _as_int_or_fraction(seq[l])
 
 
 def total_count_even(l: int, params: GroupParams):
@@ -235,23 +223,7 @@ def total_count_even(l: int, params: GroupParams):
         raise NotApplicable("even-length piecewise family is stated for odd r")
     if l < 1:
         raise DomainError("l must be >= 1")
-    seq = _even_family_sequence(l, r, params)
-    return _as_int_or_fraction(seq[l])
-
-
-def _even_family_sequence(l_max: int, r: int, params: GroupParams) -> list[Fraction]:
-    u = params.u
-    assert u is not None
-    seq: list[Fraction] = [Fraction(0)]  # index 0 unused
-    for l in range(1, l_max + 1):
-        if l <= r:
-            seq.append(_sixth(l))
-        elif l == r + 1:
-            seq.append(_sixth(l) + _sixth(u + 1) - 1)
-        else:
-            val = 2 * sum(seq[l - j - 1] for j in range(1, r)) + seq[l - r - 1]
-            seq.append(val)
-    return seq
+    return _piecewise_family(l, params, 0)
 
 
 def total_count_odd(l: int, params: GroupParams):
@@ -259,24 +231,9 @@ def total_count_odd(l: int, params: GroupParams):
     r = params.require_even()
     if r % 2 != 0:
         raise NotApplicable("odd-length family is stated for even r")
-    u = params.u
-    assert u is not None
     if l < 2:
         raise DomainError("l must be >= 2")
-    seq: list[Fraction] = [Fraction(0), Fraction(0)]  # indices 0, 1 unused
-    for m in range(2, l + 1):
-        if m <= r + u + 1:
-            seq.append(_sixth(m - u - 1))
-        elif m == r + u + 2:
-            seq.append(_sixth(m - u - 1) + _sixth(u + 1) - 1)
-        else:
-            val = 2 * sum(seq[m - j - 1] for j in range(1, r)) + seq[m - r - 1]
-            seq.append(val)
-    return _as_int_or_fraction(seq[l])
-
-
-def _as_int_or_fraction(v: Fraction):
-    return int(v) if v.denominator == 1 else v
+    return _piecewise_family(l, params, params.u + 1)
 
 
 def marmolejo_word_count(l: int) -> Fraction:
@@ -292,8 +249,7 @@ def recurrence_extend(seed: list[int], r: int, count: int) -> list[int]:
         raise DomainError(f"seed must have at least r+1 = {r + 1} terms")
     out = list(seed)
     for _ in range(count):
-        nxt = 2 * sum(out[-j - 1] for j in range(1, r)) + out[-r - 1]
-        out.append(nxt)
+        out.append(_recur(out, len(out), r))
     return out
 
 
@@ -362,10 +318,6 @@ class ClaimLedger:
         return json.dumps({"claims": [e.to_doc() for e in self.entries]}, indent=2) + "\n"
 
 
-def _half_expected(half: ExactHalf):
-    return half.value()
-
-
 def claims_check(params: GroupParams, table: CensusTable, spectral=None) -> ClaimLedger:
     """One ledger entry per applicable claim instance for this census.
 
@@ -394,14 +346,14 @@ def claims_check(params: GroupParams, table: CensusTable, spectral=None) -> Clai
         ledger.compare(
             "L3.3",
             {"p": params.p, "l": l},
-            _half_expected(symmetric_count(l, params)),
+            symmetric_count(l, params),
             table.rows[2 * l].symmetric,
             "symmetric class count at word length 2l",
         )
         ledger.compare(
             "L3.4",
             {"p": params.p, "l": l},
-            _half_expected(p_reciprocal_count(l, params)),
+            p_reciprocal_count(l, params),
             table.rows[2 * l].p_reciprocal,
             "p-reciprocal class count at word length 2l",
         )
@@ -412,20 +364,16 @@ def claims_check(params: GroupParams, table: CensusTable, spectral=None) -> Clai
         ledger.compare(
             "L3.5",
             {"p": params.p, "l": l, "word_length": wl},
-            _half_expected(symmetric_p_count(l, params)),
+            symmetric_p_count(l, params),
             table.rows[wl].symmetric_p,
             "symmetric p-reciprocal class count",
         )
         # Proposition totals: the three category formulas combined
-        expected = _half_expected(symmetric_p_count(l, params))
+        expected = symmetric_p_count(l, params)
         if wl % 2 == 0:
             ll = wl // 2
             if ll >= 2:
-                expected = (
-                    expected
-                    + _half_expected(symmetric_count(ll, params))
-                    + _half_expected(p_reciprocal_count(ll, params))
-                )
+                expected += symmetric_count(ll, params) + p_reciprocal_count(ll, params)
         ledger.compare(
             "P3.6",
             {"p": params.p, "word_length": wl},
@@ -470,8 +418,8 @@ def _even_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusT
             "even-length piecewise family requires odd r",
         )
         return
-    for l in range(1, max_l + 1):
-        observed = table.rows[2 * l].reciprocal_total
+    even = {l: table.rows[2 * l].reciprocal_total for l in range(1, max_l + 1)}
+    for l, observed in even.items():
         if l <= r:
             ledger.compare(
                 "L4.1.1",
@@ -489,13 +437,10 @@ def _even_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusT
                 "reciprocal class count at word length 2l, l = r+1",
             )
         else:
-            rhs = 2 * sum(
-                table.rows[2 * (l - j - 1)].reciprocal_total for j in range(1, r)
-            ) + table.rows[2 * (l - r - 1)].reciprocal_total
             ledger.compare(
                 "L4.1.3",
                 {"p": params.p, "l": l, "column": "reciprocal_total"},
-                rhs,
+                _recur(even, l, r),
                 observed,
                 "even-length recurrence, l >= r+2",
             )
@@ -517,8 +462,8 @@ def _odd_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTa
             )
         return
     max_l = (table.max_len + 1) // 2
-    for l in range(2, max_l + 1):
-        observed = table.rows[2 * l - 1].reciprocal_total
+    odd = {l: table.rows[2 * l - 1].reciprocal_total for l in range(2, max_l + 1)}
+    for l, observed in odd.items():
         if l <= r + u + 1:
             ledger.compare(
                 "L4.7.1",
@@ -545,15 +490,11 @@ def _odd_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTa
                     observed,
                     "odd-length count equals shifted even-length count",
                 )
-            if 2 * (l - r - 1) - 1 >= 2:
-                rhs = 2 * sum(
-                    table.rows[2 * (l - j - 1) - 1].reciprocal_total
-                    for j in range(1, r)
-                ) + table.rows[2 * (l - r - 1) - 1].reciprocal_total
+            if l - r - 1 in odd:  # every term is a census row
                 ledger.compare(
                     "L4.7.3",
                     {"p": params.p, "l": l, "relation": "recurrence"},
-                    rhs,
+                    _recur(odd, l, r),
                     observed,
                     "odd-length recurrence, large l",
                 )
@@ -566,43 +507,38 @@ def _category_recurrence_probe(
     assert r is not None
     max_l = table.max_len // 2
     for column in ("symmetric", "p_reciprocal", "symmetric_p"):
-        col = table.column(column)
+        col = {l: getattr(table.rows[2 * l], column) for l in range(1, max_l + 1)}
         for l in range(r + 2, max_l + 1):
-            rhs = 2 * sum(col[2 * (l - j - 1)] for j in range(1, r)) + col[
-                2 * (l - r - 1)
-            ]
             ledger.compare(
                 "L4.1.3",
                 {"p": params.p, "l": l, "column": column},
-                rhs,
-                col[2 * l],
+                _recur(col, l, r),
+                col[l],
                 "per-category even-length recurrence probe",
             )
 
 
+# Pinned cross-p fixtures: (claim id, p, l, word length, formula).
+_PINNED = (
+    ("L4.1.1", 6, 2, 4, total_count_even),
+    ("L4.7.1", 4, 4, 7, total_count_odd),
+)
+
+
 def _fixture_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable) -> None:
-    """Pinned small cross-p fixtures, present in every ledger."""
-    # skipped where the main loop already covers L4.1.1 (p=6, l=2)
-    if params.p != 6 or table.max_len < 4:
-        p6 = make_params(6)
-        t6 = census(p6, 4)
+    """Pinned small cross-p fixtures, present in every ledger.  The observed
+    values are the hand-verified ``census.FIXTURES``."""
+    observed = {(p, length): want for p, column, length, want in FIXTURES
+                if column == "reciprocal_total"}
+    for claim_id, p, l, length, formula in _PINNED:
+        if params.p == p and table.max_len >= length:
+            continue  # the main loop already covers this entry
         ledger.compare(
-            "L4.1.1",
-            {"p": 6, "l": 2, "fixture": True},
-            total_count_even(2, p6),
-            t6.rows[4].reciprocal_total,
-            "pinned fixture: reciprocal count at word length 4",
-        )
-    # skipped where the main loop already covers L4.7.1 (p=4, l=4)
-    if params.p != 4 or table.max_len < 7:
-        p4 = make_params(4)
-        t4 = census(p4, 7)
-        ledger.compare(
-            "L4.7.1",
-            {"p": 4, "l": 4, "fixture": True},
-            total_count_odd(4, p4),
-            t4.rows[7].reciprocal_total,
-            "pinned fixture: reciprocal count at word length 7",
+            claim_id,
+            {"p": p, "l": l, "fixture": True},
+            formula(l, make_params(p)),
+            observed[(p, length)],
+            f"pinned fixture: reciprocal count at word length {length}",
         )
 
 
@@ -632,12 +568,12 @@ def _normal_form_claims(ledger: ClaimLedger, params: GroupParams, max_len: int) 
 
 
 def _spectral_claims(ledger, params: GroupParams, table: CensusTable, spectral) -> None:
-    from .spectral import eval_at_sqrt2, growth_poly_at_2, sqrt2_sign
+    from .spectral import eval_at_sqrt2, sqrt2_sign
 
     r = params.r
     assert r is not None
     a, b = eval_at_sqrt2(spectral.poly)
-    p2 = growth_poly_at_2(spectral.poly)
+    p2 = spectral.poly(2)
     bracket_ok = sqrt2_sign(a, b) < 0 and p2 == 3
     ledger.add(
         "L4.6-bracket",

@@ -62,10 +62,6 @@ def build_growth_poly(r: int) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
-def growth_poly_at_2(poly: IntPoly) -> int:
-    return poly(2)
-
-
 def eval_at_sqrt2(poly: IntPoly) -> tuple[int, int]:
     """Exact value at sqrt(2) as (a, b) meaning a + b*sqrt(2)."""
     a = b = 0

@@ -107,12 +107,6 @@ class Syllable:
     def weight(self) -> int:
         return 1 if self.is_iota else abs(self.exponent)
 
-    def sort_key(self) -> tuple[int, int, int]:
-        # fixed total order: i < g^1 < g^-1 < g^2 < g^-2 < ... < g^r
-        if self.is_iota:
-            return (0, 0, 0)
-        return (1, abs(self.exponent), 0 if self.exponent > 0 else 1)
-
     def __str__(self) -> str:
         return "i" if self.is_iota else f"g^{self.exponent}"
 
@@ -308,10 +302,6 @@ class CyclicWord:
 
     def word_length(self) -> int:
         return sum(s.weight() for s in self.syllables)
-
-    @property
-    def n_blocks(self) -> int | None:
-        return None if self.block_exponents is None else len(self.block_exponents)
 
     def to_word(self) -> Word:
         return Word(self.params, self.syllables)

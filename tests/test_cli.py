@@ -92,6 +92,22 @@ def test_verify_passes(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def test_verify_short_budget_checks_every_fixture(capsys):
+    # fixture tables reach the longest fixture whatever --max-len is
+    code, out = run(capsys, "verify", "--max-len", "8")
+    assert code == 0
+    assert out.splitlines()[-1] == "16/16 checks passed"
+
+
+def test_root_finder_failure_is_one_line_error(capsys):
+    code = main(["poly", "--r", "20"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--p", "4"])  # missing --max-len

@@ -1,5 +1,6 @@
 """Counting formulas: composition layer, dual-mode sums, recurrence, ledger."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecke_census.census import census
+from hecke_census.cli import main
 from hecke_census.formulas import (
     ClaimLedger,
     NotApplicable,
@@ -133,28 +135,28 @@ def test_lemma26_corrected_equals_ground_truth_exhaustive():
 
 
 def test_symmetric_count_examples():
-    assert symmetric_count(2, P4).value() == 1
-    assert symmetric_count(3, P4).value() == 0
-    assert symmetric_count(4, P6).value() == 2
+    assert symmetric_count(2, P4) == 1
+    assert symmetric_count(3, P4) == 0
+    assert symmetric_count(4, P6) == 2
 
 
 def test_p_reciprocal_examples():
-    assert p_reciprocal_count(5, P4).value() == 1
-    assert p_reciprocal_count(4, P4).value() == 0
-    assert p_reciprocal_count(3, P4).value() == 0  # below minimal length
+    assert p_reciprocal_count(5, P4) == 1
+    assert p_reciprocal_count(4, P4) == 0
+    assert p_reciprocal_count(3, P4) == 0  # below minimal length
 
 
 def test_symmetric_p_power_only_length():
     # p=4, word length 3: the power class alone
     assert symmetric_p_word_length(1, P4) == 3
-    assert symmetric_p_count(1, P4).value() == 1
+    assert symmetric_p_count(1, P4) == 1
 
 
 def test_symmetric_p_known_divergence():
     # word length 7 at p=4: formula 1, oracle 2 (ledger finding L3.5)
     l = 3  # 2l+1 = 7
     assert symmetric_p_word_length(l, P4) == 7
-    assert symmetric_p_count(l, P4).value() == 1
+    assert symmetric_p_count(l, P4) == 1
     assert census(P4, 7).rows[7].symmetric_p == 2
 
 
@@ -216,6 +218,22 @@ def test_recurrence_linear(seed_a, seed_b):
     assert summed == parts
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(
+        [(total_count_even, r) for r in (3, 5, 7)] + [(total_count_odd, r) for r in (2, 4, 6)]
+    ),
+    extra=st.integers(min_value=0, max_value=20),
+)
+def test_piecewise_tail_follows_recurrence(family, extra):
+    formula, r = family
+    params = make_params(2 * r)
+    last_piecewise = r + 1 if r % 2 == 1 else r + params.u + 2  # L4.1.2 / L4.7.2
+    l = last_piecewise + 1 + extra
+    preceding = [formula(m, params) for m in range(l - r - 1, l)]
+    assert recurrence_extend(preceding, r, 1)[-1] == formula(l, params)
+
+
 def test_recurrence_matches_census_tail_p6():
     t = census(P6, 22)
     seq = [t.reciprocal_total(2 * l) for l in range(1, 12)]
@@ -269,3 +287,21 @@ def test_claims_check_observed_matches_census():
         if entry.claim_id == "L4.1.1" and "fixture" not in entry.params:
             l = entry.params["l"]
             assert entry.observed == table.reciprocal_total(2 * l)
+
+
+# sha256 of ``claims --p P --max-len L`` stdout: the ledger bytes are the contract
+LEDGER_SHA256 = {
+    (4, 18): "35803e1879ed8c8c4e5c3d612c4eba52126130d8293d7a0e9fb504a9069b792b",
+    (6, 18): "5a478c3ea389db9f1bdef1714d8b57d048f6ba58d5ec5ee2a92f74dac2012a1e",
+    (8, 18): "6fad0dc8cdea5c1659c8c88622d82ad41eba2678f705a0c86602f6a9f7fd9df9",
+    (10, 18): "8abd36a60281fb9f2a8f951eb61871806a6f93e0908a081312ab286dfd35dce3",
+    (12, 18): "dc7898edbd3973e1c9a0eade3bf7e00224ee85cde1b5ed4633c9e823ccef499f",
+    (6, 20): "869cde67f99034768a68db21420b8d52c3947d0b52a51a4796a6afeee1d51ec3",
+}
+
+
+@pytest.mark.parametrize("p,max_len", sorted(LEDGER_SHA256))
+def test_ledger_bytes_pinned(capsys, p, max_len):
+    assert main(["claims", "--p", str(p), "--max-len", str(max_len)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == LEDGER_SHA256[(p, max_len)]
