@@ -1,34 +1,50 @@
-"""Brute-force class census: every infinite-order conjugacy class once.
+"""Class census: exact per-length, per-category counts of infinite-order classes.
 
-Classes are enumerated as block-exponent necklaces: tuples (k1, ..., kn)
-with nonzero canonical exponents and word length ``n + sum |ki|`` within
-budget, emitted only when the tuple equals its own minimal rotation.
-``census`` only counts, so its memory stays linear in the word length
-and no global dedup set is needed; ``enumerate_classes`` materializes
-and sorts every class.  Both run one scan; ``census`` classifies each
-necklace with ``necklaces.reflection_category``.
+An infinite-order conjugacy class is a necklace of blocks: the rotation
+class of the tuple (k1, ..., kn) of ``i g^k1 ... i g^kn``, with nonzero
+canonical exponents and word length ``n + sum |ki|``.  ``census`` counts
+these necklaces with Burnside's lemma over the dihedral action instead of
+enumerating them (compare Sawada, "Generating bracelets in constant
+amortized time", SIAM J. Comput. 31, 2001); the categories are those of
+the source paper, arXiv:2411.00739.  With ``B(x) = sum_k x^(1+|k|)``:
+
+- Rotations: there are ``(1/n) sum_{d|n} phi(d) [x^L] B(x^d)^(n/d)``
+  n-block classes of word length L.
+- Reflections: a class is reciprocal when reverse-and-negate maps its
+  necklace to itself, i.e. when one of the n maps ``s -> rotate(rev_neg(s))``
+  fixes one of its tuples.  Such a map fixes two of the 2n syllables.  A
+  fixed ``i`` constrains nothing (an iota axis); a fixed block must be its
+  own negative, g^r, so ``S(x) = x^(r+1)`` (0 for odd p).  For odd n each
+  map fixes one ``i`` and one block: ``S(x) B(x^2)^((n-1)/2)`` tuples.  For
+  even n, n/2 iota axes fix ``B(x^2)^(n/2)`` tuples and n/2 gamma axes fix
+  ``S(x)^2 B(x^2)^((n-2)/2)``.
+- Categories: a reciprocal necklace whose primitive root has d blocks has
+  d tuples, each fixed by n/d maps whose axes lie d syllable pairs apart.
+  Odd d alternates iota and gamma axes (symmetric_p); even d keeps one
+  type (symmetric or p_reciprocal).  Per axis, odd n counts each necklace
+  once, all symmetric_p.  For even n an odd-d necklace counts once on each
+  axis type and an even-d one twice on its own, so ``symmetric =
+  (iota - odd_d) / 2`` and ``p_reciprocal = (gamma - odd_d) / 2``.  With
+  n = 2^a * m (m odd), the odd-d necklaces are the 2^a-th powers of the
+  reciprocal m-block necklaces of length L / 2^a.
+- The power column is the one class ``(g^r ... g^r)``: ``[(r+1) | L]``.
+
+Every division is exact or raises.  ``enumerate_classes`` is the
+brute-force oracle: ``_scan`` walks every self-minimal necklace, and
+``enumerate_classes`` materializes and sorts them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .necklaces import (
-    NONE,
-    PREC,
-    SYM,
-    SYMP,
-    BlockAlphabet,
-    exponent_ordinal,
-    reflection_category,
-)
+from .necklaces import BlockAlphabet, exponent_ordinal
 from .words import CyclicWord, DomainError, GroupParams
 
 CSV_HEADER = "len,symmetric,p_reciprocal,symmetric_p,power,reciprocal_total,all_classes"
-
-_POWER = 4  # counter index after the reflection categories
 
 # Hand-verified counts (p, column, word length, expected), checked by
 # ``hecke-census verify`` and the acceptance suite.
@@ -93,7 +109,7 @@ def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]
         def dfs(used: int) -> None:
             s = bytes(buf)
             n = len(s)
-            # is_minimal_rotation inlined: a call per DFS node cost 11% of census time.
+            # is_minimal_rotation inlined: a call per DFS node measured 11% slower.
             # Compare only rotations starting at o1.
             s2 = s + s
             i = s2.find(first_byte, 1)
@@ -114,31 +130,86 @@ def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]
         dfs(w1)
 
 
-def census(params: GroupParams, max_len: int) -> CensusTable:
-    """Exact per-length, per-category class counts up to ``max_len``."""
-    alphabet = BlockAlphabet.for_params(params)
-    # counts[length] = [NONE, SYM, PREC, SYMP, power] tallies
-    counts = [[0] * 5 for _ in range(max_len + 1)]
+def _block_powers(params: GroupParams, max_len: int) -> list[list[int]]:
+    """``powers[m][j]`` = [x^j] B(x)^m for m <= max_len // 2 and j <= max_len.
 
-    def visit(length: int, s: bytes) -> None:
-        cat = reflection_category(alphabet, s)
-        row = counts[length]
-        row[cat] += 1
-        if cat == SYMP and all(o == alphabet.r_ord for o in s):
-            row[_POWER] += 1
+    ``B(x) = sum_k x^(1+|k|)`` over the canonical nonzero exponents k; only
+    |k| < max_len can occur, so the loop never depends on the size of p.
+    """
+    b = [0] * (max_len + 1)
+    for a in range(1, min(params.p // 2, max_len - 1) + 1):
+        b[1 + a] = 2 if params.canonical_exponent(-a) == -a else 1
+    terms = [(w, c) for w, c in enumerate(b) if c]
+    powers = [[1] + [0] * max_len]
+    for _ in range(max_len // 2):
+        prev, nxt = powers[-1], [0] * (max_len + 1)
+        for i, c in enumerate(prev):
+            if c:
+                for w, bw in terms:
+                    if i + w > max_len:
+                        break
+                    nxt[i + w] += c * bw
+        powers.append(nxt)
+    return powers
 
-    _scan(params, max_len, visit)
-    rows = {
-        length: CensusRow(
-            symmetric=c[SYM],
-            p_reciprocal=c[PREC],
-            symmetric_p=c[SYMP],
-            power=c[_POWER],
-            all_classes=c[NONE] + c[SYM] + c[PREC] + c[SYMP],
+
+def _exact_div(num: int, den: int, what: str, n: int, length: int) -> int:
+    q, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(
+            f"census engine: {what} {num} (n={n}, len={length}) is not divisible by {den}"
         )
-        for length, c in enumerate(counts)
-        if length >= 2
-    }
+    return q
+
+
+def census(params: GroupParams, max_len: int) -> CensusTable:
+    """Exact per-length, per-category class counts up to ``max_len``, by
+    Burnside's lemma over the dihedral action (see the module docstring)."""
+    if max_len < 2:
+        raise DomainError("max_len must be >= 2")
+    powers = _block_powers(params, max_len)
+    phi = list(range(max_len + 1))  # Euler's totient, by sieve
+    for i in range(2, max_len + 1):
+        if phi[i] == i:
+            for j in range(i, max_len + 1, i):
+                phi[j] -= phi[j] // i
+    r = params.r
+
+    def paired(length: int, m: int) -> int:
+        """[x^length] B(x^2)^m: m blocks, each matched with its negative."""
+        return powers[m][length // 2] if length >= 0 and length % 2 == 0 else 0
+
+    def odd_axis(n: int, length: int) -> int:
+        """Fixed tuples of one reflection of an odd n-block necklace: the
+        block on the axis is g^r, the other (n-1)/2 are matched in pairs."""
+        return paired(length - (r + 1), (n - 1) // 2) if params.even else 0
+
+    rows = {}
+    for length in range(2, max_len + 1):
+        all_classes = symmetric = p_reciprocal = symmetric_p = 0
+        for n in range(1, length // 2 + 1):
+            g = math.gcd(n, length)
+            divisors = (d for d in range(1, g + 1) if g % d == 0)
+            fixed = sum(phi[d] * powers[n // d][length // d] for d in divisors)
+            all_classes += _exact_div(fixed, n, "rotation-fixed sum", n, length)
+            if n % 2 == 1:
+                symmetric_p += odd_axis(n, length)
+                continue
+            # odd-d necklaces: 2^a-th powers of the odd-block ones, n = 2^a * odd
+            two = n & -n
+            odd_d = odd_axis(n // two, length // two) if length % two == 0 else 0
+            iota = paired(length, n // 2)
+            gamma = paired(length - 2 * (r + 1), n // 2 - 1) if params.even else 0
+            symmetric += _exact_div(iota - odd_d, 2, "iota-axis count", n, length)
+            p_reciprocal += _exact_div(gamma - odd_d, 2, "gamma-axis count", n, length)
+            symmetric_p += odd_d
+        rows[length] = CensusRow(
+            symmetric=symmetric,
+            p_reciprocal=p_reciprocal,
+            symmetric_p=symmetric_p,
+            power=int(params.even and length % (r + 1) == 0),
+            all_classes=all_classes,
+        )
     return CensusTable(params=params, max_len=max_len, rows=rows)
 
 

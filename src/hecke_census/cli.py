@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .census import FIXTURES, census, table_to_csv, table_to_json
+from .census import FIXTURES, CensusRow, census, table_to_csv, table_to_json
 from .formulas import (
     claims_check,
     lemma26_sum,
@@ -143,26 +143,41 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         name = f"p={p} {column.removesuffix('_total')} len {length}"
         check(f"fixture: {name}", got == want, f"expected {want}, got {got}")
 
-    # classification cross-validation: reflection method vs coset search
+    # classification cross-validation (reflection method vs coset search);
+    # the same enumeration, tallied per length, is the census engine's oracle
     from .census import enumerate_classes
 
-    agree = True
-    detail = ""
+    agree = engine_ok = True
+    detail = engine_detail = ""
     budget = min(args.max_len, 14)
+    column = {
+        Category.SYMMETRIC: 0,
+        Category.P_RECIPROCAL: 1,
+        Category.SYMMETRIC_P_RECIPROCAL: 2,
+    }
     for params in (p4, p6):
+        # per length: symmetric, p_reciprocal, symmetric_p, power, all_classes
+        tally = {length: [0] * 5 for length in range(2, budget + 1)}
         for c in enumerate_classes(params, budget):
             info = classify(c, with_witnesses=True)
+            counts = tally[c.word_length()]
+            counts[4] += 1
             if info.is_reciprocal:
+                counts[column[info.category]] += 1
+                counts[3] += info.is_power_of_iota_tilde_gamma
                 wtypes = frozenset(
                     w.involution_type() for w in info.witnesses
                 )
-                if wtypes != info.reciprocator_types:
+                if agree and wtypes != info.reciprocator_types:
                     agree = False
                     detail = f"disagreement at {c} (p={params.p})"
-                    break
-        if not agree:
-            break
+        engine = census(params, budget).rows
+        wrong = [length for length, row in tally.items() if engine[length] != CensusRow(*row)]
+        if engine_ok and wrong:
+            engine_ok = False
+            engine_detail = f"p={params.p} len {wrong[0]}"
     check("classification cross-validation", agree, detail)
+    check("census engine == enumeration", engine_ok, engine_detail)
 
     # corrected double sum equals the DP ground truth
     formulas_ok = all(

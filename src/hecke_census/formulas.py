@@ -5,7 +5,7 @@ index bounds exactly as published, and a ``corrected`` mode applying the
 mechanical index fixes (summand subscript n-q, inclusive upper bound for
 the count q of blocks equal to r, and the empty-composition convention
 Psi_0(0) = 1).  The claims ledger compares the verbatim forms against the
-brute-force census; mismatches are findings, not errors.  The corrected
+census; mismatches are findings, not errors.  The corrected
 forms are library functions outside the ledger; the tests and ``verify``
 check the corrected Lemma 2.6 sum against its dynamic-programming count.
 

@@ -1,4 +1,4 @@
-"""Byte-encoded block necklaces for fast conjugacy-class enumeration.
+"""Byte-encoded block necklaces for the enumeration oracle and the classifier.
 
 A cyclically reduced word with 2n syllables is the alternating form
 ``i g^k1 ... i g^kn``; its conjugacy class is the rotation class of the
@@ -7,8 +7,8 @@ in the fixed syllable order (g^1 < g^-1 < g^2 < g^-2 < ... < g^r), so
 lexicographic comparison of the byte strings matches the class-key order
 and reversal/negation is a C-speed ``translate``.
 
-``reflection_category`` is the reflection classifier shared by the census
-and ``reciprocal.classify``.
+``reflection_category`` is the reflection classifier behind
+``reciprocal.classify``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import GroupParams
+from .words import DomainError, GroupParams
 
-# reflection categories, also the census counter indices
+# reflection categories
 NONE, SYM, PREC, SYMP = range(4)
 
 
@@ -45,6 +45,8 @@ class BlockAlphabet:
     @staticmethod
     @lru_cache(maxsize=None)
     def for_p(p: int) -> "BlockAlphabet":
+        if p > 257:  # the largest ordinal, p - 2, must fit in one byte
+            raise DomainError(f"byte-encoded block necklaces need p <= 257, got p={p}")
         exps = []
         for a in range(1, p // 2 + 1):
             exps.append(a)

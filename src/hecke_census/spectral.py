@@ -91,7 +91,6 @@ def dominant_root(poly: IntPoly, tol: float = 1e-12) -> float:
     if sqrt2_sign(a2, b2) >= 0 or poly(2) <= 0:
         raise DomainError("no sign change on [sqrt2, 2]")
     lo, hi = Fraction(1), Fraction(2)
-    assert poly(lo) < 0
     while hi - lo > tol:
         mid = (lo + hi) / 2
         v = poly(mid)
@@ -102,9 +101,11 @@ def dominant_root(poly: IntPoly, tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-    # a real root of a monic integer polynomial is an integer or
-    # irrational; the enclosure must therefore avoid integers
-    assert math.floor(hi) < lo, "enclosure contains an integer"
+    # the root is bracketed strictly; as poly(1) < 0 < poly(2) this also
+    # rules out an integer root (a rational root of a monic integer
+    # polynomial is an integer)
+    if not poly(lo) < 0 < poly(hi):
+        raise ArithmeticError(f"bisection lost the sign change on [{float(lo)}, {float(hi)}]")
     return float((lo + hi) / 2)
 
 

@@ -213,11 +213,15 @@ def test_criterion_7_claims_ledger(capsys):
 
 
 def test_criterion_8_performance_determinism():
-    """Census p=6 length 24 under 60 s; re-runs give the same bytes."""
+    """Census p=6 at lengths 24 and 120 under 60 s; re-runs give the same
+    bytes, and a longer budget leaves the shorter rows unchanged."""
     with _Budget("8 (performance/determinism)", 60.0):
         params = make_params(6)
         baseline = table_to_json(census(params, 24))
         assert table_to_json(census(params, 24)) == baseline
+        reach = census(params, 120)
+        assert table_to_json(census(params, 120)) == table_to_json(reach)
+        assert {length: reach.rows[length] for length in range(2, 25)} == census(params, 24).rows
 
 
 def test_criterion_9_normal_form_soundness():

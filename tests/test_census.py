@@ -1,19 +1,29 @@
-"""Census oracle: fixtures, exactly-once emission, determinism."""
+"""Census engine and enumeration oracle: fixtures, engine vs oracle,
+exactly-once emission, determinism."""
 
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hecke_census.census import (
     CSV_HEADER,
     CensusRow,
+    _scan,
     census,
     enumerate_classes,
     table_to_csv,
     table_to_json,
 )
-from hecke_census.reciprocal import is_reciprocal, reciprocator_witnesses
-from hecke_census.words import DomainError, InvolutionType, all_reduced_words, make_params
+from hecke_census.necklaces import NONE, PREC, SYM, SYMP, BlockAlphabet, reflection_category
+from hecke_census.reciprocal import classify, is_reciprocal, reciprocator_witnesses
+from hecke_census.words import (
+    CyclicWord,
+    DomainError,
+    InvolutionType,
+    all_reduced_words,
+    make_params,
+)
 
 
 P4 = make_params(4)
@@ -150,6 +160,67 @@ def test_category_columns_match_witness_search(p):
             counts[3] += 1
     expected = {length: CensusRow(*counts) for length, counts in tally.items()}
     assert census(params, max_len).rows == expected
+
+
+def _brute_rows(params, max_len):
+    """Census rows by walking every necklace and classifying each one."""
+    alphabet = BlockAlphabet.for_params(params)
+    counts = [[0] * 5 for _ in range(max_len + 1)]  # NONE, SYM, PREC, SYMP, power
+
+    def visit(length, s):
+        cat = reflection_category(alphabet, s)
+        row = counts[length]
+        row[cat] += 1
+        if cat == SYMP and all(o == alphabet.r_ord for o in s):
+            row[4] += 1
+
+    _scan(params, max_len, visit)
+    return {
+        length: CensusRow(c[SYM], c[PREC], c[SYMP], c[4], c[NONE] + c[SYM] + c[PREC] + c[SYMP])
+        for length, c in enumerate(counts)
+        if length >= 2
+    }
+
+
+@pytest.mark.parametrize("p", range(3, 13))
+def test_engine_matches_enumeration_at_every_budget(p):
+    params = make_params(p)
+    brute = _brute_rows(params, 20)
+    for max_len in range(2, 21):  # at 2 and 3 the engine tabulates only B(x)^0 and B(x)^1
+        expected = {length: brute[length] for length in range(2, max_len + 1)}
+        assert census(params, max_len).rows == expected, max_len
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(3, 60), short=st.integers(2, 80), long=st.integers(2, 80))
+def test_engine_properties(p, short, long):
+    params = make_params(p)
+    short, long = sorted((short, long))
+    rows = census(params, long).rows
+    assert census(params, short).rows == {length: rows[length] for length in range(2, short + 1)}
+    for length, row in rows.items():
+        if params.even:
+            assert row.power == (length % (params.r + 1) == 0)
+        else:
+            assert row.p_reciprocal == row.symmetric_p == row.power == 0
+        assert row.reciprocal_total <= row.all_classes
+
+
+def test_engine_ignores_exponents_beyond_the_budget():
+    # at max-len 12 only |k| <= 11 fits, and g^r does not fit for p >= 24
+    tables = [census(make_params(p), 12).rows for p in (24, 25, 41, 300, 301, 10**9)]
+    assert all(rows == tables[0] for rows in tables)
+
+
+def test_byte_encoding_limit_is_a_domain_error():
+    params = make_params(258)
+    with pytest.raises(DomainError, match="p <= 257"):
+        list(enumerate_classes(params, 4))
+    with pytest.raises(DomainError, match="p <= 257"):
+        classify(CyclicWord.from_blocks(params, (1, 2)))
+    largest = make_params(257)
+    counted = sum(row.all_classes for row in census(largest, 4).rows.values())
+    assert sum(1 for _ in enumerate_classes(largest, 4)) == counted == 9
 
 
 def test_inverse_closure():

@@ -96,7 +96,7 @@ def test_verify_short_budget_checks_every_fixture(capsys):
     # fixture tables reach the longest fixture whatever --max-len is
     code, out = run(capsys, "verify", "--max-len", "8")
     assert code == 0
-    assert out.splitlines()[-1] == "16/16 checks passed"
+    assert out.splitlines()[-1] == "17/17 checks passed"
 
 
 def test_root_finder_failure_is_one_line_error(capsys):
@@ -106,6 +106,32 @@ def test_root_finder_failure_is_one_line_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def _one_line_outcome(capsys, argv, codes):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in codes, (argv, err)
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("r", ["41", "60", "128"])
+def test_poly_large_r_is_a_result_or_one_line_error(capsys, r):
+    # the dominant root lies within 1e-12 of 2 from r = 41 on
+    _one_line_outcome(capsys, ["poly", "--r", r], (0, 1))
+
+
+def test_large_p_census_and_claims(capsys):
+    # the census needs no byte encoding; claims at p = 300 stops at the root
+    # iteration (r = 150) or at the byte-encoded enumeration, with one line
+    for p in ("257", "258"):
+        _one_line_outcome(capsys, ["census", "--p", p, "--max-len", "6"], (0,))
+    _one_line_outcome(capsys, ["claims", "--p", "82", "--max-len", "10"], (0,))
+    _one_line_outcome(capsys, ["claims", "--p", "300", "--max-len", "10"], (1, 2))
 
 
 def test_usage_error_exit_code(capsys):
