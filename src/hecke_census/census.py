@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .necklaces import BlockAlphabet, exponent_ordinal
+from .necklaces import BlockAlphabet, exponent_ordinal, is_minimal_rotation
 from .words import CyclicWord, DomainError, GroupParams
 
 CSV_HEADER = "len,symmetric,p_reciprocal,symmetric_p,power,reciprocal_total,all_classes"
@@ -103,23 +103,11 @@ def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]
         o1, w1 = pairs[0]
         if w1 > max_len:
             continue
-        first_byte = bytes([o1])
         buf = bytearray([o1])
 
         def dfs(used: int) -> None:
             s = bytes(buf)
-            n = len(s)
-            # is_minimal_rotation inlined: a call per DFS node measured 11% slower.
-            # Compare only rotations starting at o1.
-            s2 = s + s
-            i = s2.find(first_byte, 1)
-            minimal = True
-            while 0 < i < n:
-                if s2[i : i + n] < s:
-                    minimal = False
-                    break
-                i = s2.find(first_byte, i + 1)
-            if minimal:
+            if is_minimal_rotation(s):
                 visit(used, s)
             for o, w in pairs:
                 if used + w <= max_len:

@@ -16,6 +16,7 @@ MISMATCH finding.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,8 +43,10 @@ def compositions(n: int, x: int) -> int:
     return comb(x - 1, n - 1)
 
 
+@functools.cache
 def bounded_compositions(n: int, r: int, x: int) -> int:
-    """Compositions of x into n parts, each in [1, r] (dynamic programming)."""
+    """Compositions of x into n parts, each in [1, r] (dynamic programming,
+    memoized: the double sums ask for the same (n, r, x) many times)."""
     if r < 1:
         raise DomainError("part bound r must be >= 1")
     if n == 0:

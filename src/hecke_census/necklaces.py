@@ -72,7 +72,8 @@ class BlockAlphabet:
         return BlockAlphabet.for_p(params.p)
 
     def encode(self, blocks: tuple[int, ...]) -> bytes:
-        return bytes(exponent_ordinal(k) for k in blocks)
+        # exponent_ordinal, inlined
+        return bytes([2 * k - 2 if k > 0 else -2 * k - 1 for k in blocks])
 
     def decode(self, s: bytes) -> tuple[int, ...]:
         return tuple(ordinal_exponent(o) for o in s)

@@ -9,6 +9,12 @@ Word length is the generator count of the reduced word: 1 per ``i`` and
 ``|k|`` per ``g^k``.  The norm on exponents is taken to be the absolute
 value of the canonical representative; see README for the discussion of
 this convention.
+
+Products and cyclic reduction assume reduced operands and cost time
+linear in their length: a product only cancels or merges where its two
+factors meet, and cyclic reduction peels matching syllables off both ends
+at once.  Syllables are interned: ``Syllable.iota()`` and
+``Syllable.gamma(k)`` return shared instances.
 """
 
 from __future__ import annotations
@@ -92,13 +98,16 @@ class Syllable:
 
     @staticmethod
     def iota() -> "Syllable":
-        return Syllable(IOTA, 0)
+        return _IOTA_SYLLABLE
 
     @staticmethod
     def gamma(k: int) -> "Syllable":
-        if k == 0:
-            raise DomainError("gamma syllable exponent must be nonzero")
-        return Syllable(GAMMA, k)
+        syl = _GAMMA_SYLLABLES.get(k)
+        if syl is None:
+            if k == 0:
+                raise DomainError("gamma syllable exponent must be nonzero")
+            syl = _GAMMA_SYLLABLES[k] = Syllable(GAMMA, k)
+        return syl
 
     @property
     def is_iota(self) -> bool:
@@ -109,6 +118,10 @@ class Syllable:
 
     def __str__(self) -> str:
         return "i" if self.is_iota else f"g^{self.exponent}"
+
+
+_IOTA_SYLLABLE = Syllable(IOTA, 0)
+_GAMMA_SYLLABLES: dict[int, Syllable] = {}
 
 
 class InvolutionType(enum.Enum):
@@ -127,7 +140,7 @@ def reduce_syllables(
             if stack and stack[-1].is_iota:
                 stack.pop()
             else:
-                stack.append(syl)
+                stack.append(_IOTA_SYLLABLE)
         else:
             k = params.canonical_exponent(syl.exponent)
             if k == 0:
@@ -143,7 +156,12 @@ def reduce_syllables(
 
 @dataclass(frozen=True)
 class Word:
-    """A reduced word; the empty sequence is the identity."""
+    """A reduced word; the empty sequence is the identity.
+
+    ``syllables`` must already be reduced (alternating, canonical nonzero
+    exponents): products and cyclic reduction rely on it.  Build words
+    from arbitrary syllables with ``from_syllables`` or ``parse``.
+    """
 
     params: GroupParams
     syllables: tuple[Syllable, ...] = ()
@@ -189,7 +207,17 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if other.params.p != self.params.p:
             raise DomainError("cannot multiply words over different groups")
-        return Word.from_syllables(self.params, self.syllables + other.syllables)
+        # both factors are reduced, so only the seam can cancel or merge
+        left, right = self.syllables, other.syllables
+        i, j, n = len(left), 0, len(right)
+        while i and j < n and left[i - 1].kind == right[j].kind:
+            if left[i - 1].kind == GAMMA:
+                k = self.params.canonical_exponent(left[i - 1].exponent + right[j].exponent)
+                if k:
+                    return Word(self.params, left[: i - 1] + (Syllable.gamma(k),) + right[j + 1 :])
+            i -= 1
+            j += 1
+        return Word(self.params, left[:i] + right[j:])
 
     def inverse(self) -> "Word":
         syls = tuple(
@@ -201,33 +229,44 @@ class Word:
     def conjugate_by(self, h: "Word") -> "Word":
         return h * self * h.inverse()
 
+    def _cyclic_core(self) -> tuple[list[Syllable], int]:
+        """The cyclically reduced core and the number of syllables peeled.
+
+        ``self = h * core * h^-1`` with ``h`` the first ``peeled`` syllables.
+        Each step moves the first syllable to the end: a pair of ``i`` ends
+        cancels, a pair ``g^a ... g^b`` merges into ``g^(a+b)`` at the end.
+        """
+        syls = list(self.syllables)
+        start = 0
+        while len(syls) - start >= 2 and syls[start].kind == syls[-1].kind:
+            first = syls[start]
+            start += 1
+            last = syls.pop()
+            if first.kind == GAMMA:
+                k = self.params.canonical_exponent(last.exponent + first.exponent)
+                if k:
+                    syls.append(Syllable.gamma(k))
+        return syls[start:], start
+
     def cyclic_reduce(self) -> tuple["CyclicWord", "Word"]:
         """Return ``(c, h)`` with ``self = h * c * h^-1`` and c cyclically reduced."""
-        syls = list(self.syllables)
-        h: list[Syllable] = []
-        while len(syls) >= 2 and syls[0].kind == syls[-1].kind:
-            first = syls[0]
-            h.append(first)
-            syls = list(reduce_syllables(syls[1:] + [first], self.params))
-        conjugator = Word.from_syllables(self.params, h)
-        c = CyclicWord._from_reduced(self.params, tuple(syls))
-        # canonicalization rotated the cycle; fold that rotation into h
-        if len(syls) >= 2 and tuple(syls) != c.syllables:
-            m = len(syls)
-            for d in range(1, m):
-                if tuple(syls[d:] + syls[:d]) == c.syllables:
-                    conjugator = conjugator * Word.from_syllables(self.params, syls[:d])
-                    break
-            else:
-                raise AssertionError("canonical form is not a rotation")
-        return c, conjugator
+        syls, peeled = self._cyclic_core()
+        conjugator = Word(self.params, self.syllables[:peeled])
+        if len(syls) <= 1:
+            return CyclicWord(self.params, tuple(syls), None), conjugator
+        # start the cycle at an i, then at the least rotation; fold both into h
+        shift = int(syls[0].kind == GAMMA)
+        blocks = tuple(s.exponent for s in (syls[shift:] + syls[:shift])[1::2])
+        rotate = shift + 2 * _least_rotation(blocks)
+        if rotate:
+            conjugator = conjugator * Word(self.params, tuple(syls[:rotate]))
+        return CyclicWord.from_blocks(self.params, blocks), conjugator
 
     def class_key(self) -> "CyclicWord":
         return self.cyclic_reduce()[0]
 
     def involution_type(self) -> InvolutionType:
-        c = self.class_key()
-        syls = c.syllables
+        syls = self._cyclic_core()[0]
         if len(syls) != 1:
             return InvolutionType.NOT_INVOLUTION
         s = syls[0]
@@ -239,7 +278,7 @@ class Word:
 
     def order(self) -> int | None:
         """Element order; ``None`` means infinite."""
-        syls = self.class_key().syllables
+        syls = self._cyclic_core()[0]
         if not syls:
             return 1
         if len(syls) > 1:
@@ -274,34 +313,25 @@ class CyclicWord:
         return hash((self.params.p, self.syllables))
 
     @staticmethod
-    def _from_reduced(params: GroupParams, syls: tuple[Syllable, ...]) -> "CyclicWord":
-        if len(syls) <= 1:
-            return CyclicWord(params, syls, None)
-        if syls[0].kind == syls[-1].kind:
-            raise DomainError("sequence is not cyclically reduced")
-        if not syls[0].is_iota:
-            syls = syls[1:] + syls[:1]
-        blocks = tuple(s.exponent for s in syls if not s.is_iota)
-        return CyclicWord.from_blocks(params, blocks)
-
-    @staticmethod
     def from_blocks(params: GroupParams, blocks: Sequence[int]) -> "CyclicWord":
         """Build the class key of ``i g^k1 i g^k2 ... i g^kn``."""
-        blocks = tuple(params.canonical_exponent(k) for k in blocks)
-        if not blocks or any(k == 0 for k in blocks):
+        blocks = tuple(map(params.canonical_exponent, blocks))
+        if not blocks or 0 in blocks:
             raise DomainError("block exponents must be nonzero")
-        n = len(blocks)
-        keyed = [(abs(k), 0 if k > 0 else 1) for k in blocks]
-        best = min(range(n), key=lambda i: keyed[i:] + keyed[:i])
-        blocks = blocks[best:] + blocks[:best]
+        best = _least_rotation(blocks)
+        if best:
+            blocks = blocks[best:] + blocks[:best]
         syls = []
         for k in blocks:
-            syls.append(Syllable.iota())
+            syls.append(_IOTA_SYLLABLE)
             syls.append(Syllable.gamma(k))
         return CyclicWord(params, tuple(syls), blocks)
 
     def word_length(self) -> int:
-        return sum(s.weight() for s in self.syllables)
+        blocks = self.block_exponents
+        if blocks is None:
+            return sum(s.weight() for s in self.syllables)
+        return len(blocks) + sum(map(abs, blocks))
 
     def to_word(self) -> Word:
         return Word(self.params, self.syllables)
@@ -325,6 +355,19 @@ class CyclicWord:
 
     def __str__(self) -> str:
         return str(self.to_word())
+
+
+def _least_rotation(blocks: tuple[int, ...]) -> int:
+    """First start of the least rotation of nonzero canonical blocks in the
+    syllable order g^1 < g^-1 < g^2 < ...; only starts at a least block
+    can win."""
+    ranks = [2 * k - 1 if k > 0 else -2 * k for k in blocks]
+    least = min(ranks)
+    first = ranks.index(least)
+    if ranks.count(least) == 1:
+        return first
+    starts = [i for i in range(first, len(ranks)) if ranks[i] == least]
+    return min(starts, key=lambda i: ranks[i:] + ranks[:i])
 
 
 def all_reduced_words(params: GroupParams, length: int) -> Iterator[Word]:

@@ -99,11 +99,11 @@ def test_criterion_2_census_fixtures():
 
 
 def test_criterion_3_classification_cross_validation():
-    """Reflection classify == coset witness search, p in {4,6}, length <= 16."""
+    """Reflection classify == coset witness search, p in {4,6}, length <= 20."""
     with _Budget("3 (classification cross-validation)", 30.0):
         for p in (4, 6):
             params = make_params(p)
-            for c in enumerate_classes(params, 16):
+            for c in enumerate_classes(params, 20):
                 info = classify(c, with_witnesses=True)
                 if not info.is_reciprocal:
                     continue

@@ -191,6 +191,13 @@ def test_engine_matches_enumeration_at_every_budget(p):
         assert census(params, max_len).rows == expected, max_len
 
 
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(3, 40), max_len=st.integers(2, 14))
+def test_engine_matches_enumeration_property(p, max_len):
+    params = make_params(p)
+    assert census(params, max_len).rows == _brute_rows(params, max_len)
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.integers(3, 60), short=st.integers(2, 80), long=st.integers(2, 80))
 def test_engine_properties(p, short, long):

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecke_census.necklaces import BlockAlphabet, exponent_ordinal
 from hecke_census.words import (
+    GAMMA,
     CyclicWord,
     DomainError,
     InvolutionType,
@@ -12,6 +14,7 @@ from hecke_census.words import (
     Word,
     all_reduced_words,
     make_params,
+    reduce_syllables,
 )
 
 
@@ -243,3 +246,106 @@ def test_all_reduced_words_counts():
     # g^2, g^1 g^... -- enumerate and check basic sanity instead
     seen = set(str(x) for x in all_reduced_words(P4, 2))
     assert seen == {"i g^1", "i g^-1", "g^1 i", "g^-1 i", "g^2"}
+
+
+# ---------------------------------------------------------------------------
+# the linear word layer against the quadratic references it replaced
+
+
+def test_syllables_are_interned():
+    assert Syllable.iota() is Syllable.iota()
+    for k in (1, -1, 2, 5, -7):
+        assert Syllable.gamma(k) is Syllable.gamma(k)
+        assert Syllable(GAMMA, k) == Syllable.gamma(k)
+        assert hash(Syllable(GAMMA, k)) == hash(Syllable.gamma(k))
+    with pytest.raises(DomainError):
+        Syllable.gamma(0)
+
+
+@st.composite
+def long_words(draw, params):
+    parts = draw(st.lists(st.sampled_from(syllable_texts(params)), max_size=30))
+    return Word.parse(params, " ".join(parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.integers(min_value=3, max_value=12))
+def test_product_equals_full_reduction(data, p):
+    params = make_params(p)
+    a, b, c = (data.draw(long_words(params)) for _ in range(3))
+    for x, y in ((a, b), (a, a.inverse() * c), (a, a.inverse()), (a * b, b.inverse())):
+        assert x * y == Word.from_syllables(params, x.syllables + y.syllables)
+
+
+def _reference_class_key(params, blocks):
+    """Least rotation of the canonical blocks by (|k|, sign), over all n starts."""
+    blocks = tuple(params.canonical_exponent(k) for k in blocks)
+    keyed = [(abs(k), k < 0) for k in blocks]
+    best = min(range(len(blocks)), key=lambda i: keyed[i:] + keyed[:i])
+    return blocks[best:] + blocks[:best]
+
+
+def _reference_cyclic_reduce(word):
+    """The rotate-and-re-reduce loop: move the first syllable to the end and
+    reduce the whole sequence again, until the ends differ in kind."""
+    params = word.params
+    syls = list(word.syllables)
+    h = []
+    while len(syls) >= 2 and syls[0].kind == syls[-1].kind:
+        h.append(syls[0])
+        syls = list(reduce_syllables(syls[1:] + syls[:1], params))
+    if len(syls) <= 1:
+        return tuple(syls), None, tuple(h)
+    if syls[0].kind == GAMMA:
+        h.append(syls[0])
+        syls = syls[1:] + syls[:1]
+    blocks = tuple(s.exponent for s in syls[1::2])
+    key = _reference_class_key(params, blocks)
+    d = next(d for d in range(len(blocks)) if blocks[d:] + blocks[:d] == key)
+    h.extend(syls[: 2 * d])
+    canonical = tuple(s for k in key for s in (Syllable.iota(), Syllable.gamma(k)))
+    return canonical, key, reduce_syllables(h, params)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.integers(min_value=3, max_value=12))
+def test_cyclic_reduce_matches_reference(data, p):
+    params = make_params(p)
+    a, b = (data.draw(long_words(params)) for _ in range(2))
+    for word in (a, b * a * b.inverse(), a * b * a.inverse()):
+        c, h = word.cyclic_reduce()
+        assert (c.syllables, c.block_exponents, h.syllables) == _reference_cyclic_reduce(word)
+        assert c.word_length() == sum(s.weight() for s in c.syllables)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [(1, -1, 1, -1), (2, 1, 2, 1, 1), (-1, 1, -1, 1), (1, 1, 2, 1, 1, 2), (3, 3, 3), (2, -2, 1)],
+)
+def test_from_blocks_periodic_and_tied_least_blocks(blocks):
+    c = CyclicWord.from_blocks(P6, blocks)
+    assert c.block_exponents == _reference_class_key(P6, blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), p=st.integers(min_value=3, max_value=12))
+def test_from_blocks_matches_reference(data, p):
+    params = make_params(p)
+    nonzero = st.integers(-3 * p, 3 * p).filter(lambda k: k % p)
+    blocks = data.draw(st.lists(nonzero, min_size=1, max_size=15))
+    if data.draw(st.booleans()):  # a power, so the least block repeats
+        blocks = blocks * data.draw(st.integers(2, 3))
+    c = CyclicWord.from_blocks(params, blocks)
+    key = _reference_class_key(params, blocks)
+    assert c.block_exponents == key
+    assert c.syllables == tuple(
+        s for k in key for s in (Syllable.iota(), Syllable.gamma(k))
+    )
+    assert c.word_length() == sum(s.weight() for s in c.syllables)
+    assert BlockAlphabet.for_p(p).encode(key) == bytes(map(exponent_ordinal, key))
+
+
+def test_from_blocks_rejects_zero_blocks():
+    for blocks in ((), (1, 6), (0,)):
+        with pytest.raises(DomainError):
+            CyclicWord.from_blocks(P6, blocks)
