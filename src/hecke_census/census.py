@@ -3,30 +3,27 @@
 An infinite-order conjugacy class is a necklace of blocks: the rotation
 class of the tuple (k1, ..., kn) of ``i g^k1 ... i g^kn``, with nonzero
 canonical exponents and word length ``n + sum |ki|``.  ``census`` counts
-these necklaces with Burnside's lemma over the dihedral action instead of
-enumerating them (compare Sawada, "Generating bracelets in constant
-amortized time", SIAM J. Comput. 31, 2001); the categories are those of
-the source paper, arXiv:2411.00739.  With ``B(x) = sum_k x^(1+|k|)``:
+these necklaces by Burnside's lemma over the dihedral action; the
+categories are those of the source paper, arXiv:2411.00739.  Summed over
+the block count n, the Burnside terms are coefficients of two series in
+``B(x) = sum_k x^(1+|k|)`` (``block_series``; Flajolet and Sedgewick,
+Analytic Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)`` and
+``g = x B'/(1 - B)``, which is x times the derivative of ``-log(1 - B)``.
 
-- Rotations: there are ``(1/n) sum_{d|n} phi(d) [x^L] B(x^d)^(n/d)``
-  n-block classes of word length L.
-- Reflections: a class is reciprocal when reverse-and-negate maps its
-  necklace to itself, i.e. when one of the n maps ``s -> rotate(rev_neg(s))``
-  fixes one of its tuples.  Such a map fixes two of the 2n syllables.  A
-  fixed ``i`` constrains nothing (an iota axis); a fixed block must be its
-  own negative, g^r, so ``S(x) = x^(r+1)`` (0 for odd p).  For odd n each
-  map fixes one ``i`` and one block: ``S(x) B(x^2)^((n-1)/2)`` tuples.  For
-  even n, n/2 iota axes fix ``B(x^2)^(n/2)`` tuples and n/2 gamma axes fix
-  ``S(x)^2 B(x^2)^((n-2)/2)``.
-- Categories: a reciprocal necklace whose primitive root has d blocks has
-  d tuples, each fixed by n/d maps whose axes lie d syllable pairs apart.
-  Odd d alternates iota and gamma axes (symmetric_p); even d keeps one
-  type (symmetric or p_reciprocal).  Per axis, odd n counts each necklace
-  once, all symmetric_p.  For even n an odd-d necklace counts once on each
-  axis type and an even-d one twice on its own, so ``symmetric =
-  (iota - odd_d) / 2`` and ``p_reciprocal = (gamma - odd_d) / 2``.  With
-  n = 2^a * m (m odd), the odd-d necklaces are the 2^a-th powers of the
-  reciprocal m-block necklaces of length L / 2^a.
+- Rotations: ``all_classes(L) = (1/L) sum_{d|L} phi(d) g[L/d]``.
+- Reflections: a class is reciprocal when one of the n maps
+  ``s -> rotate(rev_neg(s))`` fixes one of its tuples.  Such a map fixes
+  two of the 2n syllables, each an ``i`` or g^r (the one block that is its
+  own negative; none for odd p), and pairs every other block with its
+  negative, so it fixes ``h[(L - w)/2]`` tuples, w being the weight on its
+  axis.  For odd n that is one ``i`` and one g^r: ``O(L) = h[(L-r-1)/2]``.
+- Categories: a necklace whose primitive root has an odd number of blocks
+  is symmetric_p; for even n it counts once on each kind of axis.  One
+  with an even root is symmetric or p_reciprocal and counts twice on its
+  own kind.  The odd-root necklaces of even n are the squares of the
+  symmetric_p ones of half the length, ``D(L) = symmetric_p(L/2)``, so
+  ``symmetric = (h[L/2] - D)/2``, ``p_reciprocal = (h[L/2-r-1] - D)/2``
+  and ``symmetric_p = O + D``.
 - The power column is the one class ``(g^r ... g^r)``: ``[(r+1) | L]``.
 
 Every division is exact or raises.  ``enumerate_classes`` is the
@@ -37,7 +34,6 @@ brute-force oracle: ``_scan`` walks every self-minimal necklace, and
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -118,34 +114,25 @@ def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]
         dfs(w1)
 
 
-def _block_powers(params: GroupParams, max_len: int) -> list[list[int]]:
-    """``powers[m][j]`` = [x^j] B(x)^m for m <= max_len // 2 and j <= max_len.
-
-    ``B(x) = sum_k x^(1+|k|)`` over the canonical nonzero exponents k; only
-    |k| < max_len can occur, so the loop never depends on the size of p.
-    """
-    b = [0] * (max_len + 1)
-    for a in range(1, min(params.p // 2, max_len - 1) + 1):
-        b[1 + a] = 2 if params.canonical_exponent(-a) == -a else 1
-    terms = [(w, c) for w, c in enumerate(b) if c]
-    powers = [[1] + [0] * max_len]
-    for _ in range(max_len // 2):
-        prev, nxt = powers[-1], [0] * (max_len + 1)
-        for i, c in enumerate(prev):
-            if c:
-                for w, bw in terms:
-                    if i + w > max_len:
-                        break
-                    nxt[i + w] += c * bw
-        powers.append(nxt)
-    return powers
+def block_series(weights: dict[int, int], n: int) -> tuple[list[int], list[int]]:
+    """``h[j] = [x^j] 1/(1 - B)`` and ``g[j] = [x^j] x B'/(1 - B)`` for
+    j <= n, where ``B(x) = sum_w weights[w] x^w`` and every weight w >= 1."""
+    h, g = [1] + [0] * n, [0] * (n + 1)
+    terms = sorted(weights.items())
+    for j in range(1, n + 1):
+        for w, c in terms:
+            if w > j:
+                break
+            h[j] += c * h[j - w]
+            g[j] += w * c * h[j - w]
+    return h, g
 
 
-def _exact_div(num: int, den: int, what: str, n: int, length: int) -> int:
+def _exact_div(num: int, den: int, what: str, length: int) -> int:
     q, rem = divmod(num, den)
     if rem:
         raise ArithmeticError(
-            f"census engine: {what} {num} (n={n}, len={length}) is not divisible by {den}"
+            f"census engine: {what} {num} (len={length}) is not divisible by {den}"
         )
     return q
 
@@ -155,47 +142,46 @@ def census(params: GroupParams, max_len: int) -> CensusTable:
     Burnside's lemma over the dihedral action (see the module docstring)."""
     if max_len < 2:
         raise DomainError("max_len must be >= 2")
-    powers = _block_powers(params, max_len)
+    # only |k| < max_len can occur, so the cost never depends on the size of p
+    weights = {
+        1 + a: 2 if params.canonical_exponent(-a) == -a else 1
+        for a in range(1, min(params.p // 2, max_len - 1) + 1)
+    }
+    h, g = block_series(weights, max_len)
     phi = list(range(max_len + 1))  # Euler's totient, by sieve
     for i in range(2, max_len + 1):
         if phi[i] == i:
             for j in range(i, max_len + 1, i):
                 phi[j] -= phi[j] // i
-    r = params.r
+    rotation_fixed = [0] * (max_len + 1)
+    for d in range(1, max_len + 1):
+        for k in range(1, max_len // d + 1):
+            rotation_fixed[d * k] += phi[d] * g[k]
+    fixed_block = params.r + 1 if params.even else 0  # weight of g^r
 
-    def paired(length: int, m: int) -> int:
-        """[x^length] B(x^2)^m: m blocks, each matched with its negative."""
-        return powers[m][length // 2] if length >= 0 and length % 2 == 0 else 0
-
-    def odd_axis(n: int, length: int) -> int:
-        """Fixed tuples of one reflection of an odd n-block necklace: the
-        block on the axis is g^r, the other (n-1)/2 are matched in pairs."""
-        return paired(length - (r + 1), (n - 1) // 2) if params.even else 0
+    def axis(length: int) -> int:
+        """Tuples fixed by one reflection with g^r on its axis: the other
+        blocks are matched with their negatives."""
+        rest = length - fixed_block
+        return h[rest // 2] if fixed_block and rest >= 0 and rest % 2 == 0 else 0
 
     rows = {}
+    symmetric_p = [0] * (max_len + 1)
     for length in range(2, max_len + 1):
-        all_classes = symmetric = p_reciprocal = symmetric_p = 0
-        for n in range(1, length // 2 + 1):
-            g = math.gcd(n, length)
-            divisors = (d for d in range(1, g + 1) if g % d == 0)
-            fixed = sum(phi[d] * powers[n // d][length // d] for d in divisors)
-            all_classes += _exact_div(fixed, n, "rotation-fixed sum", n, length)
-            if n % 2 == 1:
-                symmetric_p += odd_axis(n, length)
-                continue
-            # odd-d necklaces: 2^a-th powers of the odd-block ones, n = 2^a * odd
-            two = n & -n
-            odd_d = odd_axis(n // two, length // two) if length % two == 0 else 0
-            iota = paired(length, n // 2)
-            gamma = paired(length - 2 * (r + 1), n // 2 - 1) if params.even else 0
-            symmetric += _exact_div(iota - odd_d, 2, "iota-axis count", n, length)
-            p_reciprocal += _exact_div(gamma - odd_d, 2, "gamma-axis count", n, length)
-            symmetric_p += odd_d
+        symmetric = p_reciprocal = 0
+        symmetric_p[length] = axis(length)
+        if length % 2 == 0:
+            odd_roots = symmetric_p[length // 2]  # D(L)
+            iota, gamma = h[length // 2], axis(length - fixed_block)
+            symmetric = _exact_div(iota - odd_roots, 2, "iota-axis count", length)
+            p_reciprocal = _exact_div(gamma - odd_roots, 2, "gamma-axis count", length)
+            symmetric_p[length] += odd_roots
+        all_classes = _exact_div(rotation_fixed[length], length, "rotation-fixed sum", length)
         rows[length] = CensusRow(
             symmetric=symmetric,
             p_reciprocal=p_reciprocal,
-            symmetric_p=symmetric_p,
-            power=int(params.even and length % (r + 1) == 0),
+            symmetric_p=symmetric_p[length],
+            power=int(params.even and length % fixed_block == 0),
             all_classes=all_classes,
         )
     return CensusTable(params=params, max_len=max_len, rows=rows)

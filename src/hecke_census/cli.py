@@ -51,11 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("growth", help="growth report seeded by a census run")
     common(sp)
     sp.add_argument("--extend-to", type=int, default=80, help="recurrence extension index")
-    sp.add_argument("--tol", type=float, default=1e-12, help="dominant-root tolerance")
 
     sp = sub.add_parser("poly", help="characteristic polynomial report")
     sp.add_argument("--r", type=int, required=True, help="recurrence order parameter r >= 2")
-    sp.add_argument("--tol", type=float, default=1e-12)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="scaled hand-verified fixture and invariant suite")
@@ -106,7 +104,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
     params = make_params(args.p)
     r = params.require_even()
     table = census(params, args.max_len)
-    report = analyze_growth(r, tol=args.tol)
+    report = analyze_growth(r)
     seed = family_seed(params, table)
     if len(seed) < r + 1:
         raise DomainError(
@@ -123,7 +121,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    report = analyze_growth(args.r, tol=args.tol)
+    report = analyze_growth(args.r)
     _emit(report.to_json(), args.out)
     return 0
 

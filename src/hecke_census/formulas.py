@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .census import FIXTURES, CensusTable
+from .census import FIXTURES, CensusTable, block_series
 from .words import DomainError, GroupParams, make_params
 
 
@@ -77,21 +77,12 @@ def bounded_compositions_incl_excl(n: int, r: int, x: int) -> int:
 
 def signed_syllable_count(x: int, r: int) -> int:
     """Ground truth: tuples (n; k1..kn), n > 0, -r < ki <= r, ki != 0,
-    with sum |ki| + n = x.  Direct dynamic programming over the weight
-    |ki| + 1 contributed by each block."""
+    with sum |ki| + n = x.  The sequence series of the block weights
+    |ki| + 1, shared with the census."""
     if r < 2 or x < 2:
         raise DomainError("requires r >= 2 and x >= 2")
-    ways = [0] * (x + 1)
-    ways[0] = 1
-    for total in range(2, x + 1):
-        acc = 0
-        for a in range(1, r):
-            if total - (a + 1) >= 0:
-                acc += 2 * ways[total - (a + 1)]
-        if total - (r + 1) >= 0:
-            acc += ways[total - (r + 1)]
-        ways[total] = acc
-    return ways[x]
+    weights = {a + 1: 2 for a in range(1, r)} | {r + 1: 1}
+    return block_series(weights, x)[0][x]
 
 
 def _double_sum(

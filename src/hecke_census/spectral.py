@@ -85,13 +85,14 @@ def sqrt2_sign(a: int, b: int) -> int:
     return -1 if a * a > 2 * b * b else (1 if a * a < 2 * b * b else 0)
 
 
-def dominant_root(poly: IntPoly, tol: float = 1e-12) -> float:
-    """Unique positive real root, by exact rational bisection on [1, 2]."""
+def dominant_root(poly: IntPoly) -> float:
+    """Unique positive real root, by exact rational bisection on [1, 2] to
+    a bracket of width 1e-12."""
     a2, b2 = eval_at_sqrt2(poly)
     if sqrt2_sign(a2, b2) >= 0 or poly(2) <= 0:
         raise DomainError("no sign change on [sqrt2, 2]")
     lo, hi = Fraction(1), Fraction(2)
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         v = poly(mid)
         if v == 0:
@@ -147,7 +148,7 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
         if shift < 1e-15:
             break
     worst = max(abs(peval(z)) for z in zs)
-    if worst > tol:
+    if not worst <= tol:  # also a NaN residual: the iteration overflowed
         raise ArithmeticError(
             f"root iteration residual {worst:.3e} exceeds tolerance {tol:.3e}"
         )
@@ -246,9 +247,9 @@ class GrowthReport:
         return json.dumps(doc, indent=2) + "\n"
 
 
-def analyze_growth(r: int, tol: float = 1e-12) -> GrowthReport:
+def analyze_growth(r: int) -> GrowthReport:
     poly = build_growth_poly(r)
-    rho = dominant_root(poly, tol)
+    rho = dominant_root(poly)
     roots = tuple(all_roots(poly))
     squarefree, s = squarefree_multiplicity(poly)
     return GrowthReport(

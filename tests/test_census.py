@@ -2,6 +2,7 @@
 exactly-once emission, determinism."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from hecke_census.census import (
 )
 from hecke_census.necklaces import NONE, PREC, SYM, SYMP, BlockAlphabet, reflection_category
 from hecke_census.reciprocal import classify, is_reciprocal, reciprocator_witnesses
+from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import (
     CyclicWord,
     DomainError,
@@ -186,7 +188,7 @@ def _brute_rows(params, max_len):
 def test_engine_matches_enumeration_at_every_budget(p):
     params = make_params(p)
     brute = _brute_rows(params, 20)
-    for max_len in range(2, 21):  # at 2 and 3 the engine tabulates only B(x)^0 and B(x)^1
+    for max_len in range(2, 21):  # at 2 and 3 only the first block weights fit
         expected = {length: brute[length] for length in range(2, max_len + 1)}
         assert census(params, max_len).rows == expected, max_len
 
@@ -211,6 +213,86 @@ def test_engine_properties(p, short, long):
         else:
             assert row.p_reciprocal == row.symmetric_p == row.power == 0
         assert row.reciprocal_total <= row.all_classes
+
+
+def _block_power_rows(params, max_len):
+    """Census rows from a table of B(x)^m and one Burnside sum per block
+    count n: the sums that ``block_series`` collapses, kept as a reference."""
+    b = [0] * (max_len + 1)
+    for a in range(1, min(params.p // 2, max_len - 1) + 1):
+        b[1 + a] = 2 if params.canonical_exponent(-a) == -a else 1
+    terms = [(w, c) for w, c in enumerate(b) if c]
+    powers = [[1] + [0] * max_len]  # powers[m][j] = [x^j] B(x)^m
+    for _ in range(max_len // 2):
+        prev, nxt = powers[-1], [0] * (max_len + 1)
+        for i, c in enumerate(prev):
+            if c:
+                for w, bw in terms:
+                    if i + w > max_len:
+                        break
+                    nxt[i + w] += c * bw
+        powers.append(nxt)
+    phi = list(range(max_len + 1))  # Euler's totient, by sieve
+    for i in range(2, max_len + 1):
+        if phi[i] == i:
+            for j in range(i, max_len + 1, i):
+                phi[j] -= phi[j] // i
+    r = params.r
+
+    def paired(length, m):  # [x^length] B(x^2)^m
+        return powers[m][length // 2] if length >= 0 and length % 2 == 0 else 0
+
+    def odd_axis(n, length):
+        return paired(length - (r + 1), (n - 1) // 2) if params.even else 0
+
+    def exact_div(num, den):
+        q, rem = divmod(num, den)
+        assert rem == 0
+        return q
+
+    rows = {}
+    for length in range(2, max_len + 1):
+        all_classes = symmetric = p_reciprocal = symmetric_p = 0
+        for n in range(1, length // 2 + 1):
+            g = math.gcd(n, length)
+            divisors = (d for d in range(1, g + 1) if g % d == 0)
+            fixed = sum(phi[d] * powers[n // d][length // d] for d in divisors)
+            all_classes += exact_div(fixed, n)
+            if n % 2 == 1:
+                symmetric_p += odd_axis(n, length)
+                continue
+            two = n & -n
+            odd_d = odd_axis(n // two, length // two) if length % two == 0 else 0
+            iota = paired(length, n // 2)
+            gamma = paired(length - 2 * (r + 1), n // 2 - 1) if params.even else 0
+            symmetric += exact_div(iota - odd_d, 2)
+            p_reciprocal += exact_div(gamma - odd_d, 2)
+            symmetric_p += odd_d
+        power = int(params.even and length % (r + 1) == 0)
+        rows[length] = CensusRow(symmetric, p_reciprocal, symmetric_p, power, all_classes)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "p,max_len",
+    [(p, 120) for p in range(3, 21)] + [(p, 200) for p in (4, 6, 8, 41, 257, 10**9)],
+)
+def test_series_match_block_power_reference(p, max_len):
+    """The two series equal the B(x)^m engine far past the enumeration's reach."""
+    params = make_params(p)
+    assert census(params, max_len).rows == _block_power_rows(params, max_len)
+
+
+@pytest.mark.parametrize("p", [6, 8, 10, 14])
+def test_all_classes_law_at_large_length(p):
+    """all_classes(L) ~ rho^L / L, with rho the dominant root of the growth
+    polynomial; the tolerance covers L times the float error of rho."""
+    params = make_params(p)
+    rows = census(params, 1000).rows
+    log_rho = math.log(dominant_root(build_growth_poly(params.r)))
+    for length in (999, 1000):
+        log_ratio = math.log(rows[length].all_classes) + math.log(length) - length * log_rho
+        assert abs(math.expm1(log_ratio)) < 1e-8, (length, log_ratio)
 
 
 def test_engine_ignores_exponents_beyond_the_budget():

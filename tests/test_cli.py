@@ -110,8 +110,9 @@ def test_root_finder_failure_is_one_line_error(capsys):
 
 def _one_line_outcome(capsys, argv, codes):
     code = main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code in codes, (argv, err)
+    assert "NaN" not in out
     assert "Traceback" not in err
     if code:
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -119,9 +120,10 @@ def _one_line_outcome(capsys, argv, codes):
         assert err == ""
 
 
-@pytest.mark.parametrize("r", ["41", "60", "128"])
+@pytest.mark.parametrize("r", ["41", "60", "105", "121", "128"])
 def test_poly_large_r_is_a_result_or_one_line_error(capsys, r):
-    # the dominant root lies within 1e-12 of 2 from r = 41 on
+    # the dominant root lies within 1e-12 of 2 from r = 41 on; at r = 105
+    # and 121 the root iteration overflows to NaN, which is an error too
     _one_line_outcome(capsys, ["poly", "--r", r], (0, 1))
 
 
@@ -144,6 +146,10 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "--p", "4", "--max-len", "4", "--threads", "2"])  # removed option
     assert exc.value.code == 2
+    for argv in (["poly", "--r", "3"], ["growth", "--p", "6", "--max-len", "12"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-12"])  # removed option
+        assert exc.value.code == 2
 
 
 def test_domain_error_exit_code(capsys):
