@@ -6,7 +6,8 @@ canonical exponents and word length ``n + sum |ki|``.  ``census`` counts
 these necklaces by Burnside's lemma over the dihedral action; the
 categories are those of the source paper, arXiv:2411.00739.  Summed over
 the block count n, the Burnside terms are coefficients of two series in
-``B(x) = sum_k x^(1+|k|)`` (``block_series``; Flajolet and Sedgewick,
+``B(x) = sum_k x^(1+|k|)``, whose coefficients are
+``GroupParams.block_weights`` (``block_series``; Flajolet and Sedgewick,
 Analytic Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)`` and
 ``g = x B'/(1 - B)``, which is x times the derivative of ``-log(1 - B)``.
 
@@ -37,7 +38,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .necklaces import BlockAlphabet, exponent_ordinal, is_minimal_rotation
+from .necklaces import BlockAlphabet, is_minimal_rotation
 from .words import CyclicWord, DomainError, GroupParams
 
 CSV_HEADER = "len,symmetric,p_reciprocal,symmetric_p,power,reciprocal_total,all_classes"
@@ -92,8 +93,7 @@ def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]
     """
     if max_len < 2:
         raise DomainError("max_len must be >= 2")
-    alphabet = BlockAlphabet.for_params(params)
-    all_pairs = [(exponent_ordinal(k), 1 + abs(k)) for k in alphabet.exponents]
+    all_pairs = list(enumerate(BlockAlphabet.for_params(params).weights))  # (ordinal, weight)
     for first in range(len(all_pairs)):
         pairs = all_pairs[first:]
         o1, w1 = pairs[0]
@@ -142,12 +142,7 @@ def census(params: GroupParams, max_len: int) -> CensusTable:
     Burnside's lemma over the dihedral action (see the module docstring)."""
     if max_len < 2:
         raise DomainError("max_len must be >= 2")
-    # only |k| < max_len can occur, so the cost never depends on the size of p
-    weights = {
-        1 + a: 2 if params.canonical_exponent(-a) == -a else 1
-        for a in range(1, min(params.p // 2, max_len - 1) + 1)
-    }
-    h, g = block_series(weights, max_len)
+    h, g = block_series(params.block_weights(max_len), max_len)
     phi = list(range(max_len + 1))  # Euler's totient, by sieve
     for i in range(2, max_len + 1):
         if phi[i] == i:

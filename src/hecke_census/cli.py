@@ -46,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("claims", help="formula-vs-census claims ledger")
     common(sp)
-    sp.add_argument("--format", choices=("json",), default="json")
 
     sp = sub.add_parser("growth", help="growth report seeded by a census run")
     common(sp)
@@ -112,7 +111,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
             f"need at least r+1 = {r + 1}"
         )
     extended = recurrence_extend(seed, r, max(0, args.extend_to - len(seed)))
-    estimate = growth_estimate(extended, report.rho, report.s)
+    estimate = growth_estimate(extended)
     from dataclasses import replace
 
     report = replace(report, ratio_trace=tuple(estimate["ratio_trace"]))

@@ -77,12 +77,10 @@ def bounded_compositions_incl_excl(n: int, r: int, x: int) -> int:
 
 def signed_syllable_count(x: int, r: int) -> int:
     """Ground truth: tuples (n; k1..kn), n > 0, -r < ki <= r, ki != 0,
-    with sum |ki| + n = x.  The sequence series of the block weights
-    |ki| + 1, shared with the census."""
+    with sum |ki| + n = x: the census series h of p = 2r."""
     if r < 2 or x < 2:
         raise DomainError("requires r >= 2 and x >= 2")
-    weights = {a + 1: 2 for a in range(1, r)} | {r + 1: 1}
-    return block_series(weights, x)[0][x]
+    return block_series(make_params(2 * r).block_weights(x), x)[0][x]
 
 
 def _double_sum(
@@ -188,9 +186,11 @@ def _sixth(l: int) -> Fraction:
     return (Fraction(2) ** l + (2 if l % 2 == 0 else -2)) / 6
 
 
-def _recur(a, l: int, r: int):
-    """Term l of a_l = 2*sum_{j=1}^{r-1} a_{l-j-1} + a_{l-r-1}; ``a`` maps index to term."""
-    return 2 * sum(a[l - j - 1] for j in range(1, r)) + a[l - r - 1]
+def _recur(a, l: int, weights: dict[int, int]):
+    """Term l of a_l = sum_w c_w a_{l-w} over the block weights c_w of p = 2r,
+    which is a_l = 2*sum_{j=1}^{r-1} a_{l-j-1} + a_{l-r-1}; ``a`` maps index
+    to term."""
+    return sum(c * a[l - w] for w, c in weights.items())
 
 
 def _piecewise_family(l: int, params: GroupParams, shift: int):
@@ -198,6 +198,7 @@ def _piecewise_family(l: int, params: GroupParams, shift: int):
     up to k = r, a u-correction at k = r + 1, then the recurrence."""
     r, u = params.r, params.u
     assert r is not None and u is not None
+    weights = params.block_weights(r + 1)
     seq: dict[int, Fraction] = {}
     for m in range(1, l + 1):
         k = m - shift
@@ -206,7 +207,7 @@ def _piecewise_family(l: int, params: GroupParams, shift: int):
         elif k == r + 1:
             seq[m] = _sixth(k) + _sixth(u + 1) - 1
         else:
-            seq[m] = _recur(seq, m, r)
+            seq[m] = _recur(seq, m, weights)
     return _as_int_or_fraction(seq[l])
 
 
@@ -238,12 +239,13 @@ def marmolejo_word_count(l: int) -> Fraction:
 
 
 def recurrence_extend(seed: list[int], r: int, count: int) -> list[int]:
-    """Append ``count`` further terms of a_l = 2*sum_{j=1}^{r-1} a_{l-j-1} + a_{l-r-1}."""
+    """Append ``count`` further terms of the class-count recurrence of order r + 1."""
     if len(seed) < r + 1:
         raise DomainError(f"seed must have at least r+1 = {r + 1} terms")
+    weights = make_params(2 * r).block_weights(r + 1)
     out = list(seed)
     for _ in range(count):
-        out.append(_recur(out, len(out), r))
+        out.append(_recur(out, len(out), weights))
     return out
 
 
@@ -412,6 +414,7 @@ def _even_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusT
             "even-length piecewise family requires odd r",
         )
         return
+    weights = params.block_weights(r + 1)
     even = {l: table.rows[2 * l].reciprocal_total for l in range(1, max_l + 1)}
     for l, observed in even.items():
         if l <= r:
@@ -434,7 +437,7 @@ def _even_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusT
             ledger.compare(
                 "L4.1.3",
                 {"p": params.p, "l": l, "column": "reciprocal_total"},
-                _recur(even, l, r),
+                _recur(even, l, weights),
                 observed,
                 "even-length recurrence, l >= r+2",
             )
@@ -456,6 +459,7 @@ def _odd_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTa
             )
         return
     max_l = (table.max_len + 1) // 2
+    weights = params.block_weights(r + 1)
     odd = {l: table.rows[2 * l - 1].reciprocal_total for l in range(2, max_l + 1)}
     for l, observed in odd.items():
         if l <= r + u + 1:
@@ -488,7 +492,7 @@ def _odd_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTa
                 ledger.compare(
                     "L4.7.3",
                     {"p": params.p, "l": l, "relation": "recurrence"},
-                    _recur(odd, l, r),
+                    _recur(odd, l, weights),
                     observed,
                     "odd-length recurrence, large l",
                 )
@@ -500,13 +504,14 @@ def _category_recurrence_probe(
     r = params.r
     assert r is not None
     max_l = table.max_len // 2
+    weights = params.block_weights(r + 1)
     for column in ("symmetric", "p_reciprocal", "symmetric_p"):
         col = {l: getattr(table.rows[2 * l], column) for l in range(1, max_l + 1)}
         for l in range(r + 2, max_l + 1):
             ledger.compare(
                 "L4.1.3",
                 {"p": params.p, "l": l, "column": column},
-                _recur(col, l, r),
+                _recur(col, l, weights),
                 col[l],
                 "per-category even-length recurrence probe",
             )

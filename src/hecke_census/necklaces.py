@@ -2,8 +2,8 @@
 
 A cyclically reduced word with 2n syllables is the alternating form
 ``i g^k1 ... i g^kn``; its conjugacy class is the rotation class of the
-block tuple ``(k1, ..., kn)``.  Blocks are encoded one byte per exponent
-in the fixed syllable order (g^1 < g^-1 < g^2 < g^-2 < ... < g^r), so
+block tuple ``(k1, ..., kn)``.  Each block is one byte, the position of
+its exponent in the syllable order of ``words`` (g^1 < g^-1 < g^2 < ...), so
 lexicographic comparison of the byte strings matches the class-key order
 and reversal/negation is a C-speed ``translate``.
 
@@ -16,28 +16,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import DomainError, GroupParams
+from .words import DomainError, GroupParams, exponent_ordinal, make_params, ordinal_exponent
 
 # reflection categories
 NONE, SYM, PREC, SYMP = range(4)
 
 
-def exponent_ordinal(k: int) -> int:
-    """Position of g^k in the syllable order, 0-based."""
-    return 2 * abs(k) - 2 + (0 if k > 0 else 1)
-
-
-def ordinal_exponent(o: int) -> int:
-    a = o // 2 + 1
-    return a if o % 2 == 0 else -a
-
-
 @dataclass(frozen=True)
 class BlockAlphabet:
-    """Canonical nonzero exponents of Z_p, byte-encoded."""
+    """Canonical nonzero exponents of Z_p, byte-encoded by ``exponent_ordinal``."""
 
     p: int
-    exponents: tuple[int, ...]     # sorted by ordinal
+    exponents: tuple[int, ...]     # exponents[o] has ordinal o
     weights: tuple[int, ...]       # 1 + |k|, aligned with exponents
     neg_table: bytes               # ordinal -> ordinal of canonical(-k)
     r_ord: int | None              # ordinal of g^r, the self-negating block; None for odd p
@@ -47,24 +37,17 @@ class BlockAlphabet:
     def for_p(p: int) -> "BlockAlphabet":
         if p > 257:  # the largest ordinal, p - 2, must fit in one byte
             raise DomainError(f"byte-encoded block necklaces need p <= 257, got p={p}")
-        exps = []
-        for a in range(1, p // 2 + 1):
-            exps.append(a)
-            if 2 * a < p:  # -a is canonical unless 2a == p
-                exps.append(-a)
-        exps.sort(key=exponent_ordinal)
+        params = make_params(p)
+        exps = tuple(params.exponent_range())
         table = bytearray(256)
         for k in exps:
-            nk = -k
-            if 2 * nk <= -p:
-                nk += p
-            table[exponent_ordinal(k)] = exponent_ordinal(nk)
+            table[exponent_ordinal(k)] = exponent_ordinal(params.canonical_exponent(-k))
         return BlockAlphabet(
             p=p,
-            exponents=tuple(exps),
+            exponents=exps,
             weights=tuple(1 + abs(k) for k in exps),
             neg_table=bytes(table),
-            r_ord=exponent_ordinal(p // 2) if p % 2 == 0 else None,
+            r_ord=exponent_ordinal(params.r) if params.even else None,
         )
 
     @staticmethod
@@ -72,11 +55,10 @@ class BlockAlphabet:
         return BlockAlphabet.for_p(params.p)
 
     def encode(self, blocks: tuple[int, ...]) -> bytes:
-        # exponent_ordinal, inlined
-        return bytes([2 * k - 2 if k > 0 else -2 * k - 1 for k in blocks])
+        return bytes(map(exponent_ordinal, blocks))
 
     def decode(self, s: bytes) -> tuple[int, ...]:
-        return tuple(ordinal_exponent(o) for o in s)
+        return tuple(map(ordinal_exponent, s))
 
     def rev_neg(self, s: bytes) -> bytes:
         """Byte string of the inverse class (reverse and negate)."""
@@ -103,13 +85,6 @@ def minimal_rotation(s: bytes) -> bytes:
         return s
     s2 = s + s
     return min(s2[i : i + n] for i in range(n))
-
-
-def reversal_offsets_bytes(alphabet: BlockAlphabet, s: bytes) -> list[int]:
-    """Offsets t such that the inverse class rotated left by t equals s."""
-    n = len(s)
-    u2 = alphabet.rev_neg(s) * 2
-    return [t for t in range(n) if u2[t : t + n] == s]
 
 
 def reflection_category(alphabet: BlockAlphabet, s: bytes) -> int:

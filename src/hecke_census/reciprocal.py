@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .necklaces import BlockAlphabet, reflection_category, reversal_offsets_bytes
+from .necklaces import NONE, BlockAlphabet, reflection_category
 from .words import CyclicWord, DomainError, GroupParams, InvolutionType, Word
 
 
@@ -60,25 +60,20 @@ def _require_blocks(c: CyclicWord) -> tuple[int, ...]:
     return c.block_exponents
 
 
-def reversal_offsets(c: CyclicWord) -> list[int]:
-    """All rotation offsets t with rot(inverse-class, t) == c."""
-    blocks = _require_blocks(c)
+def _reflection_category(c: CyclicWord) -> int:
     alphabet = BlockAlphabet.for_params(c.params)
-    return reversal_offsets_bytes(alphabet, alphabet.encode(blocks))
+    return reflection_category(alphabet, alphabet.encode(_require_blocks(c)))
 
 
 def is_reciprocal(c: CyclicWord) -> bool:
-    return bool(reversal_offsets(c))
+    return _reflection_category(c) != NONE
 
 
 def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
     """Full reciprocity verdict for an infinite-order class."""
     blocks = _require_blocks(c)
     params = c.params
-    alphabet = BlockAlphabet.for_params(params)
-    category, types = _BY_REFLECTION_CATEGORY[
-        reflection_category(alphabet, alphabet.encode(blocks))
-    ]
+    category, types = _BY_REFLECTION_CATEGORY[_reflection_category(c)]
     reciprocal = category is not Category.NOT_RECIPROCAL
     is_power = (
         params.even

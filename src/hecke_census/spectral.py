@@ -1,6 +1,10 @@
 """Characteristic polynomial of the class-count recurrence and its roots.
 
-The polynomial is ``p(x) = x^(r+1) - 2*(x^(r-1) + ... + x) - 1``.  The
+The polynomial is ``p(x) = x^(r+1) - 2*(x^(r-1) + ... + x) - 1``, built as
+``x^(r+1) (1 - B(1/x))`` from the block series ``B`` of p = 2r
+(``GroupParams.block_weights``).  So the dominant root rho is the
+reciprocal of the dominant zero of ``1 - B``, and the class-count
+recurrence is the recurrence of the census series ``h = 1/(1 - B)``.  The
 dominant root is isolated by bisection with exact rational evaluation;
 the full root set comes from a deterministic simultaneous iteration;
 squarefreeness and the maximum root multiplicity come from exact
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .words import DomainError
+from .words import DomainError, make_params
 
 
 @dataclass(frozen=True)
@@ -52,13 +56,12 @@ class IntPoly:
 
 
 def build_growth_poly(r: int) -> IntPoly:
+    """``x^(r+1) (1 - B(1/x))`` for the block series B of p = 2r."""
     if r < 2:
         raise DomainError("r must be >= 2")
-    coeffs = [0] * (r + 2)
-    coeffs[r + 1] = 1
-    coeffs[0] = -1
-    for j in range(1, r):
-        coeffs[r - j] = -2
+    coeffs = [0] * (r + 1) + [1]
+    for w, c in make_params(2 * r).block_weights(r + 1).items():
+        coeffs[r + 1 - w] = -c
     return IntPoly(tuple(coeffs))
 
 
@@ -193,10 +196,9 @@ def squarefree_multiplicity(poly: IntPoly) -> tuple[bool, int]:
     return s == 1, s
 
 
-def eisenstein_check(poly: IntPoly, prime: int = 2) -> dict:
-    """Eisenstein criterion for p(x+1) at the given prime."""
-    if prime < 2:
-        raise DomainError("prime must be >= 2")
+def eisenstein_check(poly: IntPoly) -> dict:
+    """Eisenstein criterion for p(x+1) at the prime 2."""
+    prime = 2
     shifted = poly.shift(1)
     coeffs = shifted.coefficients
     for i in range(len(coeffs) - 1):
@@ -259,20 +261,15 @@ def analyze_growth(r: int) -> GrowthReport:
         roots=roots,
         s=s,
         squarefree=squarefree,
-        eisenstein=eisenstein_check(poly, 2),
+        eisenstein=eisenstein_check(poly),
     )
 
 
-def growth_estimate(
-    seq: Sequence[int], rho: float, s: int, tol: float = 1e-6
-) -> dict:
-    """Ratio diagnostics of a count sequence against the dominant root.
+def growth_estimate(seq: Sequence[int]) -> dict:
+    """Consecutive-ratio trace of a count sequence and its final ratio.
 
-    Returns the consecutive-ratio trace, the normalized trace
-    ``a_l / (l^(s-1) rho^l)`` with its running maximum, and a verdict on
-    whether the final ratio is within ``tol`` of rho.  Leading terms up
-    to and including the last zero are excluded (small lengths may sit
-    outside the recurrence regime).
+    Leading terms up to and including the last zero are excluded (small
+    lengths may sit outside the recurrence regime).
     """
     base = 0
     for i, v in enumerate(seq):
@@ -281,22 +278,5 @@ def growth_estimate(
     tail = seq[base:]
     if len(tail) < 2:
         raise DomainError("sequence has fewer than two trailing nonzero terms")
-    ratios = []
-    for i in range(1, len(tail)):
-        ratios.append((base + i, tail[i] / tail[i - 1]))
-    normalized = []
-    running_max = 0.0
-    for i, v in enumerate(tail):
-        l = base + i + 1
-        logn = math.log(v) - l * math.log(rho) - (s - 1) * math.log(l)
-        val = math.exp(logn)
-        running_max = max(running_max, val)
-        normalized.append((l, val))
-    final = ratios[-1][1]
-    return {
-        "ratio_trace": ratios,
-        "normalized_trace": normalized,
-        "normalized_max": running_max,
-        "final_ratio": final,
-        "converged": abs(final - rho) < tol,
-    }
+    ratios = [(base + i, tail[i] / tail[i - 1]) for i in range(1, len(tail))]
+    return {"ratio_trace": ratios, "final_ratio": ratios[-1][1]}

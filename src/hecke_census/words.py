@@ -10,6 +10,12 @@ Word length is the generator count of the reduced word: 1 per ``i`` and
 value of the canonical representative; see README for the discussion of
 this convention.
 
+The syllable order ``g^1 < g^-1 < g^2 < g^-2 < ...`` is defined here
+(``exponent_ordinal``); class keys start at their least rotation in it.
+``GroupParams.block_weights`` states the block law: how many blocks
+``i g^k`` have each weight ``1 + |k|``.  The census series, the class-count
+recurrence and its characteristic polynomial all read it.
+
 Products and cyclic reduction assume reduced operands and cost time
 linear in their length: a product only cancels or merges where its two
 factors meet, and cyclic reduction peels matching syllables off both ends
@@ -72,6 +78,16 @@ class GroupParams:
                 out.append(-a)
         return out
 
+    def block_weights(self, max_weight: int) -> dict[int, int]:
+        """The block law: ``{1 + |k|: number of such k}`` over the exponents
+        of ``exponent_range``, for weights up to ``max_weight``.  These are
+        the coefficients of ``B(x) = sum_k x^(1+|k|)``; the bound keeps the
+        cost independent of p."""
+        return {
+            1 + a: 2 if self.canonical_exponent(-a) == -a else 1
+            for a in range(1, min(self.p // 2, max_weight - 1) + 1)
+        }
+
 
 def make_params(p: int) -> GroupParams:
     if p < 3:
@@ -83,6 +99,18 @@ def make_params(p: int) -> GroupParams:
         r = None
         u = None
     return GroupParams(p=p, r=r, u=u)
+
+
+def exponent_ordinal(k: int) -> int:
+    """Position of g^k in the syllable order g^1 < g^-1 < g^2 < g^-2 < ...,
+    0-based; ``exponent_range`` lists the exponents in this order."""
+    return 2 * k - 2 if k > 0 else -2 * k - 1
+
+
+def ordinal_exponent(o: int) -> int:
+    """Inverse of ``exponent_ordinal``."""
+    a = o // 2 + 1
+    return a if o % 2 == 0 else -a
 
 
 IOTA = "i"
@@ -359,9 +387,8 @@ class CyclicWord:
 
 def _least_rotation(blocks: tuple[int, ...]) -> int:
     """First start of the least rotation of nonzero canonical blocks in the
-    syllable order g^1 < g^-1 < g^2 < ...; only starts at a least block
-    can win."""
-    ranks = [2 * k - 1 if k > 0 else -2 * k for k in blocks]
+    syllable order; only starts at a least block can win."""
+    ranks = list(map(exponent_ordinal, blocks))
     least = min(ranks)
     first = ranks.index(least)
     if ranks.count(least) == 1:

@@ -150,6 +150,9 @@ def test_usage_error_exit_code(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--tol", "1e-12"])  # removed option
         assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["claims", "--p", "4", "--max-len", "6", "--format", "json"])  # removed option
+    assert exc.value.code == 2
 
 
 def test_domain_error_exit_code(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke_census.census import census
+from hecke_census.census import block_series, census
 from hecke_census.cli import main
 from hecke_census.formulas import (
     ClaimLedger,
@@ -28,6 +28,7 @@ from hecke_census.formulas import (
     total_count_even,
     total_count_odd,
 )
+from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import DomainError, make_params
 
 
@@ -240,6 +241,17 @@ def test_recurrence_matches_census_tail_p6():
     for l in range(5, 11):  # a_l indexed from 1 at position 0
         idx = l - 1
         assert seq[idx] == 2 * (seq[idx - 2] + seq[idx - 3]) + seq[idx - 4]
+
+
+def test_recurrence_is_the_census_series():
+    # the class-count recurrence, the census series h = 1/(1 - B) and the
+    # growth polynomial x^(r+1) (1 - B(1/x)) share one block law
+    for r in range(2, 41):
+        weights = make_params(2 * r).block_weights(3 * r)
+        h = block_series(weights, 3 * r)[0]
+        assert recurrence_extend(h[: r + 1], r, 2 * r) == h
+        rho = dominant_root(build_growth_poly(r))
+        assert abs(sum(c * rho**-w for w, c in weights.items()) - 1) < 1e-10
 
 
 # ---------------------------------------------------------------------------

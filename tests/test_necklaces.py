@@ -1,4 +1,4 @@
-"""Byte-encoded necklace layer: encoding, rotation, reversal offsets."""
+"""Byte-encoded necklace layer: encoding, rotation, reflection categories."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from hecke_census.necklaces import (
     NONE,
+    SYM,
+    SYMP,
     BlockAlphabet,
     exponent_ordinal,
     is_minimal_rotation,
     minimal_rotation,
     ordinal_exponent,
     reflection_category,
-    reversal_offsets_bytes,
 )
 from hecke_census.words import make_params
 
@@ -77,16 +78,15 @@ def test_minimal_rotation_properties(ordinals):
     assert m in s + s
 
 
-def test_reversal_offsets_examples():
-    # i g^2 (p=4): reciprocal, single offset
-    assert reversal_offsets_bytes(A4, A4.encode((2,))) == [0]
-    # i g i g^-1: symmetric, offset 0 only
-    assert reversal_offsets_bytes(A4, A4.encode((1, -1))) == [0]
+def test_reflection_category_examples():
+    # i g^2 (p=4): one block, so its one reversal fixes an i and a g^2
+    assert reflection_category(A4, A4.encode((2,))) == SYMP
+    # i g i g^-1: symmetric, the reversal fixes two i syllables
+    assert reflection_category(A4, A4.encode((1, -1))) == SYM
     # i g: not reciprocal
-    assert reversal_offsets_bytes(A4, A4.encode((1,))) == []
     assert reflection_category(A4, A4.encode((1,))) == NONE
 
 
-def test_reversal_offsets_all_rotations_of_power():
-    s = A4.encode((2, 2, 2))
-    assert reversal_offsets_bytes(A4, s) == [0, 1, 2]
+def test_reflection_category_of_power():
+    # every rotation of (i g^2)^3 is a reversal; odd block count
+    assert reflection_category(A4, A4.encode((2, 2, 2))) == SYMP

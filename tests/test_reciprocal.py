@@ -9,7 +9,6 @@ from hecke_census.reciprocal import (
     is_reciprocal,
     normal_form_generate,
     reciprocator_witnesses,
-    reversal_offsets,
 )
 from hecke_census.words import CyclicWord, DomainError, InvolutionType, Word, make_params
 
@@ -68,7 +67,7 @@ def test_torsion_rejected():
     with pytest.raises(DomainError):
         classify(c)
     with pytest.raises(DomainError):
-        reversal_offsets(c)
+        is_reciprocal(c)
 
 
 # ---------------------------------------------------------------------------

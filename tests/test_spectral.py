@@ -106,7 +106,7 @@ def test_squarefree_detects_multiplicity():
 
 
 def test_eisenstein_r2_not_satisfied():
-    report = eisenstein_check(build_growth_poly(2), 2)
+    report = eisenstein_check(build_growth_poly(2))
     assert not report["satisfied"]
     assert report["shifted_coefficients"] == [-2, 1, 3, 1]
 
@@ -114,7 +114,7 @@ def test_eisenstein_r2_not_satisfied():
 def test_eisenstein_positive_case():
     # x^2 + 2x + 2 is Eisenstein at 2 without shifting; feed a poly whose
     # shift by 1 produces it: (x-1)^2 + 2(x-1) + 2 = x^2 + 1
-    report = eisenstein_check(IntPoly((1, 0, 1)), 2)
+    report = eisenstein_check(IntPoly((1, 0, 1)))
     assert report["satisfied"]
 
 
@@ -131,17 +131,16 @@ def test_analyze_growth_report_fields():
 def test_growth_estimate_geometric():
     rho = 1.5
     seq = [round(10 * rho**i) for i in range(40)]
-    est = growth_estimate(seq, rho, 1, tol=1e-3)
-    assert est["converged"]
-    assert est["normalized_max"] > 0
+    est = growth_estimate(seq)
+    assert abs(est["final_ratio"] - rho) < 1e-3
 
 
 def test_growth_estimate_skips_interior_zeros():
     seq = [1, 0, 2, 1, 4, 4, 9, 12, 22, 33, 56, 88]
-    est = growth_estimate(seq, 1.6180339887, 1, tol=1e-1)
+    est = growth_estimate(seq)
     assert est["ratio_trace"][0][0] > 2  # starts after the last zero
 
 
 def test_growth_estimate_rejects_tiny_sequences():
     with pytest.raises(DomainError):
-        growth_estimate([0, 0, 1], 1.5, 1)
+        growth_estimate([0, 0, 1])

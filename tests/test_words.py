@@ -1,10 +1,12 @@
 """Word arithmetic: reduction, group laws, cyclic reduction, torsion."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke_census.necklaces import BlockAlphabet, exponent_ordinal
+from hecke_census.necklaces import BlockAlphabet, is_minimal_rotation
 from hecke_census.words import (
     GAMMA,
     CyclicWord,
@@ -60,6 +62,18 @@ def test_exponent_range_order():
     assert P4.exponent_range() == [1, -1, 2]
     assert P6.exponent_range() == [1, -1, 2, -2, 3]
     assert P7.exponent_range() == [1, -1, 2, -2, 3, -3]
+
+
+def test_block_weights_match_exponent_range():
+    # the block law is the weight census of the exponent set, cut at max_weight
+    for p in range(3, 61):
+        params = make_params(p)
+        exps = params.exponent_range()
+        for max_weight in range(2, p + 3):
+            want = Counter(1 + abs(k) for k in exps if 1 + abs(k) <= max_weight)
+            assert params.block_weights(max_weight) == want
+    # the bound keeps huge p cheap: 11 weights, 2..12, each from k and -k
+    assert make_params(10**9).block_weights(12) == {w: 2 for w in range(2, 13)}
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +356,7 @@ def test_from_blocks_matches_reference(data, p):
         s for k in key for s in (Syllable.iota(), Syllable.gamma(k))
     )
     assert c.word_length() == sum(s.weight() for s in c.syllables)
-    assert BlockAlphabet.for_p(p).encode(key) == bytes(map(exponent_ordinal, key))
+    assert is_minimal_rotation(BlockAlphabet.for_p(p).encode(key))  # byte order is key order
 
 
 def test_from_blocks_rejects_zero_blocks():
