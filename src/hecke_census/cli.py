@@ -93,8 +93,7 @@ def _cmd_claims(args: argparse.Namespace) -> int:
     params = make_params(args.p)
     params.require_even()
     table = census(params, args.max_len)
-    spectral = analyze_growth(params.r)
-    ledger = claims_check(params, table, spectral=spectral)
+    ledger = claims_check(params, table)
     _emit(ledger.to_json(), args.out)
     return 0
 

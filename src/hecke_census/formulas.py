@@ -23,6 +23,13 @@ from fractions import Fraction
 from math import comb
 
 from .census import FIXTURES, CensusTable, block_series
+from .spectral import (
+    build_growth_poly,
+    dominant_root,
+    eisenstein_check,
+    eval_at_sqrt2,
+    sqrt2_sign,
+)
 from .words import DomainError, GroupParams, make_params
 
 
@@ -314,12 +321,8 @@ class ClaimLedger:
         return json.dumps({"claims": [e.to_doc() for e in self.entries]}, indent=2) + "\n"
 
 
-def claims_check(params: GroupParams, table: CensusTable, spectral=None) -> ClaimLedger:
-    """One ledger entry per applicable claim instance for this census.
-
-    ``spectral`` is an optional GrowthReport for r = p/2; spectral claims
-    are skipped when it is absent.
-    """
+def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
+    """One ledger entry per applicable claim instance for this census."""
     r = params.require_even()
     u = params.u
     assert u is not None
@@ -395,8 +398,7 @@ def claims_check(params: GroupParams, table: CensusTable, spectral=None) -> Clai
             "quoted reciprocal word count / 2 at word length 2l (l <= r)",
         )
 
-    if spectral is not None:
-        _spectral_claims(ledger, params, table, spectral)
+    _spectral_claims(ledger, params, table)
     return ledger
 
 
@@ -566,13 +568,14 @@ def _normal_form_claims(ledger: ClaimLedger, params: GroupParams, max_len: int) 
         )
 
 
-def _spectral_claims(ledger, params: GroupParams, table: CensusTable, spectral) -> None:
-    from .spectral import eval_at_sqrt2, sqrt2_sign
-
+def _spectral_claims(ledger, params: GroupParams, table: CensusTable) -> None:
+    """The sign bracket, the Eisenstein criterion and the growth rate of
+    the characteristic polynomial for r = p/2; its roots are not needed."""
     r = params.r
     assert r is not None
-    a, b = eval_at_sqrt2(spectral.poly)
-    p2 = spectral.poly(2)
+    poly = build_growth_poly(r)
+    a, b = eval_at_sqrt2(poly)
+    p2 = poly(2)
     bracket_ok = sqrt2_sign(a, b) < 0 and p2 == 3
     ledger.add(
         "L4.6-bracket",
@@ -582,7 +585,7 @@ def _spectral_claims(ledger, params: GroupParams, table: CensusTable, spectral) 
         "PASS" if bracket_ok else "MISMATCH",
         "sign bracket for the dominant root",
     )
-    ei = spectral.eisenstein
+    ei = eisenstein_check(poly)
     ledger.add(
         "EISEN",
         {"r": r, "prime": 2},
@@ -596,7 +599,7 @@ def _spectral_claims(ledger, params: GroupParams, table: CensusTable, spectral) 
     if len(seed) >= r + 1 and any(seed):
         extended = recurrence_extend(seed, r, 80 - len(seed))
         ratio = extended[-1] / extended[-2]
-        diff = abs(ratio - spectral.rho)
+        diff = abs(ratio - dominant_root(poly))
         ledger.add(
             "THM-MAIN",
             {"p": params.p, "r": r, "index": len(extended)},

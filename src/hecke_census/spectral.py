@@ -5,10 +5,10 @@ The polynomial is ``p(x) = x^(r+1) - 2*(x^(r-1) + ... + x) - 1``, built as
 (``GroupParams.block_weights``).  So the dominant root rho is the
 reciprocal of the dominant zero of ``1 - B``, and the class-count
 recurrence is the recurrence of the census series ``h = 1/(1 - B)``.  The
-dominant root is isolated by bisection with exact rational evaluation;
-the full root set comes from a deterministic simultaneous iteration;
-squarefreeness and the maximum root multiplicity come from exact
-polynomial gcds over the rationals.  The sign probes at sqrt(2) are
+dominant root is isolated by dyadic bisection with exact integer sign
+evaluation; the full root set comes from a deterministic simultaneous
+iteration; squarefreeness and the maximum root multiplicity come from
+primitive pseudo-remainder gcds over Z.  The sign probes at sqrt(2) are
 computed in the ring Z[sqrt(2)], no floating point involved.
 """
 
@@ -18,7 +18,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .words import DomainError, make_params
@@ -88,16 +87,29 @@ def sqrt2_sign(a: int, b: int) -> int:
     return -1 if a * a > 2 * b * b else (1 if a * a < 2 * b * b else 0)
 
 
+def _dyadic_sign(poly: IntPoly, m: int, k: int) -> int:
+    """Sign of poly(m / 2^k), read from the integer 2^(k*deg) * poly(m / 2^k)
+    by homogeneous Horner evaluation."""
+    acc = 0
+    for j, c in enumerate(reversed(poly.coefficients)):
+        acc = acc * m + (c << (k * j))
+    return (acc > 0) - (acc < 0)
+
+
 def dominant_root(poly: IntPoly) -> float:
-    """Unique positive real root, by exact rational bisection on [1, 2] to
-    a bracket of width 1e-12."""
+    """Unique positive real root, by exact bisection on [1, 2] to a bracket
+    of width 1e-12.
+
+    The bracket is [lo/2^k, hi/2^k] with hi - lo = 1, so the width falls
+    below 1e-12 after k = 40 halvings."""
     a2, b2 = eval_at_sqrt2(poly)
     if sqrt2_sign(a2, b2) >= 0 or poly(2) <= 0:
         raise DomainError("no sign change on [sqrt2, 2]")
-    lo, hi = Fraction(1), Fraction(2)
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2
-        v = poly(mid)
+    lo, hi = 1, 2
+    for k in range(1, 41):
+        lo, hi = 2 * lo, 2 * hi
+        mid = lo + 1
+        v = _dyadic_sign(poly, mid, k)
         if v == 0:
             lo = hi = mid
             break
@@ -108,9 +120,11 @@ def dominant_root(poly: IntPoly) -> float:
     # the root is bracketed strictly; as poly(1) < 0 < poly(2) this also
     # rules out an integer root (a rational root of a monic integer
     # polynomial is an integer)
-    if not poly(lo) < 0 < poly(hi):
-        raise ArithmeticError(f"bisection lost the sign change on [{float(lo)}, {float(hi)}]")
-    return float((lo + hi) / 2)
+    if not _dyadic_sign(poly, lo, k) < 0 < _dyadic_sign(poly, hi, k):
+        raise ArithmeticError(
+            f"bisection lost the sign change on [{lo / 2**k}, {hi / 2**k}]"
+        )
+    return (lo + hi) / 2 ** (k + 1)
 
 
 def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[complex]:
@@ -123,16 +137,16 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
     if deg < 1:
         raise DomainError("degree must be >= 1")
     lead = poly.coefficients[-1]
-    monic = [Fraction(c, lead) for c in poly.coefficients]
-    radius = 1 + max(abs(float(c)) for c in monic)
+    monic = [c / lead for c in poly.coefficients]
+    radius = 1 + max(abs(c) for c in monic)
     zs = [
         radius * cmath.exp(1j * (2 * math.pi * k / deg + 0.4)) for k in range(deg)
     ]
-    fm = [float(c) for c in monic]
+    rev = monic[::-1]
 
     def peval(z: complex) -> complex:
         acc = 0j
-        for c in reversed(fm):
+        for c in rev:
             acc = acc * z + c
         return acc
 
@@ -141,12 +155,15 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
         new = []
         for i, z in enumerate(zs):
             denom = 1.0 + 0j
-            for j, w in enumerate(zs):
-                if j != i:
-                    denom *= z - w
+            for w in zs[:i]:
+                denom *= z - w
+            for w in zs[i + 1:]:
+                denom *= z - w
             dz = peval(z) / denom
             new.append(z - dz)
-            shift = max(shift, abs(dz))
+            step = abs(dz)
+            if step > shift:
+                shift = step
         zs = new
         if shift < 1e-15:
             break
@@ -158,40 +175,48 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
     return sorted(zs, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
 
 
-def _strip(p: list[Fraction]) -> list[Fraction]:
+def _strip(p: list[int]) -> list[int]:
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return p
 
 
-def _rem(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content (the gcd of its coefficients)."""
+    g = math.gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """A pseudo-remainder of f by g: lc(g)^e * f mod g for some e >= 0."""
     f = _strip(list(f))
-    while len(f) >= len(g) and f != [Fraction(0)]:
-        factor = f[-1] / g[-1]
+    lead = g[-1]
+    while len(f) >= len(g) and f != [0]:
+        factor = f[-1]
         shift = len(f) - len(g)
+        f = [lead * c for c in f]
         for i, c in enumerate(g):
             f[shift + i] -= factor * c
         f = _strip(f)
     return f
 
 
-def _frac_gcd(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of dense rational polynomials (constant first)."""
-    f, g = _strip(list(f)), _strip(list(g))
-    while g != [Fraction(0)]:
-        f, g = g, _rem(f, g)
-    if f[-1] != 0:
-        f = [c / f[-1] for c in f]
-    return f
+def _int_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
+    """A gcd of integer polynomials by the primitive pseudo-remainder
+    sequence; it has the degree of their gcd over the rationals."""
+    a = _primitive(_strip(list(f.coefficients)))
+    b = _primitive(_strip(list(g.coefficients)))
+    while b != [0]:
+        a, b = b, _primitive(_prem(a, b))
+    return IntPoly(tuple(a))
 
 
 def squarefree_multiplicity(poly: IntPoly) -> tuple[bool, int]:
     """(squarefree, max root multiplicity) by repeated exact gcd."""
-    cur = [Fraction(c) for c in poly.coefficients]
+    cur = poly
     s = 0
-    while len(cur) > 1:
-        deriv = [i * c for i, c in enumerate(cur)][1:] or [Fraction(0)]
-        cur = _frac_gcd(cur, deriv)
+    while cur.degree > 0:
+        cur = _int_gcd(cur, cur.derivative())
         s += 1
     return s == 1, s
 

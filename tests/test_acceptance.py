@@ -26,7 +26,6 @@ from hecke_census.formulas import (
 from hecke_census.reciprocal import Category, classify, normal_form_generate
 from hecke_census.spectral import (
     all_roots,
-    analyze_growth,
     build_growth_poly,
     dominant_root,
     eval_at_sqrt2,
@@ -186,7 +185,7 @@ def test_criterion_7_claims_ledger(capsys):
     with _Budget("7 (claims ledger)", 120.0):
         params = make_params(6)
         table = census(params, 20)
-        ledger = claims_check(params, table, spectral=analyze_growth(3))
+        ledger = claims_check(params, table)
         expected_ids = {
             "L2.6", "L3.3", "L3.4", "L3.5", "P3.6", "L4.1.1", "L4.1.2",
             "L4.1.3", "L4.7.1", "L4.7.2", "L4.7.3", "MA-5.3.2", "L3.2-NF",

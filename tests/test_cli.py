@@ -1,5 +1,6 @@
 """CLI: subcommand output, determinism, schemas, exit codes."""
 
+import hashlib
 import importlib.resources as resources
 import json
 
@@ -128,12 +129,88 @@ def test_poly_large_r_is_a_result_or_one_line_error(capsys, r):
 
 
 def test_large_p_census_and_claims(capsys):
-    # the census needs no byte encoding; claims at p = 300 stops at the root
-    # iteration (r = 150) or at the byte-encoded enumeration, with one line
+    # the census needs no byte encoding; claims at p = 300 stops at the
+    # byte-encoded enumeration, with one line
     for p in ("257", "258"):
         _one_line_outcome(capsys, ["census", "--p", p, "--max-len", "6"], (0,))
     _one_line_outcome(capsys, ["claims", "--p", "82", "--max-len", "10"], (0,))
-    _one_line_outcome(capsys, ["claims", "--p", "300", "--max-len", "10"], (1, 2))
+    _one_line_outcome(capsys, ["claims", "--p", "300", "--max-len", "10"], (2,))
+
+
+@pytest.mark.parametrize("p", ["40", "74"])
+def test_claims_does_not_need_all_roots(capsys, p):
+    # all_roots fails for r = 20 and r = 37; the ledger reads only the
+    # polynomial, its dominant root and the Eisenstein report
+    jsonschema = pytest.importorskip("jsonschema")
+    code = main(["claims", "--p", p, "--max-len", "18"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("claims"))
+    assert {"L4.6-bracket", "EISEN"} <= {e["id"] for e in doc["claims"]}
+
+
+# sha256 of exit code, stdout and stderr (joined by NUL): the root bytes and
+# the one-line errors of the failing r are the contract
+POLY_SHA256 = {
+    "poly --r 2": "a3006f619bc04bbfc1c274c1fc6609ee2c52f75fc3a835b9631771a13cdfdb41",
+    "poly --r 3": "f945b10e41f6fec3f866ad0e9c1e071f9f292fffd5cefc5576beda7122acaa64",
+    "poly --r 4": "21e079a12916e5a80797cc19c7ce19a671005e9966e484ffff4eb79c32a05262",
+    "poly --r 5": "ad7080f1966177dbf6538fffc19f2669f7fdd9521b165b895c0d464a100651e8",
+    "poly --r 6": "91832e96ec7adc693d2d90f5f2f4444eec209dadf8ed0f87a120307d3f0864bd",
+    "poly --r 7": "16e64de4f35481251ce021fadeaa7194e2db93778f278f3a6e5a5566923cef03",
+    "poly --r 8": "a0a7befa814bfe18439c824b3eabcdbe59e08a96b4aa031aedec70ad64ef9e67",
+    "poly --r 9": "de19e23df209f54191d63c81b313bfa5deb40a73a4d4fe58a75c8e857d411c7a",
+    "poly --r 10": "06b2d5386c2c9232a918b91c497f7b1868bc18b0d6240943430cc3a5851e689b",
+    "poly --r 11": "8e6e125b12c5ea5bb78947d4601e1a0e39527ef98af0fb01e51d7d9464e455a7",
+    "poly --r 12": "83e571194a3cc6ee80767e73e8c43d6132f8ee18e52df930f445b1e4fb9a70ee",
+    "poly --r 13": "6a8404698dcef7c864a5297b62c1fea3f491cb0ce636401c076818d9a32185af",
+    "poly --r 14": "d1cc3ea5c823e3ad12bfa6c3e3029ce9977f1e467bf63064ac0a613e72f0d5ff",
+    "poly --r 15": "24d48d97a308146f4cb456f338d528edd671b0e89de9d13766c805ab9032e1b2",
+    "poly --r 16": "d478b0125b3645a10a5795a71d092b6e72d79815e96403ab5c280510b8560ff7",
+    "poly --r 17": "c9bdb841c1d5d267a6a66945eeba37b4f988959e17ab9ca5c517eedda2457101",
+    "poly --r 18": "f834c02752f87586c7c630e4d1d9c55d0005e3399879a7e2f90e1135eb638e4b",
+    "poly --r 19": "87cc8db5edf3d90801831f4262dae9d32962ab04cce0c545cbea6e6625c9f28d",
+    "poly --r 21": "90a4a1689233967062c230a90b2f235ea7e92f6f8d2f9121e322d1e3676d1a48",
+    "poly --r 22": "63af87b81073ce6fefc17d07c25fa5ea7db9b5ced44ee03a2e2aa5ee96c383fe",
+    "poly --r 23": "d3f5d584df637322352295069cfca9371e23af8ec99c5c7d6286139fadfaa55f",
+    "poly --r 24": "18b3a1d604327a18fa12d2f0e695ac1fe68b9d9f75c081a0d6b1a7989d36769a",
+    "poly --r 25": "099f20d1ceea66fd83d579994ebe165ccbac4a1545629ce22d50589d550007ba",
+    "poly --r 38": "f20781d8737d90c4455c9a4fa406d9416a459e8ce843719b1d4fcd654bb09a78",
+    "poly --r 39": "f26fd4eaf1e4a0bc15a5d939b091796aeacb33675a1a380e6e25b9bbeaab0dff",
+    "poly --r 40": "5678e093e6c962322e5447da69756036ea2b111391fefe37269e81eb340a094b",
+    "poly --r 41": "8ca7174624f1b5e5dcd73ded92bfd394b1238229cc6f319f04f796f4cd624d58",
+    "poly --r 42": "5ec4d455a1614f2e0b32a20195d0a857589b7c864c9d2af3e0a4dd5694e34af2",
+    "poly --r 43": "277fb1e883da1a85568fb78c5072c3f9c9ae0aa2279713ee05be07f76a52a166",
+    "poly --r 44": "c57883a0a4821ba087263ef74dc6ae09820e6eb861fe8c1eef2da1089c59a589",
+    "poly --r 45": "3d419598acec2fe61a4d084edc69546d44b83599733e800895593485d1f1a2eb",
+    "poly --r 46": "d6c4f9f056427e7192e2cf8e607958cf8fc063da0b22c27262be4fc49b81f5f2",
+    "poly --r 47": "1cf4fbe26a8cbf638dbf8f7f32baafd9fbf3096cacb1aaf16489618a49ab441d",
+    "poly --r 48": "d063bbe6537a170d3414d96e84ee189d86c8a5e2aeb584b4a20ed8993196a028",
+    "poly --r 49": "658df4285a097d08cf16789f6692580676d4605cd5f0c4d6857153193cbb0bd9",
+    "poly --r 50": "9ab0e649773b1ac17db238f48bf0609bf5d2883c46207d889f659373757c6e2a",
+    "poly --r 51": "2abeb02ac9ae8740c6e8d555a3a16a37d263e0fb411ff84e21a4898f46d9f374",
+    "poly --r 52": "669716f40634d53bad36668bb1b8bdc6750f259b44024e080a7e73e7b523ed0c",
+    "poly --r 53": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
+    "poly --r 54": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
+    "poly --r 55": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
+    "poly --r 56": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
+    "poly --r 57": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
+    "poly --r 58": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
+    "poly --r 59": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
+    "poly --r 60": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
+    "poly --r 105": "515f622c79f5845f12a8617f3799f96edb3738469e2af523935ba1c421c46396",
+    "poly --r 121": "515f622c79f5845f12a8617f3799f96edb3738469e2af523935ba1c421c46396",
+    "growth --p 6 --max-len 20 --extend-to 400": "d96abf0a86d7c4107fe6cc6ab972a73ada2a6aa8b08ce20c3336046bed0b41c5",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(POLY_SHA256))
+def test_poly_bytes_pinned(capsys, argv):
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(f"{code}\0{out}\0{err}".encode("utf-8")).hexdigest()
+    assert digest == POLY_SHA256[argv]
 
 
 def test_usage_error_exit_code(capsys):

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hecke_census.spectral import (
     IntPoly,
@@ -18,7 +20,71 @@ from hecke_census.spectral import (
     sqrt2_sign,
     squarefree_multiplicity,
 )
-from hecke_census.words import DomainError
+from hecke_census.words import DomainError, make_params
+
+
+# References: the rational arithmetic the spectral layer used before it
+# moved to integers.  The integer versions must agree with them exactly.
+
+
+def fraction_dominant_root(poly: IntPoly) -> float:
+    lo, hi = Fraction(1), Fraction(2)
+    while hi - lo > 1e-12:
+        mid = (lo + hi) / 2
+        v = poly(mid)
+        if v == 0:
+            lo = hi = mid
+            break
+        if v < 0:
+            lo = mid
+        else:
+            hi = mid
+    assert poly(lo) < 0 < poly(hi)
+    return float((lo + hi) / 2)
+
+
+def _strip(p):
+    while len(p) > 1 and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _frac_rem(f, g):
+    f = _strip(list(f))
+    while len(f) >= len(g) and f != [Fraction(0)]:
+        factor = f[-1] / g[-1]
+        shift = len(f) - len(g)
+        for i, c in enumerate(g):
+            f[shift + i] -= factor * c
+        f = _strip(f)
+    return f
+
+
+def _frac_gcd(f, g):
+    f, g = _strip(list(f)), _strip(list(g))
+    while g != [Fraction(0)]:
+        f, g = g, _frac_rem(f, g)
+    if f[-1] != 0:
+        f = [c / f[-1] for c in f]
+    return f
+
+
+def fraction_squarefree_multiplicity(poly: IntPoly) -> tuple[bool, int]:
+    cur = [Fraction(c) for c in poly.coefficients]
+    s = 0
+    while len(cur) > 1:
+        deriv = [i * c for i, c in enumerate(cur)][1:] or [Fraction(0)]
+        cur = _frac_gcd(cur, deriv)
+        s += 1
+    return s == 1, s
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
 
 def test_build_poly_r2():
@@ -98,6 +164,44 @@ def test_squarefree_growth_polys():
     for r in range(2, 11):
         squarefree, s = squarefree_multiplicity(build_growth_poly(r))
         assert squarefree and s == 1
+
+
+def test_dominant_root_matches_fraction_reference():
+    for r in range(2, 131):
+        poly = build_growth_poly(r)
+        assert dominant_root(poly) == fraction_dominant_root(poly), r
+
+
+def test_dominance_certificate():
+    # B has nonnegative coefficients and its support holds the coprime
+    # weights 2 and 3, so 1 - B has a unique dominant zero (the aperiodic
+    # supercritical sequence schema); the gcd test proves that it is simple
+    for r in range(2, 131):
+        weights = make_params(2 * r).block_weights(r + 1)
+        assert {2, 3} <= set(weights) and min(weights.values()) > 0, r
+        assert squarefree_multiplicity(build_growth_poly(r)) == (True, 1), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    linear=st.dictionaries(st.integers(-6, 6), st.integers(1, 3), max_size=3),
+    quadratic=st.dictionaries(st.integers(1, 9), st.integers(1, 3), max_size=2),
+    lead=st.integers(1, 4),
+)
+def test_squarefree_matches_fraction_reference(linear, quadratic, lead):
+    # distinct a and positive b make the factors pairwise coprime, so the
+    # largest multiplicity m is the largest exponent
+    coeffs = [lead]
+    factors = [([-a, 1], m) for a, m in linear.items()]
+    factors += [([b, 0, 1], m) for b, m in quadratic.items()]
+    for factor, m in factors:
+        for _ in range(m):
+            coeffs = _poly_mul(coeffs, factor)
+    poly = IntPoly(tuple(coeffs))
+    got = squarefree_multiplicity(poly)
+    assert got == fraction_squarefree_multiplicity(poly)
+    if factors:
+        assert got[1] == max(m for _, m in factors)
 
 
 def test_squarefree_detects_multiplicity():
