@@ -28,17 +28,18 @@ Analytic Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)`` and
 - The power column is the one class ``(g^r ... g^r)``: ``[(r+1) | L]``.
 
 Every division is exact or raises.  ``enumerate_classes`` is the
-brute-force oracle: ``_scan`` walks every self-minimal necklace, and
-``enumerate_classes`` materializes and sorts them.
+enumeration oracle: ``_scan`` generates every necklace once, as its least
+rotation, and ``enumerate_classes`` builds each class key from it once.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .necklaces import BlockAlphabet, is_minimal_rotation
+from .necklaces import BlockAlphabet
 from .words import CyclicWord, DomainError, GroupParams
 
 CSV_HEADER = "len,symmetric,p_reciprocal,symmetric_p,power,reciprocal_total,all_classes"
@@ -86,32 +87,37 @@ class CensusTable:
 
 
 def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]) -> None:
-    """Visit ``(word length, bytes)`` of every self-minimal necklace within budget.
+    """Visit ``(word length, bytes)`` of every necklace within budget, once
+    each, as its least rotation and in lexicographic byte order.
 
-    The first block of a self-minimal necklace is its least block, so the
-    search runs once per first block and extends only with blocks >= it.
+    This is the FKM prenecklace generator (Cattell, Ruskey, Sawada, Serra
+    and Miers, J. Algorithms 37, 2000).  A prenecklace whose longest Lyndon
+    prefix has length q extends only by a byte >= the byte q places back,
+    and it is a necklace exactly when q divides its length.  Every prefix
+    of a necklace is a prenecklace of no larger weight, and block weights
+    do not decrease with the ordinal, so each extension loop stops at the
+    budget.
     """
     if max_len < 2:
         raise DomainError("max_len must be >= 2")
-    all_pairs = list(enumerate(BlockAlphabet.for_params(params).weights))  # (ordinal, weight)
-    for first in range(len(all_pairs)):
-        pairs = all_pairs[first:]
-        o1, w1 = pairs[0]
-        if w1 > max_len:
-            continue
-        buf = bytearray([o1])
+    weights = BlockAlphabet.for_params(params).weights
+    fits = [bisect_right(weights, b) for b in range(max_len + 1)]  # ordinals weighing <= b
+    buf = bytearray()
 
-        def dfs(used: int) -> None:
-            s = bytes(buf)
-            if is_minimal_rotation(s):
-                visit(used, s)
-            for o, w in pairs:
-                if used + w <= max_len:
-                    buf.append(o)
-                    dfs(used + w)
-                    buf.pop()
+    def extend(used: int, q: int) -> None:
+        t = len(buf)
+        if t % q == 0:
+            visit(used, bytes(buf))
+        back = buf[t - q]
+        for o in range(back, fits[max_len - used]):
+            buf.append(o)
+            extend(used + weights[o], q if o == back else t + 1)
+            buf.pop()
 
-        dfs(w1)
+    for o in range(fits[max_len]):
+        buf.append(o)
+        extend(weights[o], 1)
+        buf.pop()
 
 
 def block_series(weights: dict[int, int], n: int) -> tuple[list[int], list[int]]:
@@ -185,15 +191,17 @@ def census(params: GroupParams, max_len: int) -> CensusTable:
 def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]:
     """Every infinite-order class of word length <= max_len, exactly once.
 
-    Ordered by (word length, class-key order).  Unlike ``census``, this
-    materializes and sorts every class before yielding the first.
+    Ordered by (word length, class-key order).  ``_scan`` emits least
+    rotations in byte order, which is class-key order, so a list per
+    length keeps that order without a sort.  Unlike ``census``, this holds
+    the bytes of every class before yielding the first.
     """
-    found: list[tuple[int, bytes]] = []
-    _scan(params, max_len, lambda length, s: found.append((length, s)))
-    found.sort()
+    by_length: list[list[bytes]] = [[] for _ in range(max_len + 1)]
+    _scan(params, max_len, lambda length, s: by_length[length].append(s))
     alphabet = BlockAlphabet.for_params(params)
-    for _, s in found:
-        yield CyclicWord.from_blocks(params, alphabet.decode(s))
+    for bucket in by_length:
+        for s in bucket:
+            yield CyclicWord._from_least_blocks(params, alphabet.decode(s))
 
 
 def table_to_csv(table: CensusTable) -> str:

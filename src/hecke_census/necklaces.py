@@ -4,8 +4,10 @@ A cyclically reduced word with 2n syllables is the alternating form
 ``i g^k1 ... i g^kn``; its conjugacy class is the rotation class of the
 block tuple ``(k1, ..., kn)``.  Each block is one byte, the position of
 its exponent in the syllable order of ``words`` (g^1 < g^-1 < g^2 < ...), so
-lexicographic comparison of the byte strings matches the class-key order
-and reversal/negation is a C-speed ``translate``.
+lexicographic comparison of the byte strings matches the class-key order,
+a class key is the least rotation of its bytes, and reversal/negation is a
+C-speed ``translate``.  Block weights do not decrease with the ordinal,
+which lets the enumeration oracle stop at the weight budget.
 
 ``reflection_category`` is the reflection classifier behind
 ``reciprocal.classify``.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import DomainError, GroupParams, exponent_ordinal, make_params, ordinal_exponent
+from .words import DomainError, GroupParams, exponent_ordinal, make_params
 
 # reflection categories
 NONE, SYM, PREC, SYMP = range(4)
@@ -58,33 +60,11 @@ class BlockAlphabet:
         return bytes(map(exponent_ordinal, blocks))
 
     def decode(self, s: bytes) -> tuple[int, ...]:
-        return tuple(map(ordinal_exponent, s))
+        return tuple(map(self.exponents.__getitem__, s))
 
     def rev_neg(self, s: bytes) -> bytes:
         """Byte string of the inverse class (reverse and negate)."""
         return s[::-1].translate(self.neg_table)
-
-
-def is_minimal_rotation(s: bytes) -> bool:
-    n = len(s)
-    if n <= 1:
-        return True
-    s2 = s + s
-    first = s[0:1]
-    i = s2.find(first, 1)
-    while 0 < i < n:
-        if s2[i : i + n] < s:
-            return False
-        i = s2.find(first, i + 1)
-    return True
-
-
-def minimal_rotation(s: bytes) -> bytes:
-    n = len(s)
-    if n <= 1:
-        return s
-    s2 = s + s
-    return min(s2[i : i + n] for i in range(n))
 
 
 def reflection_category(alphabet: BlockAlphabet, s: bytes) -> int:

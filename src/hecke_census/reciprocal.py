@@ -60,20 +60,20 @@ def _require_blocks(c: CyclicWord) -> tuple[int, ...]:
     return c.block_exponents
 
 
-def _reflection_category(c: CyclicWord) -> int:
-    alphabet = BlockAlphabet.for_params(c.params)
-    return reflection_category(alphabet, alphabet.encode(_require_blocks(c)))
+def _reflection_category(params: GroupParams, blocks: tuple[int, ...]) -> int:
+    alphabet = BlockAlphabet.for_p(params.p)
+    return reflection_category(alphabet, alphabet.encode(blocks))
 
 
 def is_reciprocal(c: CyclicWord) -> bool:
-    return _reflection_category(c) != NONE
+    return _reflection_category(c.params, _require_blocks(c)) != NONE
 
 
 def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
     """Full reciprocity verdict for an infinite-order class."""
     blocks = _require_blocks(c)
     params = c.params
-    category, types = _BY_REFLECTION_CATEGORY[_reflection_category(c)]
+    category, types = _BY_REFLECTION_CATEGORY[_reflection_category(params, blocks)]
     reciprocal = category is not Category.NOT_RECIPROCAL
     is_power = (
         params.even

@@ -107,12 +107,6 @@ def exponent_ordinal(k: int) -> int:
     return 2 * k - 2 if k > 0 else -2 * k - 1
 
 
-def ordinal_exponent(o: int) -> int:
-    """Inverse of ``exponent_ordinal``."""
-    a = o // 2 + 1
-    return a if o % 2 == 0 else -a
-
-
 IOTA = "i"
 GAMMA = "g"
 
@@ -349,6 +343,12 @@ class CyclicWord:
         best = _least_rotation(blocks)
         if best:
             blocks = blocks[best:] + blocks[:best]
+        return CyclicWord._from_least_blocks(params, blocks)
+
+    @staticmethod
+    def _from_least_blocks(params: GroupParams, blocks: tuple[int, ...]) -> "CyclicWord":
+        """The class key of ``blocks``, which must already be nonzero,
+        canonical and their own least rotation; nothing is checked."""
         syls = []
         for k in blocks:
             syls.append(_IOTA_SYLLABLE)

@@ -26,6 +26,7 @@ from hecke_census.words import (
     all_reduced_words,
     make_params,
 )
+from necklace_reference import is_minimal_rotation
 
 
 P4 = make_params(4)
@@ -97,10 +98,63 @@ def test_enumerate_length4_p4():
 
 
 def test_enumerate_sorted_and_unique():
-    seen = list(enumerate_classes(P6, 8))
-    assert len(seen) == len(set(seen))
-    lengths = [c.word_length() for c in seen]
-    assert lengths == sorted(lengths)
+    """Strictly increasing (word length, key bytes), and every key is what
+    ``from_blocks`` builds, so the unchecked constructor only ever receives
+    least rotations."""
+    for params in (P4, P5, P6):
+        alphabet = BlockAlphabet.for_params(params)
+        seen = list(enumerate_classes(params, 12))
+        assert len(seen) == len(set(seen))
+        order = [(c.word_length(), alphabet.encode(c.block_exponents)) for c in seen]
+        assert all(a < b for a, b in zip(order, order[1:]))
+        for c in seen:
+            key = CyclicWord.from_blocks(params, c.block_exponents)
+            assert (key.syllables, key.block_exponents) == (c.syllables, c.block_exponents)
+
+
+def _block_words(weights, max_len):
+    """Every (weight, bytes) of a nonempty block word within the budget."""
+    out = []
+    buf = bytearray()
+
+    def extend(used):
+        if buf:
+            out.append((used, bytes(buf)))
+        for o, w in enumerate(weights):
+            if used + w <= max_len:
+                buf.append(o)
+                extend(used + w)
+                buf.pop()
+
+    extend(0)
+    return out
+
+
+def _check_scan(params, max_len, necklaces):
+    got = []
+    _scan(params, max_len, lambda length, s: got.append((length, s)))
+    strings = [s for _, s in got]
+    assert strings == sorted(set(strings)), "duplicate or out of lexicographic order"
+    assert set(got) == {(w, s) for w, s in necklaces if w <= max_len}
+
+
+@pytest.mark.parametrize("p", range(3, 13))
+def test_scan_is_complete_and_exact(p):
+    """The prenecklace generator emits exactly the least rotations that a
+    filter over every block word within the budget keeps."""
+    params = make_params(p)
+    words = _block_words(BlockAlphabet.for_params(params).weights, 14)
+    necklaces = [(w, s) for w, s in words if is_minimal_rotation(s)]
+    for max_len in range(2, 15):
+        _check_scan(params, max_len, necklaces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(3, 60), max_len=st.integers(2, 12))
+def test_scan_is_complete_and_exact_property(p, max_len):
+    params = make_params(p)
+    words = _block_words(BlockAlphabet.for_params(params).weights, max_len)
+    _check_scan(params, max_len, [(w, s) for w, s in words if is_minimal_rotation(s)])
 
 
 @pytest.mark.parametrize("params,budget", [(P4, 8), (P5, 8), (P6, 8)])
