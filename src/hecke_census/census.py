@@ -201,7 +201,7 @@ def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]
     alphabet = BlockAlphabet.for_params(params)
     for bucket in by_length:
         for s in bucket:
-            yield CyclicWord._from_least_blocks(params, alphabet.decode(s))
+            yield CyclicWord(params, alphabet.decode(s))
 
 
 def table_to_csv(table: CensusTable) -> str:

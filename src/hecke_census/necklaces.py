@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .words import DomainError, GroupParams, exponent_ordinal, make_params
 
-# reflection categories
+# reflection categories, as bit sets: SYMP == SYM | PREC
 NONE, SYM, PREC, SYMP = range(4)
 
 
@@ -77,17 +77,16 @@ def reflection_category(alphabet: BlockAlphabet, s: bytes) -> int:
     symmetric (inverted by a conjugate of iota); odd positions carry a
     gamma block, which must equal its own negative, hence g^r, and make
     it p-reciprocal.  For odd n the two fixed syllables have opposite
-    parity, so one reversal gives both families.
+    parity, so one reversal gives both families.  The offsets are the
+    matches of s in the doubled inverse, found by ``bytes.find``.
     """
     n = len(s)
     r_ord = alphabet.r_ord
     u2 = alphabet.rev_neg(s) * 2
-    iota_t = False
-    gamma_t = False
+    iota_t = gamma_t = False
     odd_n = n % 2 == 1
-    for t in range(n):
-        if u2[t : t + n] != s:
-            continue
+    t = u2.find(s)
+    while 0 <= t < n:  # u2[t : t + n] == s; offset n repeats offset 0
         c = (-t) % n
         if odd_n:
             pos = c if c % 2 == 1 else c + n
@@ -101,10 +100,5 @@ def reflection_category(alphabet: BlockAlphabet, s: bytes) -> int:
             gamma_t = True
         if iota_t and gamma_t:
             break
-    if iota_t and gamma_t:
-        return SYMP
-    if iota_t:
-        return SYM
-    if gamma_t:
-        return PREC
-    return NONE
+        t = u2.find(s, t + 1)
+    return SYM * iota_t | PREC * gamma_t

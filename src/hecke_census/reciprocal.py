@@ -16,7 +16,7 @@ always agree.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .necklaces import NONE, BlockAlphabet, reflection_category
 from .words import CyclicWord, DomainError, GroupParams, InvolutionType, Word
@@ -33,17 +33,6 @@ class ConsistencyError(RuntimeError):
     """An internal guarantee failed; indicates an implementation bug."""
 
 
-_IOTA, _TILDE = InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE
-
-# indexed by necklaces.reflection_category: NONE, SYM, PREC, SYMP
-_BY_REFLECTION_CATEGORY = (
-    (Category.NOT_RECIPROCAL, frozenset()),
-    (Category.SYMMETRIC, frozenset({_IOTA})),
-    (Category.P_RECIPROCAL, frozenset({_TILDE})),
-    (Category.SYMMETRIC_P_RECIPROCAL, frozenset({_IOTA, _TILDE})),
-)
-
-
 @dataclass(frozen=True)
 class ReciprocalInfo:
     is_reciprocal: bool
@@ -54,42 +43,50 @@ class ReciprocalInfo:
     witnesses: tuple[Word, ...] = ()
 
 
+_IOTA, _TILDE = InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE
+
+# the verdict, without witnesses, of every class that is not a power of
+# i g^r; indexed by necklaces.reflection_category: NONE, SYM, PREC, SYMP
+_VERDICTS = tuple(
+    ReciprocalInfo(category is not Category.NOT_RECIPROCAL, category, False, None, types)
+    for category, types in (
+        (Category.NOT_RECIPROCAL, frozenset()),
+        (Category.SYMMETRIC, frozenset({_IOTA})),
+        (Category.P_RECIPROCAL, frozenset({_TILDE})),
+        (Category.SYMMETRIC_P_RECIPROCAL, frozenset({_IOTA, _TILDE})),
+    )
+)
+
+
 def _require_blocks(c: CyclicWord) -> tuple[int, ...]:
     if c.block_exponents is None:
         raise DomainError("reciprocity analysis is defined for infinite-order classes only")
     return c.block_exponents
 
 
-def _reflection_category(params: GroupParams, blocks: tuple[int, ...]) -> int:
-    alphabet = BlockAlphabet.for_p(params.p)
+def _reflection_category(c: CyclicWord) -> int:
+    blocks = _require_blocks(c)
+    alphabet = BlockAlphabet.for_p(c.params.p)
     return reflection_category(alphabet, alphabet.encode(blocks))
 
 
 def is_reciprocal(c: CyclicWord) -> bool:
-    return _reflection_category(c.params, _require_blocks(c)) != NONE
+    return _reflection_category(c) != NONE
 
 
 def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
-    """Full reciprocity verdict for an infinite-order class."""
-    blocks = _require_blocks(c)
-    params = c.params
-    category, types = _BY_REFLECTION_CATEGORY[_reflection_category(params, blocks)]
-    reciprocal = category is not Category.NOT_RECIPROCAL
-    is_power = (
-        params.even
-        and all(k == params.r for k in blocks)
-    )
-    witnesses: tuple[Word, ...] = ()
-    if reciprocal and with_witnesses:
-        witnesses = tuple(reciprocator_witnesses(c))
-    return ReciprocalInfo(
-        is_reciprocal=reciprocal,
-        category=category,
-        is_power_of_iota_tilde_gamma=is_power,
-        power_exponent=len(blocks) if is_power else None,
-        reciprocator_types=types,
-        witnesses=witnesses,
-    )
+    """Full reciprocity verdict for an infinite-order class.
+
+    The verdict is frozen and may be shared between classes: only a power
+    of ``i g^r`` or a call with witnesses gets an instance of its own.
+    """
+    info = _VERDICTS[_reflection_category(c)]
+    blocks = c.block_exponents
+    if blocks.count(c.params.r) == len(blocks):  # r is None for odd p
+        info = replace(info, is_power_of_iota_tilde_gamma=True, power_exponent=len(blocks))
+    if with_witnesses and info.is_reciprocal:
+        info = replace(info, witnesses=tuple(reciprocator_witnesses(c)))
+    return info
 
 
 def reciprocator_witnesses(c: CyclicWord) -> list[Word]:

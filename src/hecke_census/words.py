@@ -275,7 +275,7 @@ class Word:
         syls, peeled = self._cyclic_core()
         conjugator = Word(self.params, self.syllables[:peeled])
         if len(syls) <= 1:
-            return CyclicWord(self.params, tuple(syls), None), conjugator
+            return CyclicWord(self.params, None, tuple(syls)), conjugator
         # start the cycle at an i, then at the least rotation; fold both into h
         shift = int(syls[0].kind == GAMMA)
         blocks = tuple(s.exponent for s in (syls[shift:] + syls[:shift])[1::2])
@@ -314,25 +314,20 @@ class Word:
         return self.params.p // math.gcd(k % self.params.p, self.params.p)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CyclicWord:
     """Rotation-canonical cyclically reduced word: a conjugacy-class key.
 
-    For syllable count >= 2 the word alternates ``i g^k1 i g^k2 ...`` and
-    ``block_exponents`` holds ``(k1, ..., kn)`` for the canonical rotation.
+    An infinite-order class is keyed by ``block_exponents``, the tuple
+    ``(k1, ..., kn)`` of its alternating form ``i g^k1 ... i g^kn`` in its
+    least rotation.  A torsion class has ``block_exponents`` None and
+    ``torsion`` its core: ``()`` for the identity, else one syllable.
+    Equality and hashing compare these fields; ``syllables`` is derived.
     """
 
     params: GroupParams
-    syllables: tuple[Syllable, ...]
     block_exponents: tuple[int, ...] | None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CyclicWord):
-            return NotImplemented
-        return self.params.p == other.params.p and self.syllables == other.syllables
-
-    def __hash__(self) -> int:
-        return hash((self.params.p, self.syllables))
+    torsion: tuple[Syllable, ...] = ()
 
     @staticmethod
     def from_blocks(params: GroupParams, blocks: Sequence[int]) -> "CyclicWord":
@@ -343,22 +338,19 @@ class CyclicWord:
         best = _least_rotation(blocks)
         if best:
             blocks = blocks[best:] + blocks[:best]
-        return CyclicWord._from_least_blocks(params, blocks)
+        return CyclicWord(params, blocks)
 
-    @staticmethod
-    def _from_least_blocks(params: GroupParams, blocks: tuple[int, ...]) -> "CyclicWord":
-        """The class key of ``blocks``, which must already be nonzero,
-        canonical and their own least rotation; nothing is checked."""
-        syls = []
-        for k in blocks:
-            syls.append(_IOTA_SYLLABLE)
-            syls.append(Syllable.gamma(k))
-        return CyclicWord(params, tuple(syls), blocks)
+    @property
+    def syllables(self) -> tuple[Syllable, ...]:
+        blocks = self.block_exponents
+        if blocks is None:
+            return self.torsion
+        return tuple(s for k in blocks for s in (_IOTA_SYLLABLE, Syllable.gamma(k)))
 
     def word_length(self) -> int:
         blocks = self.block_exponents
         if blocks is None:
-            return sum(s.weight() for s in self.syllables)
+            return sum(s.weight() for s in self.torsion)
         return len(blocks) + sum(map(abs, blocks))
 
     def to_word(self) -> Word:
@@ -368,17 +360,18 @@ class CyclicWord:
         return self.to_word().inverse().class_key()
 
     def is_torsion(self) -> bool:
-        return len(self.syllables) <= 1
+        return self.block_exponents is None
 
     def primitive_decomposition(self) -> tuple["CyclicWord", int]:
-        """Minimal-period root ``c0`` and ``m`` with ``self = c0^m``."""
+        """Minimal-period root ``c0`` and ``m`` with ``self = c0^m``.  A period
+        of a least rotation is its own least rotation, so it keys the root."""
         blocks = self.block_exponents
         if blocks is None:
             raise DomainError("primitive decomposition undefined for torsion classes")
         n = len(blocks)
         for d in range(1, n + 1):
             if n % d == 0 and blocks == blocks[d:] + blocks[:d]:
-                return CyclicWord.from_blocks(self.params, blocks[:d]), n // d
+                return CyclicWord(self.params, blocks[:d]), n // d
         raise AssertionError("unreachable: period n always works")
 
     def __str__(self) -> str:

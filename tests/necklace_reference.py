@@ -1,8 +1,11 @@
-"""Reference rotation helpers for the byte-encoded necklace tests.
+"""Reference helpers for the byte-encoded necklace tests.
 
 They compare every rotation, so they are slow but plainly right; the
-tests hold the enumeration oracle and the class-key constructor to them.
+tests hold the enumeration oracle, the class-key constructor and the
+reflection classifier to them.
 """
+
+from hecke_census.necklaces import NONE, PREC, SYM, SYMP
 
 
 def minimal_rotation(s: bytes) -> bytes:
@@ -15,3 +18,37 @@ def minimal_rotation(s: bytes) -> bytes:
 
 def is_minimal_rotation(s: bytes) -> bool:
     return s == minimal_rotation(s)
+
+
+def reflection_category(alphabet, s: bytes) -> int:
+    """``necklaces.reflection_category`` by comparing all n rotations of
+    the inverse class with ``s``; see that function for the rule."""
+    n = len(s)
+    r_ord = alphabet.r_ord
+    u2 = alphabet.rev_neg(s) * 2
+    iota_t = False
+    gamma_t = False
+    odd_n = n % 2 == 1
+    for t in range(n):
+        if u2[t : t + n] != s:
+            continue
+        c = (-t) % n
+        if odd_n:
+            pos = c if c % 2 == 1 else c + n
+            assert s[(pos - 1) // 2] == r_ord, "fixed gamma block must be g^r"
+            iota_t = gamma_t = True
+            break
+        if c % 2 == 0:
+            iota_t = True
+        else:
+            assert s[(c - 1) // 2] == r_ord and s[((c - 1) // 2 + n // 2) % n] == r_ord
+            gamma_t = True
+        if iota_t and gamma_t:
+            break
+    if iota_t and gamma_t:
+        return SYMP
+    if iota_t:
+        return SYM
+    if gamma_t:
+        return PREC
+    return NONE

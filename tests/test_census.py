@@ -99,7 +99,7 @@ def test_enumerate_length4_p4():
 
 def test_enumerate_sorted_and_unique():
     """Strictly increasing (word length, key bytes), and every key is what
-    ``from_blocks`` builds, so the unchecked constructor only ever receives
+    ``from_blocks`` builds, so the plain constructor only ever receives
     least rotations."""
     for params in (P4, P5, P6):
         alphabet = BlockAlphabet.for_params(params)

@@ -1,9 +1,11 @@
 """Byte-encoded necklace layer: encoding, rotation, reflection categories."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import necklace_reference
+from hecke_census.census import _scan
 from hecke_census.necklaces import (
     NONE,
     SYM,
@@ -89,3 +91,39 @@ def test_reflection_category_examples():
 def test_reflection_category_of_power():
     # every rotation of (i g^2)^3 is a reversal; odd block count
     assert reflection_category(A4, A4.encode((2, 2, 2))) == SYMP
+
+
+@pytest.mark.parametrize("p", range(3, 13))
+def test_reflection_category_matches_reference_on_every_necklace(p):
+    params = make_params(p)
+    alphabet = BlockAlphabet.for_params(params)
+    necklaces = []
+    _scan(params, 14, lambda length, s: necklaces.append(s))
+    for s in necklaces:
+        assert reflection_category(alphabet, s) == necklace_reference.reflection_category(
+            alphabet, s
+        ), s
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(3, 60),
+    raw=st.lists(st.integers(0, 255), max_size=12),
+    repeat=st.integers(1, 3),
+)
+@example(p=4, raw=[], repeat=1)
+def test_reflection_category_matches_reference_on_random_bytes(p, raw, repeat):
+    """Random strings, and reciprocal ones built from them: x + rev_neg(x),
+    the same with g^r blocks between, and powers of each."""
+    alphabet = BlockAlphabet.for_p(p)
+    x = bytes(o % (p - 1) for o in raw)
+    y = alphabet.rev_neg(x)
+    candidates = [x, x + y]
+    if alphabet.r_ord is not None:
+        r = bytes([alphabet.r_ord])
+        candidates += [x + r + y, r + x + r + y]
+    for s in candidates:
+        s *= repeat
+        assert reflection_category(alphabet, s) == necklace_reference.reflection_category(
+            alphabet, s
+        ), s

@@ -1,8 +1,14 @@
 """Reciprocity classification: reflection method vs explicit witnesses."""
 
+import itertools
+import random
+from dataclasses import fields
+
 import pytest
 
+import necklace_reference
 from hecke_census.census import enumerate_classes
+from hecke_census.necklaces import NONE, PREC, SYM, SYMP, BlockAlphabet
 from hecke_census.reciprocal import (
     Category,
     classify,
@@ -10,7 +16,14 @@ from hecke_census.reciprocal import (
     normal_form_generate,
     reciprocator_witnesses,
 )
-from hecke_census.words import CyclicWord, DomainError, InvolutionType, Word, make_params
+from hecke_census.words import (
+    CyclicWord,
+    DomainError,
+    InvolutionType,
+    Syllable,
+    Word,
+    make_params,
+)
 
 
 P4 = make_params(4)
@@ -68,6 +81,91 @@ def test_torsion_rejected():
         classify(c)
     with pytest.raises(DomainError):
         is_reciprocal(c)
+
+
+_IOTA, _TILDE = InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE
+_REFERENCE_CATEGORY = {
+    NONE: (Category.NOT_RECIPROCAL, frozenset()),
+    SYM: (Category.SYMMETRIC, frozenset({_IOTA})),
+    PREC: (Category.P_RECIPROCAL, frozenset({_TILDE})),
+    SYMP: (Category.SYMMETRIC_P_RECIPROCAL, frozenset({_IOTA, _TILDE})),
+}
+
+
+@pytest.mark.parametrize("p", range(3, 9))
+def test_classify_matches_field_reference(p):
+    """All six fields of every verdict, with and without witnesses, against
+    the slice-loop classifier and a direct power test."""
+    params = make_params(p)
+    alphabet = BlockAlphabet.for_params(params)
+    for c in enumerate_classes(params, 14):
+        blocks = c.block_exponents
+        category, types = _REFERENCE_CATEGORY[
+            necklace_reference.reflection_category(alphabet, alphabet.encode(blocks))
+        ]
+        reciprocal = category is not Category.NOT_RECIPROCAL
+        power = params.even and all(k == params.r for k in blocks)
+        for with_witnesses in (False, True):
+            info = classify(c, with_witnesses=with_witnesses)
+            assert {f.name: getattr(info, f.name) for f in fields(info)} == {
+                "is_reciprocal": reciprocal,
+                "category": category,
+                "is_power_of_iota_tilde_gamma": power,
+                "power_exponent": len(blocks) if power else None,
+                "reciprocator_types": types,
+                "witnesses": (
+                    tuple(reciprocator_witnesses(c)) if reciprocal and with_witnesses else ()
+                ),
+            }, c
+
+
+# ---------------------------------------------------------------------------
+# class keys
+
+
+def _random_word(params, rng, size):
+    syllables = [Syllable.iota()] + [Syllable.gamma(k) for k in params.exponent_range()]
+    return Word.from_syllables(params, rng.choices(syllables, k=size))
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 8])
+def test_one_class_one_key_four_ways(p):
+    """from_blocks of a shifted rotation, cyclic_reduce of a conjugate,
+    enumerate_classes and normal_form_generate give equal, equally hashed
+    keys."""
+    params = make_params(p)
+    rng = random.Random(p)
+    enumerated = {c: c for c in enumerate_classes(params, 10)}
+    for c in enumerated:
+        blocks = c.block_exponents
+        d = rng.randrange(len(blocks))
+        shifted = [k + p * rng.randint(-2, 2) for k in blocks[d:] + blocks[:d]]
+        h = _random_word(params, rng, rng.randint(0, 6))
+        for key in (
+            CyclicWord.from_blocks(params, shifted),
+            (h * c.to_word() * h.inverse()).cyclic_reduce()[0],
+        ):
+            assert key == c and hash(key) == hash(c), (key, c)
+    if params.even:
+        for length in range(2, 11):
+            for key in normal_form_generate(params, length):
+                c = enumerated[key]
+                assert key == c and hash(key) == hash(c), (key, c)
+
+
+@pytest.mark.parametrize("p", [3, 4, 6, 7])
+def test_torsion_keys_are_distinct(p):
+    """The keys of 1, i and every g^k differ from each other and from every
+    block key."""
+    params = make_params(p)
+    texts = ["1", "i"] + [f"g^{k}" for k in params.exponent_range()]
+    torsion = [Word.parse(params, text).class_key() for text in texts]
+    assert all(key.is_torsion() for key in torsion)
+    assert [str(key) for key in torsion] == texts
+    for a, b in itertools.combinations(torsion, 2):
+        assert a != b
+    assert len(set(torsion)) == len(torsion)
+    assert not set(torsion) & set(enumerate_classes(params, 8))
 
 
 # ---------------------------------------------------------------------------

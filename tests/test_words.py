@@ -244,6 +244,19 @@ def test_primitive_decomposition():
     assert prim.primitive_decomposition()[1] == 1
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), p=st.integers(min_value=3, max_value=12))
+def test_primitive_root_is_the_from_blocks_key(data, p):
+    params = make_params(p)
+    blocks = data.draw(st.lists(st.sampled_from(params.exponent_range()), min_size=1, max_size=6))
+    m = data.draw(st.integers(1, 4))
+    c = CyclicWord.from_blocks(params, blocks * m)
+    root, k = c.primitive_decomposition()
+    assert root == CyclicWord.from_blocks(params, root.block_exponents)
+    assert k % m == 0
+    assert CyclicWord.from_blocks(params, root.block_exponents * k) == c
+
+
 def test_primitive_decomposition_rejects_torsion():
     c, _ = w(P6, "g^2").cyclic_reduce()
     with pytest.raises(DomainError):
