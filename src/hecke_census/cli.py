@@ -22,7 +22,13 @@ from .formulas import (
     signed_syllable_count,
 )
 from .reciprocal import Category, classify, normal_form_generate
-from .spectral import analyze_growth, growth_estimate
+from .spectral import (
+    analyze_growth,
+    build_growth_poly,
+    dominant_root,
+    growth_estimate,
+    squarefree_multiplicity,
+)
 from .words import DomainError, GroupParams, make_params
 
 
@@ -175,18 +181,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     check("classification cross-validation", agree, detail)
     check("census engine == enumeration", engine_ok, engine_detail)
 
-    # corrected double sum equals the DP ground truth
+    # corrected double sum equals the census series h it counts
     formulas_ok = all(
         lemma26_sum(x, rr, corrected=True) == signed_syllable_count(x, rr)
         for rr in (2, 3, 4) for x in range(2, 12)
     )
     check("corrected double sum == DP ground truth", formulas_ok)
 
-    # spectral fixtures
-    g2, g3 = analyze_growth(2), analyze_growth(3)
-    check("rho(r=2) golden", abs(g2.rho - 1.6180339887) < 1e-9, f"rho={g2.rho!r}")
-    check("rho(r=3) golden", abs(g3.rho - 1.8392867552) < 1e-9, f"rho={g3.rho!r}")
-    check("squarefree r=2..10", all(analyze_growth(rr).s == 1 for rr in range(2, 11)))
+    # spectral fixtures, exact: no root iteration
+    rho2, rho3 = (dominant_root(build_growth_poly(rr)) for rr in (2, 3))
+    check("rho(r=2) golden", abs(rho2 - 1.6180339887) < 1e-9, f"rho={rho2!r}")
+    check("rho(r=3) golden", abs(rho3 - 1.8392867552) < 1e-9, f"rho={rho3!r}")
+    check(
+        "squarefree r=2..10",
+        all(squarefree_multiplicity(build_growth_poly(rr))[1] == 1 for rr in range(2, 11)),
+    )
 
     # normal-form soundness
     sound = True

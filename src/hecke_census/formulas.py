@@ -1,13 +1,13 @@
 """Published counting formulas, the recurrence engine, and the claims ledger.
 
-Each double-sum formula has a ``verbatim`` mode evaluating the printed
-index bounds exactly as published, and a ``corrected`` mode applying the
-mechanical index fixes (summand subscript n-q, inclusive upper bound for
-the count q of blocks equal to r, and the empty-composition convention
-Psi_0(0) = 1).  The claims ledger compares the verbatim forms against the
-census; mismatches are findings, not errors.  The corrected
-forms are library functions outside the ledger; the tests and ``verify``
-check the corrected Lemma 2.6 sum against its dynamic-programming count.
+The counts of Lemmas 3.3-3.5 evaluate their double sums with the index
+bounds exactly as printed; the claims ledger compares them against the
+census, and mismatches are findings, not errors.  Only the Lemma 2.6 sum
+also has a ``corrected`` mode, with the mechanical index fixes (summand
+subscript n-q, inclusive upper bound for the count q of blocks equal to
+r, and the empty-composition convention Psi_0(0) = 1): the ledger records
+the printed sum, and the tests and ``verify`` check the corrected one
+against the census series it counts.
 
 Formulas return an ``int``, or a ``Fraction`` where the published 1/2 or
 1/6 factor does not divide exactly; the ledger records such a value as a
@@ -16,7 +16,6 @@ MISMATCH finding.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,37 +40,11 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def compositions(n: int, x: int) -> int:
-    """Number of ordered tuples of n positive integers summing to x."""
-    if n == 0:
-        return 1 if x == 0 else 0
-    if x < n:
-        return 0
-    return comb(x - 1, n - 1)
-
-
-@functools.cache
 def bounded_compositions(n: int, r: int, x: int) -> int:
-    """Compositions of x into n parts, each in [1, r] (dynamic programming,
-    memoized: the double sums ask for the same (n, r, x) many times)."""
+    """Psi: compositions of x into n parts, each in [1, r], by
+    inclusion-exclusion over the parts that exceed r."""
     if r < 1:
         raise DomainError("part bound r must be >= 1")
-    if n == 0:
-        return 1 if x == 0 else 0
-    if x < n or x > n * r:
-        return 0
-    row = [0] * (x + 1)
-    row[0] = 1
-    for _ in range(n):
-        nxt = [0] * (x + 1)
-        for total in range(1, x + 1):
-            nxt[total] = sum(row[total - part] for part in range(1, min(r, total) + 1))
-        row = nxt
-    return row[x]
-
-
-def bounded_compositions_incl_excl(n: int, r: int, x: int) -> int:
-    """Inclusion-exclusion cross-check for ``bounded_compositions``."""
     if n == 0:
         return 1 if x == 0 else 0
     total = 0
@@ -90,9 +63,7 @@ def signed_syllable_count(x: int, r: int) -> int:
     return block_series(make_params(2 * r).block_weights(x), x)[0][x]
 
 
-def _double_sum(
-    x: int, r: int, q_max: int, corrected: bool, n_lo, n_hi, arg
-) -> int:
+def _double_sum(r: int, q_max: int, corrected: bool, n_lo, n_hi, arg) -> int:
     """Shared kernel: sum over q and n of Psi^{r-1}_(n or n-q)(arg) 2^(n-q) C(n,q)."""
     total = 0
     for q in range(0, q_max + 1):
@@ -109,15 +80,14 @@ def _double_sum(
     return total
 
 
-def _signed_sum(x: int, r: int, corrected: bool, n_min: int = 0) -> int:
-    """The Lemma 2.6 double sum in x, with block counts n >= ``n_min``."""
+def _signed_sum(x: int, r: int, corrected: bool) -> int:
+    """The Lemma 2.6 double sum in x."""
     q_max = x // (r + 1) if corrected else _ceil_div(x, r + 1) - 1
     return _double_sum(
-        x,
         r,
         q_max,
         corrected,
-        n_lo=lambda q: max(_ceil_div(x - q, r), n_min),
+        n_lo=lambda q: _ceil_div(x - q, r),
         n_hi=lambda q: (x - (r - 1) * q) // 2,
         arg=lambda n, q: x - n - r * q,
     )
@@ -134,27 +104,23 @@ def _as_int_or_fraction(v: Fraction):
     return int(v) if v.denominator == 1 else v
 
 
-def symmetric_count(l: int, params: GroupParams, corrected: bool = False):
+def symmetric_count(l: int, params: GroupParams):
     """Published count of symmetric reciprocal classes of word length 2l."""
     r = params.require_even()
     if l < 2:
         raise DomainError("l must be >= 2")
-    return _as_int_or_fraction(Fraction(_signed_sum(l, r, corrected), 2))
+    return _as_int_or_fraction(Fraction(_signed_sum(l, r, False), 2))
 
 
-def p_reciprocal_count(l: int, params: GroupParams, corrected: bool = False):
+def p_reciprocal_count(l: int, params: GroupParams):
     """Published count of p-reciprocal classes of word length 2l."""
     r = params.require_even()
     if l < r + 2:
         return 0
-    q_max = (
-        (l - r - 1) // (r + 1) if corrected else _ceil_div(l, r + 1) - 2
-    )
     total = _double_sum(
-        l,
         r,
-        q_max,
-        corrected,
+        _ceil_div(l, r + 1) - 2,
+        False,
         n_lo=lambda q: _ceil_div(l - (r + 1) - q, r),
         n_hi=lambda q: (l - 1 - (r + 1) * q - r) // 2,
         arg=lambda n, q: l - (n + 1) - (q + 1) * r,
@@ -169,20 +135,17 @@ def symmetric_p_word_length(l: int, params: GroupParams) -> int:
     return 2 * l if r % 2 == 1 else 2 * l + 1
 
 
-def symmetric_p_count(l: int, params: GroupParams, corrected: bool = False):
+def symmetric_p_count(l: int, params: GroupParams):
     """Published count of symmetric p-reciprocal classes at family index l.
 
-    The published shift is ``x = l - u`` for both parities of r; the
-    corrected mode uses the derivation-consistent ``x = l - u - 1`` when
-    r is odd and restricts to n > 0.  Both modes add the power-class
-    term at word lengths that are multiples of r + 1.
+    The published shift is ``x = l - u`` for both parities of r, plus the
+    power-class term at word lengths that are multiples of r + 1.
     """
     r = params.require_even()
     u = params.u
     assert u is not None
     word_length = symmetric_p_word_length(l, params)
-    x = l - u - 1 if corrected and r % 2 == 1 else l - u
-    total = _signed_sum(x, r, corrected, n_min=1 if corrected else 0) if x >= 0 else 0
+    total = _signed_sum(l - u, r, False) if l >= u else 0
     if word_length % (r + 1) == 0 and word_length >= r + 1:
         total += 2  # the power class, counted once after halving
     return _as_int_or_fraction(Fraction(total, 2))
@@ -340,19 +303,22 @@ def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
                 "signed-syllable solution count, double-sum form",
             )
 
-    # per-length category formulas vs census columns
+    # per-length category formulas vs census columns; P3.6 reuses each value
+    even_counts = {}
     for l in range(2, max_len // 2 + 1):
+        sym, prec = symmetric_count(l, params), p_reciprocal_count(l, params)
+        even_counts[l] = sym + prec
         ledger.compare(
             "L3.3",
             {"p": params.p, "l": l},
-            symmetric_count(l, params),
+            sym,
             table.rows[2 * l].symmetric,
             "symmetric class count at word length 2l",
         )
         ledger.compare(
             "L3.4",
             {"p": params.p, "l": l},
-            p_reciprocal_count(l, params),
+            prec,
             table.rows[2 * l].p_reciprocal,
             "p-reciprocal class count at word length 2l",
         )
@@ -360,19 +326,17 @@ def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
         wl = symmetric_p_word_length(l, params)
         if wl < 2 or wl > max_len:
             continue
+        expected = symmetric_p_count(l, params)
         ledger.compare(
             "L3.5",
             {"p": params.p, "l": l, "word_length": wl},
-            symmetric_p_count(l, params),
+            expected,
             table.rows[wl].symmetric_p,
             "symmetric p-reciprocal class count",
         )
         # Proposition totals: the three category formulas combined
-        expected = symmetric_p_count(l, params)
         if wl % 2 == 0:
-            ll = wl // 2
-            if ll >= 2:
-                expected += symmetric_count(ll, params) + p_reciprocal_count(ll, params)
+            expected += even_counts.get(wl // 2, 0)
         ledger.compare(
             "P3.6",
             {"p": params.p, "word_length": wl},

@@ -26,9 +26,8 @@ at once.  Syllables are interned: ``Syllable.iota()`` and
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class DomainError(ValueError):
@@ -279,10 +278,11 @@ class Word:
         # start the cycle at an i, then at the least rotation; fold both into h
         shift = int(syls[0].kind == GAMMA)
         blocks = tuple(s.exponent for s in (syls[shift:] + syls[:shift])[1::2])
-        rotate = shift + 2 * _least_rotation(blocks)
+        best = _least_rotation(blocks)
+        rotate = shift + 2 * best
         if rotate:
             conjugator = conjugator * Word(self.params, tuple(syls[:rotate]))
-        return CyclicWord.from_blocks(self.params, blocks), conjugator
+        return CyclicWord(self.params, blocks[best:] + blocks[:best]), conjugator
 
     def class_key(self) -> "CyclicWord":
         return self.cyclic_reduce()[0]
@@ -297,21 +297,6 @@ class Word:
         if self.params.even and s.exponent == self.params.r:
             return InvolutionType.TILDE_GAMMA_TYPE
         return InvolutionType.NOT_INVOLUTION
-
-    def order(self) -> int | None:
-        """Element order; ``None`` means infinite."""
-        syls = self._cyclic_core()[0]
-        if not syls:
-            return 1
-        if len(syls) > 1:
-            return None
-        s = syls[0]
-        if s.is_iota:
-            return 2
-        return self.p_order(s.exponent)
-
-    def p_order(self, k: int) -> int:
-        return self.params.p // math.gcd(k % self.params.p, self.params.p)
 
 
 @dataclass(frozen=True)
@@ -356,9 +341,6 @@ class CyclicWord:
     def to_word(self) -> Word:
         return Word(self.params, self.syllables)
 
-    def inverse_key(self) -> "CyclicWord":
-        return self.to_word().inverse().class_key()
-
     def is_torsion(self) -> bool:
         return self.block_exponents is None
 
@@ -388,25 +370,3 @@ def _least_rotation(blocks: tuple[int, ...]) -> int:
         return first
     starts = [i for i in range(first, len(ranks)) if ranks[i] == least]
     return min(starts, key=lambda i: ranks[i:] + ranks[:i])
-
-
-def all_reduced_words(params: GroupParams, length: int) -> Iterator[Word]:
-    """Every reduced word of exactly the given length (reference enumerator)."""
-
-    def extend(syls: list[Syllable], used: int) -> Iterator[Word]:
-        if used == length:
-            yield Word(params, tuple(syls))
-            return
-        last_kind = syls[-1].kind if syls else None
-        if last_kind != IOTA and used + 1 <= length:
-            syls.append(Syllable.iota())
-            yield from extend(syls, used + 1)
-            syls.pop()
-        if last_kind != GAMMA:
-            for k in params.exponent_range():
-                if used + abs(k) <= length:
-                    syls.append(Syllable.gamma(k))
-                    yield from extend(syls, used + abs(k))
-                    syls.pop()
-
-    yield from extend([], 0)

@@ -18,7 +18,6 @@ from hecke_census.cli import main
 from hecke_census.formulas import (
     bounded_compositions,
     claims_check,
-    compositions,
     lemma26_sum,
     recurrence_extend,
     signed_syllable_count,
@@ -33,6 +32,7 @@ from hecke_census.spectral import (
     squarefree_multiplicity,
 )
 from hecke_census.words import Syllable, Word, make_params
+from composition_reference import compositions
 
 
 class _Budget:

@@ -87,6 +87,27 @@ def test_growth_schema_and_convergence(capsys):
     assert abs(float(final_ratio) - float(doc["rho"])) < 1e-6
 
 
+def test_growth_even_r_seeds_from_odd_lengths(capsys):
+    # p = 8 has r = 4 even, so the seed is the odd-length family
+    jsonschema = pytest.importorskip("jsonschema")
+    code, out = run(capsys, "growth", "--p", "8", "--max-len", "20")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, schema("growth"))
+    assert doc["rho"] == "1.9275619754830586"
+    _, final_ratio = doc["ratio_trace"][-1]
+    assert abs(float(final_ratio) - float(doc["rho"])) < 1e-9
+
+
+def test_growth_short_seed_is_a_usage_error(capsys):
+    code = main(["growth", "--p", "6", "--max-len", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "r+1 = 4" in captured.err
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--max-len", "10")
     assert code == 0
@@ -95,6 +116,16 @@ def test_verify_passes(capsys):
 
 def test_verify_short_budget_checks_every_fixture(capsys):
     # fixture tables reach the longest fixture whatever --max-len is
+    code, out = run(capsys, "verify", "--max-len", "8")
+    assert code == 0
+    assert out.splitlines()[-1] == "17/17 checks passed"
+
+
+def test_verify_runs_no_root_iteration(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify must not run the root iteration")
+
+    monkeypatch.setattr("hecke_census.spectral.all_roots", refuse)
     code, out = run(capsys, "verify", "--max-len", "8")
     assert code == 0
     assert out.splitlines()[-1] == "17/17 checks passed"

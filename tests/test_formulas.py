@@ -14,9 +14,7 @@ from hecke_census.formulas import (
     ClaimLedger,
     NotApplicable,
     bounded_compositions,
-    bounded_compositions_incl_excl,
     claims_check,
-    compositions,
     lemma26_sum,
     marmolejo_word_count,
     p_reciprocal_count,
@@ -30,6 +28,7 @@ from hecke_census.formulas import (
 )
 from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import DomainError, make_params
+from composition_reference import bounded_compositions_dp, compositions
 
 
 P4 = make_params(4)
@@ -84,7 +83,7 @@ def test_bounded_composition_examples():
     assert bounded_compositions(0, 2, 0) == 1
 
 
-def test_bounded_vs_brute_and_incl_excl():
+def test_bounded_vs_brute_and_dp():
     for x in range(0, 13):
         _, by_bound = brute_tables(x)
         for r in range(1, 6):
@@ -92,9 +91,15 @@ def test_bounded_vs_brute_and_incl_excl():
                 brute = sum(
                     v for (nn, top), v in by_bound.items() if nn == n and top <= r
                 )
-                dp = bounded_compositions(n, r, x)
-                assert dp == brute
-                assert dp == bounded_compositions_incl_excl(n, r, x)
+                closed = bounded_compositions(n, r, x)
+                assert closed == brute
+                assert closed == bounded_compositions_dp(n, r, x)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_bounded_compositions_rejects_part_bound_below_one(r):
+    with pytest.raises(DomainError, match="r must be >= 1"):
+        bounded_compositions(2, r, 3)
 
 
 @settings(max_examples=200, deadline=None)

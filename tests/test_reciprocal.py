@@ -24,6 +24,7 @@ from hecke_census.words import (
     Word,
     make_params,
 )
+from word_reference import inverse_key
 
 
 P4 = make_params(4)
@@ -175,7 +176,7 @@ def test_torsion_keys_are_distinct(p):
 def test_inverse_class_closure():
     for c in enumerate_classes(P6, 10):
         if is_reciprocal(c):
-            assert c.inverse_key() == c
+            assert inverse_key(c) == c
 
 
 # ---------------------------------------------------------------------------
