@@ -35,11 +35,10 @@ rotation, and ``enumerate_classes`` builds each class key from it once.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .necklaces import BlockAlphabet
+from .necklaces import WEIGHTS, decode
 from .words import CyclicWord, DomainError, GroupParams
 
 CSV_HEADER = "len,symmetric,p_reciprocal,symmetric_p,power,reciprocal_total,all_classes"
@@ -95,13 +94,15 @@ def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]
     prefix has length q extends only by a byte >= the byte q places back,
     and it is a necklace exactly when q divides its length.  Every prefix
     of a necklace is a prenecklace of no larger weight, and block weights
-    do not decrease with the ordinal, so each extension loop stops at the
+    do not decrease with the byte, so each extension loop stops at the
     budget.
     """
     if max_len < 2:
         raise DomainError("max_len must be >= 2")
-    weights = BlockAlphabet.for_params(params).weights
-    fits = [bisect_right(weights, b) for b in range(max_len + 1)]  # ordinals weighing <= b
+    # Z_p has p - 1 bytes, and the 2b - 2 bytes of g^+-1 .. g^+-(b-1) weigh <= b
+    fits = [min(params.p - 1, 2 * b - 2) for b in range(max_len + 1)]
+    if fits[max_len] > len(WEIGHTS):
+        raise DomainError(f"g^k with |k| > 128 has no byte: p={params.p} needs max_len <= 129")
     buf = bytearray()
 
     def extend(used: int, q: int) -> None:
@@ -111,12 +112,12 @@ def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]
         back = buf[t - q]
         for o in range(back, fits[max_len - used]):
             buf.append(o)
-            extend(used + weights[o], q if o == back else t + 1)
+            extend(used + WEIGHTS[o], q if o == back else t + 1)
             buf.pop()
 
     for o in range(fits[max_len]):
         buf.append(o)
-        extend(weights[o], 1)
+        extend(WEIGHTS[o], 1)
         buf.pop()
 
 
@@ -198,10 +199,9 @@ def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]
     """
     by_length: list[list[bytes]] = [[] for _ in range(max_len + 1)]
     _scan(params, max_len, lambda length, s: by_length[length].append(s))
-    alphabet = BlockAlphabet.for_params(params)
     for bucket in by_length:
         for s in bucket:
-            yield CyclicWord(params, alphabet.decode(s))
+            yield CyclicWord(params, decode(s))
 
 
 def table_to_csv(table: CensusTable) -> str:

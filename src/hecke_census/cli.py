@@ -39,11 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, p: bool = True, max_len: bool = True) -> None:
-        if p:
-            sp.add_argument("--p", type=int, required=True, help="group parameter p >= 3")
-        if max_len:
-            sp.add_argument("--max-len", type=int, required=True, help="word-length budget")
+    def common(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--p", type=int, required=True, help="group parameter p >= 3")
+        sp.add_argument("--max-len", type=int, required=True, help="word-length budget")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
 
     sp = sub.add_parser("census", help="per-length, per-category class counts")
@@ -186,7 +184,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lemma26_sum(x, rr, corrected=True) == signed_syllable_count(x, rr)
         for rr in (2, 3, 4) for x in range(2, 12)
     )
-    check("corrected double sum == DP ground truth", formulas_ok)
+    check("corrected double sum == census series h", formulas_ok)
 
     # spectral fixtures, exact: no root iteration
     rho2, rho3 = (dominant_root(build_growth_poly(rr)) for rr in (2, 3))
@@ -235,6 +233,10 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact counts may pass the int <-> str digit limit of Python >= 3.10.7
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except DomainError as exc:
@@ -243,6 +245,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

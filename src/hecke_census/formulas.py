@@ -292,7 +292,7 @@ def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
     max_len = table.max_len
     ledger = ClaimLedger()
 
-    # solution-count double sum, verbatim vs DP ground truth
+    # solution-count double sum, verbatim vs the census series h
     for rr in (2, 3, 4, 5):
         for x in range(2, 15):
             ledger.compare(

@@ -3,11 +3,15 @@
 A cyclically reduced word with 2n syllables is the alternating form
 ``i g^k1 ... i g^kn``; its conjugacy class is the rotation class of the
 block tuple ``(k1, ..., kn)``.  Each block is one byte, the position of
-its exponent in the syllable order of ``words`` (g^1 < g^-1 < g^2 < ...), so
-lexicographic comparison of the byte strings matches the class-key order,
-a class key is the least rotation of its bytes, and reversal/negation is a
-C-speed ``translate``.  Block weights do not decrease with the ordinal,
-which lets the enumeration oracle stop at the weight budget.
+its exponent in the syllable order of ``words`` (g^1 < g^-1 < g^2 < ...).
+That order does not depend on p, so one table serves every Z_p: byte o
+names the same exponent wherever that exponent is canonical, Z_p uses
+exactly the bytes 0..p-2, and a byte holds any |k| <= 128.  Lexicographic
+comparison of the byte strings matches the class-key order, a class key is
+the least rotation of its bytes, and reversal/negation is a C-speed
+``translate``: negation flips the low bit, except that g^r (p = 2r) is its
+own negative.  Block weights do not decrease with the byte, which lets the
+enumeration oracle stop at the weight budget.
 
 ``reflection_category`` is the reflection classifier behind
 ``reciprocal.classify``.
@@ -15,60 +19,46 @@ which lets the enumeration oracle stop at the weight budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
-from .words import DomainError, GroupParams, exponent_ordinal, make_params
+from .words import DomainError, GroupParams, exponent_ordinal
 
 # reflection categories, as bit sets: SYMP == SYM | PREC
 NONE, SYM, PREC, SYMP = range(4)
 
+_BYTE = {k: exponent_ordinal(k) for a in range(1, 129) for k in (a, -a)}
+EXPONENTS = tuple(sorted(_BYTE, key=_BYTE.__getitem__))  # EXPONENTS[o] has byte o
+WEIGHTS = tuple(1 + abs(k) for k in EXPONENTS)             # 1 + |k|, aligned with EXPONENTS
 
-@dataclass(frozen=True)
-class BlockAlphabet:
-    """Canonical nonzero exponents of Z_p, byte-encoded by ``exponent_ordinal``."""
-
-    p: int
-    exponents: tuple[int, ...]     # exponents[o] has ordinal o
-    weights: tuple[int, ...]       # 1 + |k|, aligned with exponents
-    neg_table: bytes               # ordinal -> ordinal of canonical(-k)
-    r_ord: int | None              # ordinal of g^r, the self-negating block; None for odd p
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def for_p(p: int) -> "BlockAlphabet":
-        if p > 257:  # the largest ordinal, p - 2, must fit in one byte
-            raise DomainError(f"byte-encoded block necklaces need p <= 257, got p={p}")
-        params = make_params(p)
-        exps = tuple(params.exponent_range())
-        table = bytearray(256)
-        for k in exps:
-            table[exponent_ordinal(k)] = exponent_ordinal(params.canonical_exponent(-k))
-        return BlockAlphabet(
-            p=p,
-            exponents=exps,
-            weights=tuple(1 + abs(k) for k in exps),
-            neg_table=bytes(table),
-            r_ord=exponent_ordinal(params.r) if params.even else None,
-        )
-
-    @staticmethod
-    def for_params(params: GroupParams) -> "BlockAlphabet":
-        return BlockAlphabet.for_p(params.p)
-
-    def encode(self, blocks: tuple[int, ...]) -> bytes:
-        return bytes(map(exponent_ordinal, blocks))
-
-    def decode(self, s: bytes) -> tuple[int, ...]:
-        return tuple(map(self.exponents.__getitem__, s))
-
-    def rev_neg(self, s: bytes) -> bytes:
-        """Byte string of the inverse class (reverse and negate)."""
-        return s[::-1].translate(self.neg_table)
+_FLIP = bytes(o ^ 1 for o in range(256))  # g^k <-> g^-k
+# byte of g^r -> negation table of Z_2r, which keeps g^r
+_NEGATE = {o: _FLIP[:o] + bytes((o,)) + _FLIP[o + 1 :] for o in range(0, 256, 2)}
 
 
-def reflection_category(alphabet: BlockAlphabet, s: bytes) -> int:
-    """Reciprocal category of a necklace: NONE, SYM, PREC or SYMP.
+def encode(blocks: tuple[int, ...]) -> bytes:
+    try:
+        return bytes(map(_BYTE.__getitem__, blocks))
+    except KeyError as exc:
+        raise DomainError(f"block g^{exc.args[0]} has no byte: blocks need |k| <= 128") from None
+
+
+def decode(s: bytes) -> tuple[int, ...]:
+    return tuple(map(EXPONENTS.__getitem__, s))
+
+
+def r_byte(params: GroupParams) -> int | None:
+    """Byte of g^r, the one block that is its own negative; None for odd p.
+    From p = 258 on it exceeds 255, so it is in no byte string."""
+    return exponent_ordinal(params.r) if params.even else None
+
+
+def rev_neg(s: bytes, r: int | None) -> bytes:
+    """Byte string of the inverse class (reverse and negate), with ``r`` the
+    byte of g^r (``r_byte``)."""
+    return s[::-1].translate(_NEGATE.get(r, _FLIP))
+
+
+def reflection_category(r: int | None, s: bytes) -> int:
+    """Reciprocal category of a necklace: NONE, SYM, PREC or SYMP; ``r`` is
+    the byte of g^r (``r_byte``).
 
     A reversal at offset t (the inverse class rotated left by t equals s)
     acts on the 2n syllable positions as the reflection
@@ -81,8 +71,7 @@ def reflection_category(alphabet: BlockAlphabet, s: bytes) -> int:
     matches of s in the doubled inverse, found by ``bytes.find``.
     """
     n = len(s)
-    r_ord = alphabet.r_ord
-    u2 = alphabet.rev_neg(s) * 2
+    u2 = rev_neg(s, r) * 2
     iota_t = gamma_t = False
     odd_n = n % 2 == 1
     t = u2.find(s)
@@ -90,13 +79,13 @@ def reflection_category(alphabet: BlockAlphabet, s: bytes) -> int:
         c = (-t) % n
         if odd_n:
             pos = c if c % 2 == 1 else c + n
-            assert s[(pos - 1) // 2] == r_ord, "fixed gamma block must be g^r"
+            assert s[(pos - 1) // 2] == r, "fixed gamma block must be g^r"
             iota_t = gamma_t = True
             break
         if c % 2 == 0:
             iota_t = True
         else:
-            assert s[(c - 1) // 2] == r_ord and s[((c - 1) // 2 + n // 2) % n] == r_ord
+            assert s[(c - 1) // 2] == r and s[((c - 1) // 2 + n // 2) % n] == r
             gamma_t = True
         if iota_t and gamma_t:
             break

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .necklaces import NONE, BlockAlphabet, reflection_category
+from .necklaces import NONE, encode, r_byte, reflection_category
 from .words import CyclicWord, DomainError, GroupParams, InvolutionType, Word
 
 
@@ -65,9 +65,7 @@ def _require_blocks(c: CyclicWord) -> tuple[int, ...]:
 
 
 def _reflection_category(c: CyclicWord) -> int:
-    blocks = _require_blocks(c)
-    alphabet = BlockAlphabet.for_p(c.params.p)
-    return reflection_category(alphabet, alphabet.encode(blocks))
+    return reflection_category(r_byte(c.params), encode(_require_blocks(c)))
 
 
 def is_reciprocal(c: CyclicWord) -> bool:

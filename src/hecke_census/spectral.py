@@ -44,14 +44,14 @@ class IntPoly:
             tuple(i * c for i, c in enumerate(self.coefficients))[1:] or (0,)
         )
 
-    def shift(self, a: int) -> "IntPoly":
-        """Coefficients of p(x + a), exactly."""
-        n = self.degree
-        out = [0] * (n + 1)
-        for i, c in enumerate(self.coefficients):
-            for j in range(i + 1):
-                out[j] += c * math.comb(i, j) * a ** (i - j)
-        return IntPoly(tuple(out))
+    def shift(self) -> "IntPoly":
+        """Coefficients of p(x + 1), by repeated synthetic division by x - 1:
+        additions only."""
+        c = list(self.coefficients)
+        for i in range(self.degree):
+            for j in range(self.degree - 1, i - 1, -1):
+                c[j] += c[j + 1]
+        return IntPoly(tuple(c))
 
 
 def build_growth_poly(r: int) -> IntPoly:
@@ -224,7 +224,7 @@ def squarefree_multiplicity(poly: IntPoly) -> tuple[bool, int]:
 def eisenstein_check(poly: IntPoly) -> dict:
     """Eisenstein criterion for p(x+1) at the prime 2."""
     prime = 2
-    shifted = poly.shift(1)
+    shifted = poly.shift()
     coeffs = shifted.coefficients
     for i in range(len(coeffs) - 1):
         if coeffs[i] % prime != 0:

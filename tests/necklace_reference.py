@@ -5,7 +5,7 @@ tests hold the enumeration oracle, the class-key constructor and the
 reflection classifier to them.
 """
 
-from hecke_census.necklaces import NONE, PREC, SYM, SYMP
+from hecke_census.necklaces import NONE, PREC, SYM, SYMP, rev_neg
 
 
 def minimal_rotation(s: bytes) -> bytes:
@@ -20,12 +20,11 @@ def is_minimal_rotation(s: bytes) -> bool:
     return s == minimal_rotation(s)
 
 
-def reflection_category(alphabet, s: bytes) -> int:
+def reflection_category(r_ord, s: bytes) -> int:
     """``necklaces.reflection_category`` by comparing all n rotations of
     the inverse class with ``s``; see that function for the rule."""
     n = len(s)
-    r_ord = alphabet.r_ord
-    u2 = alphabet.rev_neg(s) * 2
+    u2 = rev_neg(s, r_ord) * 2
     iota_t = False
     gamma_t = False
     odd_n = n % 2 == 1

@@ -122,7 +122,7 @@ def _all_compositions(x):
 
 
 def test_criterion_4_composition_layer():
-    """Composition counts equal exhaustive enumeration; corrected sum == DP."""
+    """Composition counts equal exhaustive enumeration; corrected sum == census series h."""
     with _Budget("4 (composition layer)", 5.0):
         for x in range(0, 15):
             by_n: dict[int, int] = {}

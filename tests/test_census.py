@@ -16,8 +16,8 @@ from hecke_census.census import (
     table_to_csv,
     table_to_json,
 )
-from hecke_census.necklaces import NONE, PREC, SYM, SYMP, BlockAlphabet, reflection_category
-from hecke_census.reciprocal import classify, is_reciprocal, reciprocator_witnesses
+from hecke_census.necklaces import NONE, PREC, SYM, SYMP, encode, r_byte, reflection_category
+from hecke_census.reciprocal import Category, classify, is_reciprocal, reciprocator_witnesses
 from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import (
     CyclicWord,
@@ -102,10 +102,9 @@ def test_enumerate_sorted_and_unique():
     ``from_blocks`` builds, so the plain constructor only ever receives
     least rotations."""
     for params in (P4, P5, P6):
-        alphabet = BlockAlphabet.for_params(params)
         seen = list(enumerate_classes(params, 12))
         assert len(seen) == len(set(seen))
-        order = [(c.word_length(), alphabet.encode(c.block_exponents)) for c in seen]
+        order = [(c.word_length(), encode(c.block_exponents)) for c in seen]
         assert all(a < b for a, b in zip(order, order[1:]))
         for c in seen:
             key = CyclicWord.from_blocks(params, c.block_exponents)
@@ -143,7 +142,7 @@ def test_scan_is_complete_and_exact(p):
     """The prenecklace generator emits exactly the least rotations that a
     filter over every block word within the budget keeps."""
     params = make_params(p)
-    words = _block_words(BlockAlphabet.for_params(params).weights, 14)
+    words = _block_words([1 + abs(k) for k in params.exponent_range()], 14)
     necklaces = [(w, s) for w, s in words if is_minimal_rotation(s)]
     for max_len in range(2, 15):
         _check_scan(params, max_len, necklaces)
@@ -153,7 +152,7 @@ def test_scan_is_complete_and_exact(p):
 @given(p=st.integers(3, 60), max_len=st.integers(2, 12))
 def test_scan_is_complete_and_exact_property(p, max_len):
     params = make_params(p)
-    words = _block_words(BlockAlphabet.for_params(params).weights, max_len)
+    words = _block_words([1 + abs(k) for k in params.exponent_range()], max_len)
     _check_scan(params, max_len, [(w, s) for w, s in words if is_minimal_rotation(s)])
 
 
@@ -220,14 +219,14 @@ def test_category_columns_match_witness_search(p):
 
 def _brute_rows(params, max_len):
     """Census rows by walking every necklace and classifying each one."""
-    alphabet = BlockAlphabet.for_params(params)
+    r = r_byte(params)
     counts = [[0] * 5 for _ in range(max_len + 1)]  # NONE, SYM, PREC, SYMP, power
 
     def visit(length, s):
-        cat = reflection_category(alphabet, s)
+        cat = reflection_category(r, s)
         row = counts[length]
         row[cat] += 1
-        if cat == SYMP and all(o == alphabet.r_ord for o in s):
+        if cat == SYMP and all(o == r for o in s):
             row[4] += 1
 
     _scan(params, max_len, visit)
@@ -355,15 +354,38 @@ def test_engine_ignores_exponents_beyond_the_budget():
     assert all(rows == tables[0] for rows in tables)
 
 
-def test_byte_encoding_limit_is_a_domain_error():
-    params = make_params(258)
-    with pytest.raises(DomainError, match="p <= 257"):
-        list(enumerate_classes(params, 4))
-    with pytest.raises(DomainError, match="p <= 257"):
-        classify(CyclicWord.from_blocks(params, (1, 2)))
-    largest = make_params(257)
-    counted = sum(row.all_classes for row in census(largest, 4).rows.values())
-    assert sum(1 for _ in enumerate_classes(largest, 4)) == counted == 9
+def test_blocks_beyond_one_byte_are_a_domain_error():
+    # |k| <= 128 has a byte in every Z_p; a budget or a class past that does not
+    params = make_params(300)
+    with pytest.raises(DomainError, match=r"\|k\| > 128"):
+        list(enumerate_classes(params, 130))
+    with pytest.raises(DomainError, match=r"\|k\| > 128"):
+        list(enumerate_classes(make_params(258), 130))  # g^129 is its own negative
+    with pytest.raises(DomainError, match=r"g\^129 has no byte"):
+        classify(CyclicWord.from_blocks(params, (1, 129)))
+    for p in (257, 258, 300):
+        params = make_params(p)
+        counted = sum(row.all_classes for row in census(params, 4).rows.values())
+        assert sum(1 for _ in enumerate_classes(params, 4)) == counted == 9
+
+
+@pytest.mark.parametrize("p", [258, 259, 300, 1000])
+def test_large_p_enumeration_and_classifier(p):
+    """Past p = 257 the census equals the enumeration, and every verdict of
+    the classifier names the involution types that the witness search finds."""
+    params = make_params(p)
+    tally = {length: [0] * 5 for length in range(2, 10)}  # sym, prec, symp, power, all
+    column = {Category.SYMMETRIC: 0, Category.P_RECIPROCAL: 1, Category.SYMMETRIC_P_RECIPROCAL: 2}
+    for c in enumerate_classes(params, 9):
+        info = classify(c)
+        counts = tally[c.word_length()]
+        counts[4] += 1
+        if info.is_reciprocal:
+            counts[column[info.category]] += 1
+            counts[3] += info.is_power_of_iota_tilde_gamma
+        assert frozenset(h.involution_type() for h in info.witnesses) == info.reciprocator_types
+    expected = {length: CensusRow(*counts) for length, counts in tally.items()}
+    assert census(params, 9).rows == expected == _brute_rows(params, 9)
 
 
 def test_inverse_closure():

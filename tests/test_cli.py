@@ -3,10 +3,13 @@
 import hashlib
 import importlib.resources as resources
 import json
+import sys
 
 import pytest
 
+from hecke_census.census import census, table_to_csv
 from hecke_census.cli import main
+from hecke_census.words import make_params
 
 
 def run(capsys, *argv):
@@ -160,12 +163,39 @@ def test_poly_large_r_is_a_result_or_one_line_error(capsys, r):
 
 
 def test_large_p_census_and_claims(capsys):
-    # the census needs no byte encoding; claims at p = 300 stops at the
-    # byte-encoded enumeration, with one line
+    # the census needs no byte encoding, and the ledger's normal-form probe
+    # only encodes blocks with |k| <= 11
     for p in ("257", "258"):
         _one_line_outcome(capsys, ["census", "--p", p, "--max-len", "6"], (0,))
     _one_line_outcome(capsys, ["claims", "--p", "82", "--max-len", "10"], (0,))
-    _one_line_outcome(capsys, ["claims", "--p", "300", "--max-len", "10"], (2,))
+    _one_line_outcome(capsys, ["claims", "--p", "300", "--max-len", "10"], (0,))
+
+
+@pytest.mark.parametrize("p", ["258", "300", "1000", "4096"])
+def test_claims_past_one_byte_per_exponent(capsys, p):
+    jsonschema = pytest.importorskip("jsonschema")
+    code = main(["claims", "--p", p, "--max-len", "12"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    jsonschema.validate(json.loads(out), schema("claims"))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int <-> str digit limit"
+)
+def test_counts_past_the_int_str_digit_limit(capsys):
+    # all_classes(2600) of p = 6 has 688 digits; the CLI lifts the limit
+    # for the run and restores it afterwards
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["census", "--p", "6", "--max-len", "2600", "--format", "csv"])
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(old)
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == table_to_csv(census(make_params(6), 2600))
 
 
 @pytest.mark.parametrize("p", ["40", "74"])

@@ -10,25 +10,29 @@ from hecke_census.necklaces import (
     NONE,
     SYM,
     SYMP,
-    BlockAlphabet,
+    EXPONENTS,
+    WEIGHTS,
+    decode,
+    encode,
     exponent_ordinal,
+    r_byte,
     reflection_category,
+    rev_neg,
 )
-from hecke_census.words import make_params
+from hecke_census.words import DomainError, make_params
 from necklace_reference import is_minimal_rotation, minimal_rotation
 from word_reference import inverse_key
 
 
 P4 = make_params(4)
 P6 = make_params(6)
-A4 = BlockAlphabet.for_params(P4)
-A6 = BlockAlphabet.for_params(P6)
+R4 = r_byte(P4)
+R6 = r_byte(P6)
 
 
 def test_ordinal_round_trip():
-    exponents = BlockAlphabet.for_p(15).exponents
     for k in (1, -1, 2, -2, 3, -3, 7, -7):
-        assert exponents[exponent_ordinal(k)] == k
+        assert EXPONENTS[exponent_ordinal(k)] == k
 
 
 def test_ordinal_order_matches_syllable_order():
@@ -37,26 +41,52 @@ def test_ordinal_order_matches_syllable_order():
 
 
 def test_alphabet_exponents():
-    assert A4.exponents == (1, -1, 2)
-    assert A6.exponents == (1, -1, 2, -2, 3)
-    assert A4.weights == (2, 2, 3)
+    # Z_p uses exactly the bytes 0..p-2
+    assert decode(bytes(range(P4.p - 1))) == (1, -1, 2) == tuple(P4.exponent_range())
+    assert decode(bytes(range(P6.p - 1))) == (1, -1, 2, -2, 3) == tuple(P6.exponent_range())
+    assert WEIGHTS[: P4.p - 1] == (2, 2, 3)
 
 
 def test_encode_decode_round_trip():
     blocks = (1, -2, 3, -1)
-    assert A6.decode(A6.encode(blocks)) == blocks
+    assert decode(encode(blocks)) == blocks
+    every_byte = bytes(range(256))
+    assert encode(decode(every_byte)) == every_byte
+    assert set(decode(every_byte)) == {k for a in range(1, 129) for k in (a, -a)}
+
+
+def test_blocks_beyond_one_byte_are_a_domain_error():
+    for blocks in [(129,), (1, -129), (150, 1)]:
+        with pytest.raises(DomainError, match=r"\|k\| <= 128"):
+            encode(blocks)
 
 
 def test_rev_neg_is_involution():
     for blocks in [(1,), (2,), (1, -1), (1, 2, -2), (3, 1, -1)]:
-        s = A6.encode(blocks)
-        assert A6.rev_neg(A6.rev_neg(s)) == s
+        s = encode(blocks)
+        assert rev_neg(rev_neg(s, R6), R6) == s
 
 
 def test_rev_neg_fixes_half_turn():
     # canonical(-r) = r, so g^r blocks are self-negative
-    assert A4.rev_neg(A4.encode((2,))) == A4.encode((2,))
-    assert A6.rev_neg(A6.encode((3,))) == A6.encode((3,))
+    assert rev_neg(encode((2,)), R4) == encode((2,))
+    assert rev_neg(encode((3,)), R6) == encode((3,))
+
+
+def test_one_byte_table_for_every_group():
+    """Z_p uses the bytes 0..p-2 in its syllable order (all 256 from p = 257
+    on), and on them rev_neg is an involution that negates each exponent and
+    fixes g^r alone, when g^r has a byte."""
+    for p in [*range(3, 262), 300, 1000]:
+        params = make_params(p)
+        r = r_byte(params)
+        s = bytes(range(min(p - 1, 256)))
+        assert decode(s) == tuple(params.exponent_range()[: len(s)])
+        assert rev_neg(rev_neg(s, r), r) == s
+        negated = tuple(params.canonical_exponent(-k) for k in decode(s)[::-1])
+        assert decode(rev_neg(s, r)) == negated
+        fixed = [o for o in s if rev_neg(bytes((o,)), r) == bytes((o,))]
+        assert fixed == ([r] if params.even and p <= 256 else []), p
 
 
 def test_rev_neg_matches_word_inverse():
@@ -65,7 +95,7 @@ def test_rev_neg_matches_word_inverse():
     for blocks in [(1,), (1, 2), (2, 1, -1), (1, -2, 3)]:
         c = CyclicWord.from_blocks(P6, blocks)
         via_words = inverse_key(c).block_exponents
-        via_bytes = A6.decode(minimal_rotation(A6.rev_neg(A6.encode(blocks))))
+        via_bytes = decode(minimal_rotation(rev_neg(encode(blocks), R6)))
         assert via_bytes == via_words
 
 
@@ -82,28 +112,26 @@ def test_minimal_rotation_properties(ordinals):
 
 def test_reflection_category_examples():
     # i g^2 (p=4): one block, so its one reversal fixes an i and a g^2
-    assert reflection_category(A4, A4.encode((2,))) == SYMP
+    assert reflection_category(R4, encode((2,))) == SYMP
     # i g i g^-1: symmetric, the reversal fixes two i syllables
-    assert reflection_category(A4, A4.encode((1, -1))) == SYM
+    assert reflection_category(R4, encode((1, -1))) == SYM
     # i g: not reciprocal
-    assert reflection_category(A4, A4.encode((1,))) == NONE
+    assert reflection_category(R4, encode((1,))) == NONE
 
 
 def test_reflection_category_of_power():
     # every rotation of (i g^2)^3 is a reversal; odd block count
-    assert reflection_category(A4, A4.encode((2, 2, 2))) == SYMP
+    assert reflection_category(R4, encode((2, 2, 2))) == SYMP
 
 
 @pytest.mark.parametrize("p", range(3, 13))
 def test_reflection_category_matches_reference_on_every_necklace(p):
     params = make_params(p)
-    alphabet = BlockAlphabet.for_params(params)
+    r = r_byte(params)
     necklaces = []
     _scan(params, 14, lambda length, s: necklaces.append(s))
     for s in necklaces:
-        assert reflection_category(alphabet, s) == necklace_reference.reflection_category(
-            alphabet, s
-        ), s
+        assert reflection_category(r, s) == necklace_reference.reflection_category(r, s), s
 
 
 @settings(max_examples=300, deadline=None)
@@ -116,15 +144,15 @@ def test_reflection_category_matches_reference_on_every_necklace(p):
 def test_reflection_category_matches_reference_on_random_bytes(p, raw, repeat):
     """Random strings, and reciprocal ones built from them: x + rev_neg(x),
     the same with g^r blocks between, and powers of each."""
-    alphabet = BlockAlphabet.for_p(p)
+    r_ord = r_byte(make_params(p))
     x = bytes(o % (p - 1) for o in raw)
-    y = alphabet.rev_neg(x)
+    y = rev_neg(x, r_ord)
     candidates = [x, x + y]
-    if alphabet.r_ord is not None:
-        r = bytes([alphabet.r_ord])
+    if r_ord is not None:
+        r = bytes([r_ord])
         candidates += [x + r + y, r + x + r + y]
     for s in candidates:
         s *= repeat
-        assert reflection_category(alphabet, s) == necklace_reference.reflection_category(
-            alphabet, s
+        assert reflection_category(r_ord, s) == necklace_reference.reflection_category(
+            r_ord, s
         ), s

@@ -8,7 +8,7 @@ import pytest
 
 import necklace_reference
 from hecke_census.census import enumerate_classes
-from hecke_census.necklaces import NONE, PREC, SYM, SYMP, BlockAlphabet
+from hecke_census.necklaces import NONE, PREC, SYM, SYMP, encode, r_byte
 from hecke_census.reciprocal import (
     Category,
     classify,
@@ -98,11 +98,10 @@ def test_classify_matches_field_reference(p):
     """All six fields of every verdict, with and without witnesses, against
     the slice-loop classifier and a direct power test."""
     params = make_params(p)
-    alphabet = BlockAlphabet.for_params(params)
     for c in enumerate_classes(params, 14):
         blocks = c.block_exponents
         category, types = _REFERENCE_CATEGORY[
-            necklace_reference.reflection_category(alphabet, alphabet.encode(blocks))
+            necklace_reference.reflection_category(r_byte(params), encode(blocks))
         ]
         reciprocal = category is not Category.NOT_RECIPROCAL
         power = params.even and all(k == params.r for k in blocks)

@@ -104,8 +104,25 @@ def test_build_poly_rejects_small_r():
 def test_poly_evaluation_and_shift():
     p = IntPoly((1, 2, 1))  # (x+1)^2
     assert p(3) == 16
-    assert p.shift(1).coefficients == (4, 4, 1)  # (x+2)^2
+    assert p.shift().coefficients == (4, 4, 1)  # (x+2)^2
     assert p.derivative().coefficients == (2, 2)
+
+
+def _binomial_shift(poly, a):
+    """Coefficients of p(x + a) by expanding every binomial (x + a)^i."""
+    out = [0] * (poly.degree + 1)
+    for i, c in enumerate(poly.coefficients):
+        for j in range(i + 1):
+            out[j] += c * math.comb(i, j) * a ** (i - j)
+    return tuple(out)
+
+
+def test_shift_matches_binomial_expansion():
+    for r in range(2, 131):
+        poly = build_growth_poly(r)
+        assert poly.shift().coefficients == _binomial_shift(poly, 1), r
+    for poly in [IntPoly((5,)), IntPoly((0, 1)), IntPoly((3, -1, 4, -1, 5))]:
+        assert poly.shift().coefficients == _binomial_shift(poly, 1)
 
 
 @pytest.mark.parametrize("r", range(2, 11))
