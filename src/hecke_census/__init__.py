@@ -5,7 +5,6 @@ from .words import (
     DomainError,
     GroupParams,
     InvolutionType,
-    Syllable,
     UnsupportedParameterError,
     Word,
     make_params,
@@ -27,7 +26,6 @@ __all__ = [
     "IntPoly",
     "InvolutionType",
     "ReciprocalInfo",
-    "Syllable",
     "UnsupportedParameterError",
     "Word",
     "analyze_growth",

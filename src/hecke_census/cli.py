@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .census import FIXTURES, CensusRow, census, table_to_csv, table_to_json
 from .formulas import (
@@ -105,19 +106,15 @@ def _cmd_claims(args: argparse.Namespace) -> int:
 def _cmd_growth(args: argparse.Namespace) -> int:
     params = make_params(args.p)
     r = params.require_even()
-    table = census(params, args.max_len)
-    report = analyze_growth(r)
-    seed = family_seed(params, table)
+    seed = family_seed(params, census(params, args.max_len))
     if len(seed) < r + 1:
         raise DomainError(
             f"--max-len {args.max_len} yields only {len(seed)} family terms; "
             f"need at least r+1 = {r + 1}"
         )
     extended = recurrence_extend(seed, r, max(0, args.extend_to - len(seed)))
-    estimate = growth_estimate(extended)
-    from dataclasses import replace
-
-    report = replace(report, ratio_trace=tuple(estimate["ratio_trace"]))
+    ratio_trace = tuple(growth_estimate(extended)["ratio_trace"])
+    report = replace(analyze_growth(r), ratio_trace=ratio_trace)
     _emit(report.to_json(), args.out)
     return 0
 

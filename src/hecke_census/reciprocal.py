@@ -127,7 +127,8 @@ def reciprocator_witnesses(c: CyclicWord) -> list[Word]:
 
 def _signed_tuples(total: int, n: int, params: GroupParams):
     """All tuples of n nonzero canonical exponents with |k| summing to total."""
-    exps = params.exponent_range()
+    # the exponents that can fit, in syllable order, so |k| never decreases
+    exps = [k for a in range(1, total + 1) for k in (a, -a) if params.canonical_exponent(k) == k]
 
     def rec(remaining: int, left: int, prefix: list[int]):
         if left == 0:
@@ -135,10 +136,11 @@ def _signed_tuples(total: int, n: int, params: GroupParams):
                 yield tuple(prefix)
             return
         for k in exps:
-            if abs(k) <= remaining - (left - 1):
-                prefix.append(k)
-                yield from rec(remaining - abs(k), left - 1, prefix)
-                prefix.pop()
+            if abs(k) > remaining - (left - 1):
+                break
+            prefix.append(k)
+            yield from rec(remaining - abs(k), left - 1, prefix)
+            prefix.pop()
 
     yield from rec(total, n, [])
 

@@ -16,17 +16,21 @@ The syllable order ``g^1 < g^-1 < g^2 < g^-2 < ...`` is defined here
 ``i g^k`` have each weight ``1 + |k|``.  The census series, the class-count
 recurrence and its characteristic polynomial all read it.
 
+A syllable is an int: ``IOTA = 0`` is ``i`` and a nonzero k is ``g^k``
+(a canonical exponent is never 0).  Two syllables of the same kind meet
+as their sum: ``i i`` gives 0 and cancels like ``g^a g^-a``.
+
 Products and cyclic reduction assume reduced operands and cost time
 linear in their length: a product only cancels or merges where its two
 factors meet, and cyclic reduction peels matching syllables off both ends
-at once.  Syllables are interned: ``Syllable.iota()`` and
-``Syllable.gamma(k)`` return shared instances.
+at once.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -43,12 +47,22 @@ class GroupParams:
     """Parameters of the group Z_2 * Z_p.
 
     ``r = p/2`` and the parity witness ``u`` (``r = 2u`` or ``r = 2u+1``)
-    are defined only for even ``p``.
+    are defined only for even ``p``; for odd ``p`` both are None.
     """
 
     p: int
-    r: int | None
-    u: int | None
+
+    @property
+    def even(self) -> bool:
+        return self.p % 2 == 0
+
+    @cached_property
+    def r(self) -> int | None:
+        return self.p // 2 if self.even else None
+
+    @cached_property
+    def u(self) -> int | None:
+        return self.p // 4 if self.even else None
 
     def canonical_exponent(self, k: int) -> int:
         """Reduce ``k`` mod p into the canonical range ``(-p/2, p/2]``."""
@@ -56,10 +70,6 @@ class GroupParams:
         if 2 * k > self.p:
             k -= self.p
         return k
-
-    @property
-    def even(self) -> bool:
-        return self.p % 2 == 0
 
     def require_even(self) -> int:
         if self.r is None:
@@ -91,13 +101,7 @@ class GroupParams:
 def make_params(p: int) -> GroupParams:
     if p < 3:
         raise DomainError(f"p must be >= 3, got {p}")
-    if p % 2 == 0:
-        r = p // 2
-        u = r // 2
-    else:
-        r = None
-        u = None
-    return GroupParams(p=p, r=r, u=u)
+    return GroupParams(p)
 
 
 def exponent_ordinal(k: int) -> int:
@@ -106,43 +110,7 @@ def exponent_ordinal(k: int) -> int:
     return 2 * k - 2 if k > 0 else -2 * k - 1
 
 
-IOTA = "i"
-GAMMA = "g"
-
-
-@dataclass(frozen=True)
-class Syllable:
-    """A single generator block: ``i`` or ``g^k`` with canonical k != 0."""
-
-    kind: str
-    exponent: int = 0
-
-    @staticmethod
-    def iota() -> "Syllable":
-        return _IOTA_SYLLABLE
-
-    @staticmethod
-    def gamma(k: int) -> "Syllable":
-        syl = _GAMMA_SYLLABLES.get(k)
-        if syl is None:
-            if k == 0:
-                raise DomainError("gamma syllable exponent must be nonzero")
-            syl = _GAMMA_SYLLABLES[k] = Syllable(GAMMA, k)
-        return syl
-
-    @property
-    def is_iota(self) -> bool:
-        return self.kind == IOTA
-
-    def weight(self) -> int:
-        return 1 if self.is_iota else abs(self.exponent)
-
-    def __str__(self) -> str:
-        return "i" if self.is_iota else f"g^{self.exponent}"
-
-
-_IOTA_SYLLABLE = Syllable(IOTA, 0)
-_GAMMA_SYLLABLES: dict[int, Syllable] = {}
+IOTA = 0  # the syllable i; a nonzero int k is the syllable g^k
 
 
 class InvolutionType(enum.Enum):
@@ -151,27 +119,20 @@ class InvolutionType(enum.Enum):
     NOT_INVOLUTION = "none"
 
 
-def reduce_syllables(
-    seq: Iterable[Syllable], params: GroupParams
-) -> tuple[Syllable, ...]:
+def reduce_syllables(seq: Iterable[int], params: GroupParams) -> tuple[int, ...]:
     """Fold a syllable sequence into the unique reduced form."""
-    stack: list[Syllable] = []
-    for syl in seq:
-        if syl.is_iota:
-            if stack and stack[-1].is_iota:
+    stack: list[int] = []
+    for s in seq:
+        if s == IOTA:
+            if stack and stack[-1] == IOTA:
                 stack.pop()
             else:
-                stack.append(_IOTA_SYLLABLE)
-        else:
-            k = params.canonical_exponent(syl.exponent)
-            if k == 0:
-                continue
-            if stack and not stack[-1].is_iota:
-                k = params.canonical_exponent(stack.pop().exponent + k)
-                if k != 0:
-                    stack.append(Syllable.gamma(k))
-            else:
-                stack.append(Syllable.gamma(k))
+                stack.append(IOTA)
+        elif k := params.canonical_exponent(s):
+            if stack and stack[-1] != IOTA:
+                k = params.canonical_exponent(stack.pop() + k)
+            if k:
+                stack.append(k)
     return tuple(stack)
 
 
@@ -185,30 +146,30 @@ class Word:
     """
 
     params: GroupParams
-    syllables: tuple[Syllable, ...] = ()
+    syllables: tuple[int, ...] = ()
 
     @staticmethod
     def identity(params: GroupParams) -> "Word":
         return Word(params, ())
 
     @staticmethod
-    def from_syllables(params: GroupParams, seq: Iterable[Syllable]) -> "Word":
+    def from_syllables(params: GroupParams, seq: Iterable[int]) -> "Word":
         return Word(params, reduce_syllables(seq, params))
 
     @staticmethod
     def parse(params: GroupParams, text: str) -> "Word":
-        """Parse the plain-text syntax: ``i``, ``g^k``, ``g``, ``1``."""
+        """Parse the plain-text syntax: ``i``, ``g^k`` (k != 0), ``g``, ``1``."""
         tokens = text.replace("*", " ").split()
-        syls: list[Syllable] = []
+        syls: list[int] = []
         for tok in tokens:
             if tok == "1":
                 continue
             if tok == "i":
-                syls.append(Syllable.iota())
+                syls.append(IOTA)
             elif tok == "g":
-                syls.append(Syllable.gamma(1))
-            elif tok.startswith("g^"):
-                syls.append(Syllable.gamma(int(tok[2:])))
+                syls.append(1)
+            elif tok.startswith("g^") and (k := int(tok[2:])):
+                syls.append(k)
             else:
                 raise DomainError(f"unrecognized token {tok!r}")
         return Word.from_syllables(params, syls)
@@ -216,14 +177,14 @@ class Word:
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
-        return " ".join(str(s) for s in self.syllables)
+        return " ".join("i" if s == IOTA else f"g^{s}" for s in self.syllables)
 
     @property
     def is_identity(self) -> bool:
         return not self.syllables
 
     def length(self) -> int:
-        return sum(s.weight() for s in self.syllables)
+        return sum(abs(s) or 1 for s in self.syllables)  # i weighs 1
 
     def __mul__(self, other: "Word") -> "Word":
         if other.params.p != self.params.p:
@@ -231,26 +192,23 @@ class Word:
         # both factors are reduced, so only the seam can cancel or merge
         left, right = self.syllables, other.syllables
         i, j, n = len(left), 0, len(right)
-        while i and j < n and left[i - 1].kind == right[j].kind:
-            if left[i - 1].kind == GAMMA:
-                k = self.params.canonical_exponent(left[i - 1].exponent + right[j].exponent)
-                if k:
-                    return Word(self.params, left[: i - 1] + (Syllable.gamma(k),) + right[j + 1 :])
+        while i and j < n and (left[i - 1] == IOTA) == (right[j] == IOTA):
+            k = left[i - 1] + right[j]  # i i and g^a g^-a sum to 0
+            if k and (k := self.params.canonical_exponent(k)):
+                return Word(self.params, left[: i - 1] + (k,) + right[j + 1 :])
             i -= 1
             j += 1
         return Word(self.params, left[:i] + right[j:])
 
     def inverse(self) -> "Word":
-        syls = tuple(
-            s if s.is_iota else Syllable.gamma(self.params.canonical_exponent(-s.exponent))
-            for s in reversed(self.syllables)
-        )
+        canonical = self.params.canonical_exponent
+        syls = tuple(canonical(-s) if s != IOTA else IOTA for s in reversed(self.syllables))
         return Word(self.params, syls)
 
     def conjugate_by(self, h: "Word") -> "Word":
         return h * self * h.inverse()
 
-    def _cyclic_core(self) -> tuple[list[Syllable], int]:
+    def _cyclic_core(self) -> tuple[list[int], int]:
         """The cyclically reduced core and the number of syllables peeled.
 
         ``self = h * core * h^-1`` with ``h`` the first ``peeled`` syllables.
@@ -259,14 +217,11 @@ class Word:
         """
         syls = list(self.syllables)
         start = 0
-        while len(syls) - start >= 2 and syls[start].kind == syls[-1].kind:
-            first = syls[start]
+        while len(syls) - start >= 2 and (syls[start] == IOTA) == (syls[-1] == IOTA):
+            k = syls.pop() + syls[start]  # i i and g^a g^-a sum to 0
             start += 1
-            last = syls.pop()
-            if first.kind == GAMMA:
-                k = self.params.canonical_exponent(last.exponent + first.exponent)
-                if k:
-                    syls.append(Syllable.gamma(k))
+            if k and (k := self.params.canonical_exponent(k)):
+                syls.append(k)
         return syls[start:], start
 
     def cyclic_reduce(self) -> tuple["CyclicWord", "Word"]:
@@ -276,8 +231,8 @@ class Word:
         if len(syls) <= 1:
             return CyclicWord(self.params, None, tuple(syls)), conjugator
         # start the cycle at an i, then at the least rotation; fold both into h
-        shift = int(syls[0].kind == GAMMA)
-        blocks = tuple(s.exponent for s in (syls[shift:] + syls[:shift])[1::2])
+        shift = int(syls[0] != IOTA)
+        blocks = tuple((syls[shift:] + syls[:shift])[1::2])
         best = _least_rotation(blocks)
         rotate = shift + 2 * best
         if rotate:
@@ -291,10 +246,9 @@ class Word:
         syls = self._cyclic_core()[0]
         if len(syls) != 1:
             return InvolutionType.NOT_INVOLUTION
-        s = syls[0]
-        if s.is_iota:
+        if syls[0] == IOTA:
             return InvolutionType.IOTA_TYPE
-        if self.params.even and s.exponent == self.params.r:
+        if syls[0] == self.params.r:  # r is None for odd p
             return InvolutionType.TILDE_GAMMA_TYPE
         return InvolutionType.NOT_INVOLUTION
 
@@ -312,7 +266,7 @@ class CyclicWord:
 
     params: GroupParams
     block_exponents: tuple[int, ...] | None
-    torsion: tuple[Syllable, ...] = ()
+    torsion: tuple[int, ...] = ()
 
     @staticmethod
     def from_blocks(params: GroupParams, blocks: Sequence[int]) -> "CyclicWord":
@@ -326,16 +280,16 @@ class CyclicWord:
         return CyclicWord(params, blocks)
 
     @property
-    def syllables(self) -> tuple[Syllable, ...]:
+    def syllables(self) -> tuple[int, ...]:
         blocks = self.block_exponents
         if blocks is None:
             return self.torsion
-        return tuple(s for k in blocks for s in (_IOTA_SYLLABLE, Syllable.gamma(k)))
+        return tuple(s for k in blocks for s in (IOTA, k))
 
     def word_length(self) -> int:
         blocks = self.block_exponents
         if blocks is None:
-            return sum(s.weight() for s in self.torsion)
+            return sum(abs(s) or 1 for s in self.torsion)
         return len(blocks) + sum(map(abs, blocks))
 
     def to_word(self) -> Word:

@@ -31,7 +31,7 @@ from hecke_census.spectral import (
     sqrt2_sign,
     squarefree_multiplicity,
 )
-from hecke_census.words import Syllable, Word, make_params
+from hecke_census.words import IOTA, Word, make_params
 from composition_reference import compositions
 
 
@@ -65,9 +65,9 @@ def _random_word(params, rng):
     syls = []
     for _ in range(rng.randrange(0, 9)):
         if rng.random() < 0.5:
-            syls.append(Syllable.iota())
+            syls.append(IOTA)
         else:
-            syls.append(Syllable.gamma(rng.choice(params.exponent_range())))
+            syls.append(rng.choice(params.exponent_range()))
     return Word.from_syllables(params, syls)
 
 

@@ -111,6 +111,17 @@ def test_growth_short_seed_is_a_usage_error(capsys):
     assert "r+1 = 4" in captured.err
 
 
+def test_growth_short_seed_is_reported_before_the_root_iteration(capsys):
+    # r = 20 is a known all_roots failure (exit 1); the seed check comes first
+    code = main(["growth", "--p", "40", "--max-len", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --max-len 10 yields only 4 family terms; need at least r+1 = 21\n"
+    )
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--max-len", "10")
     assert code == 0

@@ -17,10 +17,11 @@ from hecke_census.reciprocal import (
     reciprocator_witnesses,
 )
 from hecke_census.words import (
+    IOTA,
     CyclicWord,
     DomainError,
+    GroupParams,
     InvolutionType,
-    Syllable,
     Word,
     make_params,
 )
@@ -124,7 +125,7 @@ def test_classify_matches_field_reference(p):
 
 
 def _random_word(params, rng, size):
-    syllables = [Syllable.iota()] + [Syllable.gamma(k) for k in params.exponent_range()]
+    syllables = [IOTA] + params.exponent_range()
     return Word.from_syllables(params, rng.choices(syllables, k=size))
 
 
@@ -232,6 +233,29 @@ def test_normal_forms_match_oracle_at_small_lengths(p):
             oracle[c.word_length()].add(c)
     for length in range(2, 13):
         assert normal_form_generate(params, length) == oracle[length]
+
+
+def test_normal_form_probe_cost_does_not_grow_with_p(monkeypatch):
+    # up to length 12 no g^r block fits when r >= 16, so p = 32 and p = 16384
+    # have the same normal forms and must do the same exponent work
+    canonical = GroupParams.canonical_exponent
+    calls = []
+
+    def counted(self, k):
+        calls.append(k)
+        return canonical(self, k)
+
+    monkeypatch.setattr(GroupParams, "canonical_exponent", counted)
+    found = {}
+    for p in (32, 16384):
+        params = make_params(p)
+        calls.clear()
+        blocks = [
+            {c.block_exponents for c in normal_form_generate(params, length)}
+            for length in range(2, 13)
+        ]
+        found[p] = blocks, len(calls)
+    assert found[32] == found[16384]
 
 
 def test_normal_form_power_classes():

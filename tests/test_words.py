@@ -1,6 +1,7 @@
 """Word arithmetic: reduction, group laws, cyclic reduction, torsion."""
 
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from hecke_census.necklaces import encode
 from hecke_census.words import (
-    GAMMA,
+    IOTA,
     CyclicWord,
     DomainError,
+    GroupParams,
     InvolutionType,
-    Syllable,
     Word,
     make_params,
     reduce_syllables,
@@ -43,6 +44,16 @@ def test_make_params_odd_has_no_r():
     assert P7.r is None and P7.u is None
     with pytest.raises(DomainError):
         P7.require_even()
+
+
+def test_group_params_stores_only_p():
+    assert tuple(f.name for f in fields(GroupParams)) == ("p",)
+    for p in range(3, 41):
+        params = make_params(p)
+        if p % 2 == 0:
+            assert (params.r, params.u) == (p // 2, p // 4)
+        else:
+            assert params.r is None and params.u is None
 
 
 def test_make_params_rejects_small_p():
@@ -184,7 +195,7 @@ def test_cyclic_reduce_wrap_around():
     # g^2 i g i g^-2 conjugates down to the torsion class of g
     word = w(P6, "g^2 i g i g^-2")
     c, h = word.cyclic_reduce()
-    assert [str(s) for s in c.syllables] == ["g^1"]
+    assert c.syllables == (1,) and str(c) == "g^1"
     assert h * c.to_word() * h.inverse() == word
 
 
@@ -280,14 +291,10 @@ def test_all_reduced_words_counts():
 # the linear word layer against the quadratic references it replaced
 
 
-def test_syllables_are_interned():
-    assert Syllable.iota() is Syllable.iota()
-    for k in (1, -1, 2, 5, -7):
-        assert Syllable.gamma(k) is Syllable.gamma(k)
-        assert Syllable(GAMMA, k) == Syllable.gamma(k)
-        assert hash(Syllable(GAMMA, k)) == hash(Syllable.gamma(k))
+def test_parse_rejects_zero_gamma_exponent():
+    # 0 is the syllable i, so g^0 is not a gamma syllable
     with pytest.raises(DomainError):
-        Syllable.gamma(0)
+        Word.parse(P6, "i g^0")
 
 
 @st.composite
@@ -319,19 +326,19 @@ def _reference_cyclic_reduce(word):
     params = word.params
     syls = list(word.syllables)
     h = []
-    while len(syls) >= 2 and syls[0].kind == syls[-1].kind:
+    while len(syls) >= 2 and (syls[0] == IOTA) == (syls[-1] == IOTA):
         h.append(syls[0])
         syls = list(reduce_syllables(syls[1:] + syls[:1], params))
     if len(syls) <= 1:
         return tuple(syls), None, tuple(h)
-    if syls[0].kind == GAMMA:
+    if syls[0] != IOTA:
         h.append(syls[0])
         syls = syls[1:] + syls[:1]
-    blocks = tuple(s.exponent for s in syls[1::2])
+    blocks = tuple(syls[1::2])
     key = _reference_class_key(params, blocks)
     d = next(d for d in range(len(blocks)) if blocks[d:] + blocks[:d] == key)
     h.extend(syls[: 2 * d])
-    canonical = tuple(s for k in key for s in (Syllable.iota(), Syllable.gamma(k)))
+    canonical = tuple(s for k in key for s in (IOTA, k))
     return canonical, key, reduce_syllables(h, params)
 
 
@@ -343,7 +350,7 @@ def test_cyclic_reduce_matches_reference(data, p):
     for word in (a, b * a * b.inverse(), a * b * a.inverse()):
         c, h = word.cyclic_reduce()
         assert (c.syllables, c.block_exponents, h.syllables) == _reference_cyclic_reduce(word)
-        assert c.word_length() == sum(s.weight() for s in c.syllables)
+        assert c.word_length() == sum(abs(s) or 1 for s in c.syllables)
 
 
 @pytest.mark.parametrize(
@@ -367,9 +374,9 @@ def test_from_blocks_matches_reference(data, p):
     key = _reference_class_key(params, blocks)
     assert c.block_exponents == key
     assert c.syllables == tuple(
-        s for k in key for s in (Syllable.iota(), Syllable.gamma(k))
+        s for k in key for s in (IOTA, k)
     )
-    assert c.word_length() == sum(s.weight() for s in c.syllables)
+    assert c.word_length() == sum(abs(s) or 1 for s in c.syllables)
     assert is_minimal_rotation(encode(key))  # byte order is key order
 
 

@@ -3,25 +3,25 @@
 from math import gcd
 from typing import Iterator
 
-from hecke_census.words import GroupParams, Syllable, Word
+from hecke_census.words import IOTA, GroupParams, Word
 
 
 def all_reduced_words(params: GroupParams, length: int) -> Iterator[Word]:
     """Every reduced word of exactly the given length."""
 
-    def extend(syls: list[Syllable], used: int) -> Iterator[Word]:
+    def extend(syls: list[int], used: int) -> Iterator[Word]:
         if used == length:
             yield Word(params, tuple(syls))
             return
         last = syls[-1] if syls else None
-        if (last is None or not last.is_iota) and used + 1 <= length:
-            syls.append(Syllable.iota())
+        if (last is None or last != IOTA) and used + 1 <= length:
+            syls.append(IOTA)
             yield from extend(syls, used + 1)
             syls.pop()
-        if last is None or last.is_iota:
+        if last is None or last == IOTA:
             for k in params.exponent_range():
                 if used + abs(k) <= length:
-                    syls.append(Syllable.gamma(k))
+                    syls.append(k)
                     yield from extend(syls, used + abs(k))
                     syls.pop()
 
@@ -37,10 +37,10 @@ def element_order(word: Word) -> int | None:
     if not key.torsion:
         return 1
     (syl,) = key.torsion
-    if syl.is_iota:
+    if syl == IOTA:
         return 2
     p = word.params.p
-    return p // gcd(syl.exponent % p, p)
+    return p // gcd(syl % p, p)
 
 
 def inverse_key(c):
