@@ -22,7 +22,7 @@ from .formulas import (
     recurrence_extend,
     signed_syllable_count,
 )
-from .reciprocal import Category, classify, normal_form_generate
+from .reciprocal import classify, normal_form_generate
 from .spectral import (
     analyze_growth,
     build_growth_poly,
@@ -147,29 +147,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     agree = engine_ok = True
     detail = engine_detail = ""
     budget = min(args.max_len, 14)
-    column = {
-        Category.SYMMETRIC: 0,
-        Category.P_RECIPROCAL: 1,
-        Category.SYMMETRIC_P_RECIPROCAL: 2,
-    }
     for params in (p4, p6):
-        # per length: symmetric, p_reciprocal, symmetric_p, power, all_classes
+        # per length, indexed by Category: not reciprocal, symmetric,
+        # p_reciprocal, symmetric_p; then the powers of i g^r
         tally = {length: [0] * 5 for length in range(2, budget + 1)}
         for c in enumerate_classes(params, budget):
             info = classify(c, with_witnesses=True)
             counts = tally[c.word_length()]
-            counts[4] += 1
-            if info.is_reciprocal:
-                counts[column[info.category]] += 1
-                counts[3] += info.is_power_of_iota_tilde_gamma
-                wtypes = frozenset(
-                    w.involution_type() for w in info.witnesses
-                )
-                if agree and wtypes != info.reciprocator_types:
-                    agree = False
-                    detail = f"disagreement at {c} (p={params.p})"
+            counts[info.category] += 1
+            counts[4] += info.is_power_of_iota_tilde_gamma
+            wtypes = frozenset(w.involution_type() for w in info.witnesses)
+            if agree and wtypes != info.reciprocator_types:
+                agree = False
+                detail = f"disagreement at {c} (p={params.p})"
         engine = census(params, budget).rows
-        wrong = [length for length, row in tally.items() if engine[length] != CensusRow(*row)]
+        rows = {length: CensusRow(*n[1:], sum(n[:4])) for length, n in tally.items()}
+        wrong = [length for length, row in rows.items() if engine[length] != row]
         if engine_ok and wrong:
             engine_ok = False
             engine_detail = f"p={params.p} len {wrong[0]}"
@@ -199,7 +192,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for length in range(2, min(args.max_len, 12) + 1):
             for c in normal_form_generate(params, length):
                 info = classify(c, with_witnesses=False)
-                if info.category is Category.NOT_RECIPROCAL:
+                if not info.is_reciprocal:
                     sound = False
                     detail = f"non-reciprocal normal form {c} (p={params.p})"
                     break

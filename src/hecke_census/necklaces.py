@@ -14,15 +14,26 @@ own negative.  Block weights do not decrease with the byte, which lets the
 enumeration oracle stop at the weight budget.
 
 ``reflection_category`` is the reflection classifier behind
-``reciprocal.classify``.
+``reciprocal.classify``; ``Category`` is the package's category type.
 """
 
 from __future__ import annotations
 
+import enum
+
 from .words import DomainError, GroupParams, exponent_ordinal
 
-# reflection categories, as bit sets: SYMP == SYM | PREC
-NONE, SYM, PREC, SYMP = range(4)
+
+class Category(enum.IntEnum):
+    """Reciprocal category, as the bit set of a class's reflection axes."""
+
+    NOT_RECIPROCAL = 0
+    SYMMETRIC = 1  # an i axis
+    P_RECIPROCAL = 2  # a g^r axis
+    SYMMETRIC_P_RECIPROCAL = 3
+
+
+_CATEGORIES = tuple(Category)  # indexed by the bit set, without an enum call
 
 _BYTE = {k: exponent_ordinal(k) for a in range(1, 129) for k in (a, -a)}
 EXPONENTS = tuple(sorted(_BYTE, key=_BYTE.__getitem__))  # EXPONENTS[o] has byte o
@@ -56,9 +67,9 @@ def rev_neg(s: bytes, r: int | None) -> bytes:
     return s[::-1].translate(_NEGATE.get(r, _FLIP))
 
 
-def reflection_category(r: int | None, s: bytes) -> int:
-    """Reciprocal category of a necklace: NONE, SYM, PREC or SYMP; ``r`` is
-    the byte of g^r (``r_byte``).
+def reflection_category(r: int | None, s: bytes) -> Category:
+    """Reciprocal category of a necklace; ``r`` is the byte of g^r
+    (``r_byte``).
 
     A reversal at offset t (the inverse class rotated left by t equals s)
     acts on the 2n syllable positions as the reflection
@@ -90,4 +101,4 @@ def reflection_category(r: int | None, s: bytes) -> int:
         if iota_t and gamma_t:
             break
         t = u2.find(s, t + 1)
-    return SYM * iota_t | PREC * gamma_t
+    return _CATEGORIES[iota_t + 2 * gamma_t]

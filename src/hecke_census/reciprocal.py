@@ -10,52 +10,54 @@ two possible conjugacy families of involutions that invert ``g``.
 Two independent classification routes are provided: the reflection
 fixed-point method (primary, ``necklaces.reflection_category``) and an
 explicit involution search in the reciprocator coset (oracle).  They must
-always agree.
+always agree.  A verdict (``ReciprocalInfo``) stores three fields and
+derives the rest from them.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
-from .necklaces import NONE, encode, r_byte, reflection_category
+from .necklaces import Category, encode, r_byte, reflection_category
 from .words import CyclicWord, DomainError, GroupParams, InvolutionType, Word
-
-
-class Category(enum.Enum):
-    NOT_RECIPROCAL = "not_reciprocal"
-    SYMMETRIC = "symmetric"
-    P_RECIPROCAL = "p_reciprocal"
-    SYMMETRIC_P_RECIPROCAL = "symmetric_p_reciprocal"
 
 
 class ConsistencyError(RuntimeError):
     """An internal guarantee failed; indicates an implementation bug."""
 
 
+# the involution families that invert a class, indexed by its Category
+_TYPES = (
+    frozenset(),
+    frozenset({InvolutionType.IOTA_TYPE}),
+    frozenset({InvolutionType.TILDE_GAMMA_TYPE}),
+    frozenset({InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE}),
+)
+
+
 @dataclass(frozen=True)
 class ReciprocalInfo:
-    is_reciprocal: bool
+    """``power_exponent`` is m when the class is ``(i g^r)^m``, else None."""
+
     category: Category
-    is_power_of_iota_tilde_gamma: bool
-    power_exponent: int | None
-    reciprocator_types: frozenset[InvolutionType]
+    power_exponent: int | None = None
     witnesses: tuple[Word, ...] = ()
 
+    @property
+    def is_reciprocal(self) -> bool:
+        return self.category is not Category.NOT_RECIPROCAL
 
-_IOTA, _TILDE = InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE
+    @property
+    def is_power_of_iota_tilde_gamma(self) -> bool:
+        return self.power_exponent is not None
 
-# the verdict, without witnesses, of every class that is not a power of
-# i g^r; indexed by necklaces.reflection_category: NONE, SYM, PREC, SYMP
-_VERDICTS = tuple(
-    ReciprocalInfo(category is not Category.NOT_RECIPROCAL, category, False, None, types)
-    for category, types in (
-        (Category.NOT_RECIPROCAL, frozenset()),
-        (Category.SYMMETRIC, frozenset({_IOTA})),
-        (Category.P_RECIPROCAL, frozenset({_TILDE})),
-        (Category.SYMMETRIC_P_RECIPROCAL, frozenset({_IOTA, _TILDE})),
-    )
-)
+    @property
+    def reciprocator_types(self) -> frozenset[InvolutionType]:
+        return _TYPES[self.category]
+
+
+# the verdict without witnesses of each Category, for classes not a power of i g^r
+_VERDICTS = tuple(map(ReciprocalInfo, Category))
 
 
 def _require_blocks(c: CyclicWord) -> tuple[int, ...]:
@@ -64,12 +66,12 @@ def _require_blocks(c: CyclicWord) -> tuple[int, ...]:
     return c.block_exponents
 
 
-def _reflection_category(c: CyclicWord) -> int:
+def _reflection_category(c: CyclicWord) -> Category:
     return reflection_category(r_byte(c.params), encode(_require_blocks(c)))
 
 
 def is_reciprocal(c: CyclicWord) -> bool:
-    return _reflection_category(c) != NONE
+    return _reflection_category(c) is not Category.NOT_RECIPROCAL
 
 
 def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
@@ -81,7 +83,7 @@ def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
     info = _VERDICTS[_reflection_category(c)]
     blocks = c.block_exponents
     if blocks.count(c.params.r) == len(blocks):  # r is None for odd p
-        info = replace(info, is_power_of_iota_tilde_gamma=True, power_exponent=len(blocks))
+        info = replace(info, power_exponent=len(blocks))
     if with_witnesses and info.is_reciprocal:
         info = replace(info, witnesses=tuple(reciprocator_witnesses(c)))
     return info
@@ -125,32 +127,24 @@ def reciprocator_witnesses(c: CyclicWord) -> list[Word]:
     return [witnesses[t] for t in sorted(witnesses, key=lambda t: t.value)]
 
 
-def _signed_tuples(total: int, n: int, params: GroupParams):
-    """All tuples of n nonzero canonical exponents with |k| summing to total."""
-    # the exponents that can fit, in syllable order, so |k| never decreases
-    exps = [k for a in range(1, total + 1) for k in (a, -a) if params.canonical_exponent(k) == k]
-
-    def rec(remaining: int, left: int, prefix: list[int]):
-        if left == 0:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        for k in exps:
-            if abs(k) > remaining - (left - 1):
-                break
-            prefix.append(k)
-            yield from rec(remaining - abs(k), left - 1, prefix)
-            prefix.pop()
-
-    yield from rec(total, n, [])
+def _block_words(weight: int, params: GroupParams):
+    """All tuples of canonical blocks whose weights ``1 + |k|`` sum to weight."""
+    if weight == 0:
+        yield ()
+    for k in params.exponent_range(weight - 1):
+        for rest in _block_words(weight - 1 - abs(k), params):
+            yield (k,) + rest
 
 
 def normal_form_generate(params: GroupParams, length: int) -> set[CyclicWord]:
     """Class keys of all reciprocal normal-form words of the given length.
 
-    Patterns: plain palindrome, g^r-bracketed palindrome, single-g^r
-    mixed forms, and powers of ``i g^r``.  Deduplicated by class key;
-    every emitted class is reciprocal by construction.
+    Each normal form is ``before + ks + middle + neg_rev(ks)`` with
+    ``(before, middle)`` one of four shapes: a plain palindrome, a
+    g^r-bracketed palindrome and the two single-g^r forms.  ``ks`` is any
+    block word of half the weight the fixed g^r blocks leave; the powers of
+    ``i g^r`` are the forms with ``ks`` a power of g^r.  Deduplicated by
+    class key; every emitted class is reciprocal by construction.
     """
     r = params.require_even()
     if length < 2:
@@ -160,31 +154,9 @@ def normal_form_generate(params: GroupParams, length: int) -> set[CyclicWord]:
     def neg_rev(ks: tuple[int, ...]) -> tuple[int, ...]:
         return tuple(params.canonical_exponent(-k) for k in reversed(ks))
 
-    # powers (i g^r)^m
-    if length % (r + 1) == 0:
-        mth = length // (r + 1)
-        out.add(CyclicWord.from_blocks(params, (r,) * mth))
-
-    # plain palindrome: i g^k1 ... i g^kn i g^-kn ... i g^-k1
-    if length % 2 == 0:
-        half = length // 2
-        for n in range(1, half + 1):
-            for ks in _signed_tuples(half - n, n, params):
-                out.add(CyclicWord.from_blocks(params, ks + neg_rev(ks)))
-
-    # bracketed palindrome: i g^r (palindrome halves) with two g^r blocks
-    rem = length - 2 * (r + 1)
-    if rem >= 0 and rem % 2 == 0:
-        for n in range(1, rem // 2 + 1):
-            for ks in _signed_tuples(rem // 2 - n, n, params):
-                out.add(CyclicWord.from_blocks(params, (r,) + ks + (r,) + neg_rev(ks)))
-
-    # single g^r, palindrome on either side
-    rem = length - (r + 1)
-    if rem >= 2 and rem % 2 == 0:
-        for n in range(1, rem // 2 + 1):
-            for ks in _signed_tuples(rem // 2 - n, n, params):
-                out.add(CyclicWord.from_blocks(params, (r,) + ks + neg_rev(ks)))
-                out.add(CyclicWord.from_blocks(params, ks + (r,) + neg_rev(ks)))
-
+    for before, middle in (((), ()), ((r,), (r,)), ((r,), ()), ((), (r,))):
+        rem = length - (r + 1) * (len(before) + len(middle))
+        if rem >= 0 and rem % 2 == 0:
+            for ks in _block_words(rem // 2, params):
+                out.add(CyclicWord.from_blocks(params, before + ks + middle + neg_rev(ks)))
     return out

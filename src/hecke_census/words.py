@@ -12,9 +12,10 @@ this convention.
 
 The syllable order ``g^1 < g^-1 < g^2 < g^-2 < ...`` is defined here
 (``exponent_ordinal``); class keys start at their least rotation in it.
-``GroupParams.block_weights`` states the block law: how many blocks
-``i g^k`` have each weight ``1 + |k|``.  The census series, the class-count
-recurrence and its characteristic polynomial all read it.
+``GroupParams.exponent_range`` lists the exponents in this order, and
+``GroupParams.block_weights`` counts them by block weight ``1 + |k|``:
+the block law that the census series, the class-count recurrence and its
+characteristic polynomial read.
 
 A syllable is an int: ``IOTA = 0`` is ``i`` and a nonzero k is ``g^k``
 (a canonical exponent is never 0).  Two syllables of the same kind meet
@@ -78,24 +79,21 @@ class GroupParams:
             )
         return self.r
 
-    def exponent_range(self) -> list[int]:
-        """All nonzero canonical exponents, in the fixed syllable order."""
-        out = []
-        for a in range(1, self.p // 2 + 1):
-            out.append(a)
-            if self.canonical_exponent(-a) == -a:
-                out.append(-a)
-        return out
+    def exponent_range(self, max_abs: int) -> list[int]:
+        """The nonzero canonical exponents with ``|k| <= max_abs``, in the
+        syllable order; the bound keeps the cost independent of p."""
+        top = min(self.p // 2, max_abs)
+        exps = [k for a in range(1, top + 1) for k in (a, -a)]
+        return exps[:-1] if 2 * top == self.p else exps  # -p/2 is not canonical
 
     def block_weights(self, max_weight: int) -> dict[int, int]:
         """The block law: ``{1 + |k|: number of such k}`` over the exponents
         of ``exponent_range``, for weights up to ``max_weight``.  These are
-        the coefficients of ``B(x) = sum_k x^(1+|k|)``; the bound keeps the
-        cost independent of p."""
-        return {
-            1 + a: 2 if self.canonical_exponent(-a) == -a else 1
-            for a in range(1, min(self.p // 2, max_weight - 1) + 1)
-        }
+        the coefficients of ``B(x) = sum_k x^(1+|k|)``."""
+        weights: dict[int, int] = {}
+        for k in self.exponent_range(max_weight - 1):
+            weights[1 + abs(k)] = weights.get(1 + abs(k), 0) + 1
+        return weights
 
 
 def make_params(p: int) -> GroupParams:
@@ -168,10 +166,14 @@ class Word:
                 syls.append(IOTA)
             elif tok == "g":
                 syls.append(1)
-            elif tok.startswith("g^") and (k := int(tok[2:])):
-                syls.append(k)
             else:
-                raise DomainError(f"unrecognized token {tok!r}")
+                try:
+                    k = int(tok[2:]) if tok.startswith("g^") else 0
+                except ValueError:  # g^x, g^ and g^1.5
+                    k = 0
+                if not k:
+                    raise DomainError(f"unrecognized token {tok!r}")
+                syls.append(k)
         return Word.from_syllables(params, syls)
 
     def __str__(self) -> str:

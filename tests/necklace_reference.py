@@ -5,7 +5,7 @@ tests hold the enumeration oracle, the class-key constructor and the
 reflection classifier to them.
 """
 
-from hecke_census.necklaces import NONE, PREC, SYM, SYMP, rev_neg
+from hecke_census.necklaces import Category, rev_neg
 
 
 def minimal_rotation(s: bytes) -> bytes:
@@ -20,7 +20,7 @@ def is_minimal_rotation(s: bytes) -> bool:
     return s == minimal_rotation(s)
 
 
-def reflection_category(r_ord, s: bytes) -> int:
+def reflection_category(r_ord, s: bytes) -> Category:
     """``necklaces.reflection_category`` by comparing all n rotations of
     the inverse class with ``s``; see that function for the rule."""
     n = len(s)
@@ -45,9 +45,9 @@ def reflection_category(r_ord, s: bytes) -> int:
         if iota_t and gamma_t:
             break
     if iota_t and gamma_t:
-        return SYMP
+        return Category.SYMMETRIC_P_RECIPROCAL
     if iota_t:
-        return SYM
+        return Category.SYMMETRIC
     if gamma_t:
-        return PREC
-    return NONE
+        return Category.P_RECIPROCAL
+    return Category.NOT_RECIPROCAL

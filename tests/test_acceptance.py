@@ -67,7 +67,7 @@ def _random_word(params, rng):
         if rng.random() < 0.5:
             syls.append(IOTA)
         else:
-            syls.append(rng.choice(params.exponent_range()))
+            syls.append(rng.choice(params.exponent_range(params.p)))
     return Word.from_syllables(params, syls)
 
 

@@ -16,7 +16,7 @@ from hecke_census.census import (
     table_to_csv,
     table_to_json,
 )
-from hecke_census.necklaces import NONE, PREC, SYM, SYMP, encode, r_byte, reflection_category
+from hecke_census.necklaces import encode, r_byte, reflection_category
 from hecke_census.reciprocal import Category, classify, is_reciprocal, reciprocator_witnesses
 from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import (
@@ -142,7 +142,7 @@ def test_scan_is_complete_and_exact(p):
     """The prenecklace generator emits exactly the least rotations that a
     filter over every block word within the budget keeps."""
     params = make_params(p)
-    words = _block_words([1 + abs(k) for k in params.exponent_range()], 14)
+    words = _block_words([1 + abs(k) for k in params.exponent_range(params.p)], 14)
     necklaces = [(w, s) for w, s in words if is_minimal_rotation(s)]
     for max_len in range(2, 15):
         _check_scan(params, max_len, necklaces)
@@ -152,7 +152,7 @@ def test_scan_is_complete_and_exact(p):
 @given(p=st.integers(3, 60), max_len=st.integers(2, 12))
 def test_scan_is_complete_and_exact_property(p, max_len):
     params = make_params(p)
-    words = _block_words([1 + abs(k) for k in params.exponent_range()], max_len)
+    words = _block_words([1 + abs(k) for k in params.exponent_range(params.p)], max_len)
     _check_scan(params, max_len, [(w, s) for w, s in words if is_minimal_rotation(s)])
 
 
@@ -220,18 +220,19 @@ def test_category_columns_match_witness_search(p):
 def _brute_rows(params, max_len):
     """Census rows by walking every necklace and classifying each one."""
     r = r_byte(params)
-    counts = [[0] * 5 for _ in range(max_len + 1)]  # NONE, SYM, PREC, SYMP, power
+    counts = [[0] * 5 for _ in range(max_len + 1)]  # indexed by Category, then power
+    none, sym, prec, symp = Category
 
     def visit(length, s):
         cat = reflection_category(r, s)
         row = counts[length]
         row[cat] += 1
-        if cat == SYMP and all(o == r for o in s):
+        if cat is symp and all(o == r for o in s):
             row[4] += 1
 
     _scan(params, max_len, visit)
     return {
-        length: CensusRow(c[SYM], c[PREC], c[SYMP], c[4], c[NONE] + c[SYM] + c[PREC] + c[SYMP])
+        length: CensusRow(c[sym], c[prec], c[symp], c[4], c[none] + c[sym] + c[prec] + c[symp])
         for length, c in enumerate(counts)
         if length >= 2
     }

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 import necklace_reference
 from hecke_census.census import _scan
 from hecke_census.necklaces import (
-    NONE,
-    SYM,
-    SYMP,
     EXPONENTS,
+    Category,
     WEIGHTS,
     decode,
     encode,
@@ -42,8 +40,8 @@ def test_ordinal_order_matches_syllable_order():
 
 def test_alphabet_exponents():
     # Z_p uses exactly the bytes 0..p-2
-    assert decode(bytes(range(P4.p - 1))) == (1, -1, 2) == tuple(P4.exponent_range())
-    assert decode(bytes(range(P6.p - 1))) == (1, -1, 2, -2, 3) == tuple(P6.exponent_range())
+    assert decode(bytes(range(P4.p - 1))) == (1, -1, 2) == tuple(P4.exponent_range(P4.p))
+    assert decode(bytes(range(P6.p - 1))) == (1, -1, 2, -2, 3) == tuple(P6.exponent_range(P6.p))
     assert WEIGHTS[: P4.p - 1] == (2, 2, 3)
 
 
@@ -81,7 +79,7 @@ def test_one_byte_table_for_every_group():
         params = make_params(p)
         r = r_byte(params)
         s = bytes(range(min(p - 1, 256)))
-        assert decode(s) == tuple(params.exponent_range()[: len(s)])
+        assert decode(s) == tuple(params.exponent_range(params.p)[: len(s)])
         assert rev_neg(rev_neg(s, r), r) == s
         negated = tuple(params.canonical_exponent(-k) for k in decode(s)[::-1])
         assert decode(rev_neg(s, r)) == negated
@@ -112,16 +110,16 @@ def test_minimal_rotation_properties(ordinals):
 
 def test_reflection_category_examples():
     # i g^2 (p=4): one block, so its one reversal fixes an i and a g^2
-    assert reflection_category(R4, encode((2,))) == SYMP
+    assert reflection_category(R4, encode((2,))) is Category.SYMMETRIC_P_RECIPROCAL
     # i g i g^-1: symmetric, the reversal fixes two i syllables
-    assert reflection_category(R4, encode((1, -1))) == SYM
+    assert reflection_category(R4, encode((1, -1))) is Category.SYMMETRIC
     # i g: not reciprocal
-    assert reflection_category(R4, encode((1,))) == NONE
+    assert reflection_category(R4, encode((1,))) is Category.NOT_RECIPROCAL
 
 
 def test_reflection_category_of_power():
     # every rotation of (i g^2)^3 is a reversal; odd block count
-    assert reflection_category(R4, encode((2, 2, 2))) == SYMP
+    assert reflection_category(R4, encode((2, 2, 2))) is Category.SYMMETRIC_P_RECIPROCAL
 
 
 @pytest.mark.parametrize("p", range(3, 13))

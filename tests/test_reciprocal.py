@@ -8,7 +8,7 @@ import pytest
 
 import necklace_reference
 from hecke_census.census import enumerate_classes
-from hecke_census.necklaces import NONE, PREC, SYM, SYMP, encode, r_byte
+from hecke_census.necklaces import encode, r_byte
 from hecke_census.reciprocal import (
     Category,
     classify,
@@ -86,38 +86,38 @@ def test_torsion_rejected():
 
 
 _IOTA, _TILDE = InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE
-_REFERENCE_CATEGORY = {
-    NONE: (Category.NOT_RECIPROCAL, frozenset()),
-    SYM: (Category.SYMMETRIC, frozenset({_IOTA})),
-    PREC: (Category.P_RECIPROCAL, frozenset({_TILDE})),
-    SYMP: (Category.SYMMETRIC_P_RECIPROCAL, frozenset({_IOTA, _TILDE})),
+_REFERENCE_TYPES = {
+    Category.NOT_RECIPROCAL: frozenset(),
+    Category.SYMMETRIC: frozenset({_IOTA}),
+    Category.P_RECIPROCAL: frozenset({_TILDE}),
+    Category.SYMMETRIC_P_RECIPROCAL: frozenset({_IOTA, _TILDE}),
 }
 
 
 @pytest.mark.parametrize("p", range(3, 9))
 def test_classify_matches_field_reference(p):
-    """All six fields of every verdict, with and without witnesses, against
-    the slice-loop classifier and a direct power test."""
+    """The three stored fields and the three derived properties of every
+    verdict, with and without witnesses, against the slice-loop classifier
+    and a direct power test."""
     params = make_params(p)
     for c in enumerate_classes(params, 14):
         blocks = c.block_exponents
-        category, types = _REFERENCE_CATEGORY[
-            necklace_reference.reflection_category(r_byte(params), encode(blocks))
-        ]
+        category = necklace_reference.reflection_category(r_byte(params), encode(blocks))
         reciprocal = category is not Category.NOT_RECIPROCAL
         power = params.even and all(k == params.r for k in blocks)
         for with_witnesses in (False, True):
             info = classify(c, with_witnesses=with_witnesses)
             assert {f.name: getattr(info, f.name) for f in fields(info)} == {
-                "is_reciprocal": reciprocal,
                 "category": category,
-                "is_power_of_iota_tilde_gamma": power,
                 "power_exponent": len(blocks) if power else None,
-                "reciprocator_types": types,
                 "witnesses": (
                     tuple(reciprocator_witnesses(c)) if reciprocal and with_witnesses else ()
                 ),
             }, c
+            assert type(info.category) is Category, c
+            assert info.is_reciprocal is reciprocal, c
+            assert info.is_power_of_iota_tilde_gamma is power, c
+            assert info.reciprocator_types == _REFERENCE_TYPES[category], c
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +125,7 @@ def test_classify_matches_field_reference(p):
 
 
 def _random_word(params, rng, size):
-    syllables = [IOTA] + params.exponent_range()
+    syllables = [IOTA] + params.exponent_range(params.p)
     return Word.from_syllables(params, rng.choices(syllables, k=size))
 
 
@@ -159,7 +159,7 @@ def test_torsion_keys_are_distinct(p):
     """The keys of 1, i and every g^k differ from each other and from every
     block key."""
     params = make_params(p)
-    texts = ["1", "i"] + [f"g^{k}" for k in params.exponent_range()]
+    texts = ["1", "i"] + [f"g^{k}" for k in params.exponent_range(params.p)]
     torsion = [Word.parse(params, text).class_key() for text in texts]
     assert all(key.is_torsion() for key in torsion)
     assert [str(key) for key in torsion] == texts
@@ -224,7 +224,7 @@ def test_normal_forms_are_reciprocal(p):
             assert is_reciprocal(c), c
 
 
-@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("p", [4, 6, 8, 10, 12])
 def test_normal_forms_match_oracle_at_small_lengths(p):
     params = make_params(p)
     oracle: dict[int, set] = {length: set() for length in range(2, 13)}
@@ -262,3 +262,10 @@ def test_normal_form_power_classes():
     assert cls(P4, (2,)) in normal_form_generate(P4, 3)
     assert cls(P4, (2, 2)) in normal_form_generate(P4, 6)
     assert cls(P6, (3,)) in normal_form_generate(P6, 4)
+    # every power (i g^r)^m comes from the shapes, odd m from a single g^r
+    # and even m from the bracketed palindrome
+    for p in (4, 6, 8):
+        params = make_params(p)
+        r = params.r
+        for m in range(1, 5):
+            assert cls(params, (r,) * m) in normal_form_generate(params, m * (r + 1)), (p, m)

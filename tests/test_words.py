@@ -71,19 +71,31 @@ def test_canonical_exponent_range(p):
 
 
 def test_exponent_range_order():
-    assert P4.exponent_range() == [1, -1, 2]
-    assert P6.exponent_range() == [1, -1, 2, -2, 3]
-    assert P7.exponent_range() == [1, -1, 2, -2, 3, -3]
+    assert P4.exponent_range(P4.p) == [1, -1, 2]
+    assert P6.exponent_range(P6.p) == [1, -1, 2, -2, 3]
+    assert P7.exponent_range(P7.p) == [1, -1, 2, -2, 3, -3]
+    # the bound cuts the list at |k| <= max_abs, whatever p is
+    assert make_params(10**9).exponent_range(2) == [1, -1, 2, -2]
+    assert P6.exponent_range(2) == [1, -1, 2, -2]
+    assert P6.exponent_range(0) == []
+    assert P6.exponent_range(-1) == []
 
 
 def test_block_weights_match_exponent_range():
     # the block law is the weight census of the exponent set, cut at max_weight
     for p in range(3, 61):
         params = make_params(p)
-        exps = params.exponent_range()
+        exps = params.exponent_range(params.p)
         for max_weight in range(2, p + 3):
             want = Counter(1 + abs(k) for k in exps if 1 + abs(k) <= max_weight)
-            assert params.block_weights(max_weight) == want
+            got = params.block_weights(max_weight)
+            assert got == want
+            # the closed-form count of each weight, in the same key order
+            closed = {
+                1 + a: 2 if params.canonical_exponent(-a) == -a else 1
+                for a in range(1, min(p // 2, max_weight - 1) + 1)
+            }
+            assert list(got.items()) == list(closed.items())
     # the bound keeps huge p cheap: 11 weights, 2..12, each from k and -k
     assert make_params(10**9).block_weights(12) == {w: 2 for w in range(2, 13)}
 
@@ -135,7 +147,7 @@ def test_word_length_examples():
 
 
 def syllable_texts(params):
-    return ["i"] + [f"g^{k}" for k in params.exponent_range()]
+    return ["i"] + [f"g^{k}" for k in params.exponent_range(params.p)]
 
 
 @st.composite
@@ -259,7 +271,7 @@ def test_primitive_decomposition():
 @given(data=st.data(), p=st.integers(min_value=3, max_value=12))
 def test_primitive_root_is_the_from_blocks_key(data, p):
     params = make_params(p)
-    blocks = data.draw(st.lists(st.sampled_from(params.exponent_range()), min_size=1, max_size=6))
+    blocks = data.draw(st.lists(st.sampled_from(params.exponent_range(params.p)), min_size=1, max_size=6))
     m = data.draw(st.integers(1, 4))
     c = CyclicWord.from_blocks(params, blocks * m)
     root, k = c.primitive_decomposition()
@@ -292,9 +304,11 @@ def test_all_reduced_words_counts():
 
 
 def test_parse_rejects_zero_gamma_exponent():
-    # 0 is the syllable i, so g^0 is not a gamma syllable
-    with pytest.raises(DomainError):
-        Word.parse(P6, "i g^0")
+    # 0 is the syllable i, so g^0 is not a gamma syllable; an exponent that
+    # is no int is the same error
+    for token in ("g^0", "g^x", "g^", "g^1.5"):
+        with pytest.raises(DomainError, match="unrecognized token"):
+            Word.parse(P6, f"i {token}")
 
 
 @st.composite

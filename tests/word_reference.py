@@ -19,7 +19,7 @@ def all_reduced_words(params: GroupParams, length: int) -> Iterator[Word]:
             yield from extend(syls, used + 1)
             syls.pop()
         if last is None or last == IOTA:
-            for k in params.exponent_range():
+            for k in params.exponent_range(params.p):
                 if used + abs(k) <= length:
                     syls.append(k)
                     yield from extend(syls, used + abs(k))
