@@ -314,6 +314,16 @@ LEDGER_SHA256 = {
     (10, 18): "8abd36a60281fb9f2a8f951eb61871806a6f93e0908a081312ab286dfd35dce3",
     (12, 18): "dc7898edbd3973e1c9a0eade3bf7e00224ee85cde1b5ed4633c9e823ccef499f",
     (6, 20): "869cde67f99034768a68db21420b8d52c3947d0b52a51a4796a6afeee1d51ec3",
+    # empty families, ranges cut inside the piecewise segments, r up to 10
+    # with the L4.7.2 boundary (l = r+u+2) inside the table
+    (4, 2): "de579bed57447d4fb22c6892f850bc7b73c441e6bed29104221db6d343ed3fe6",
+    (4, 3): "82d56aaae9668c056513e69c65e98d1f931c98960e2e2f8a812f86e5e90876fb",
+    (6, 4): "e47e7488677a06e7e38f9051a752cc579c4383a3b25d558424df7979ee1ca4e7",
+    (6, 7): "4a9210470efd5bc0d4d15e4b3405dcd3b82beaf6bfb77e90a2d1bdb28ad05eac",
+    (8, 9): "5632a079f28f72c91cc9390afd2da61836888a2e3df2f1790c97ae459aca1d85",
+    (14, 40): "b9dc06e6008ac89491d0a244d92825e3161955c8391e955e9c7713fe1ff92710",
+    (16, 40): "f395ce9a3ac78cb9f530e82a2eb1e2af6966c34b64f1b52149079704294e0662",
+    (20, 60): "246240289fb81123a5e45f0b5ef005ebdceb4b59e3e7983ce72dc93912e6df3e",
 }
 
 
