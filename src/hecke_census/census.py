@@ -78,12 +78,6 @@ class CensusTable:
     max_len: int
     rows: dict[int, CensusRow]
 
-    def row(self, length: int) -> CensusRow:
-        return self.rows[length]
-
-    def reciprocal_total(self, length: int) -> int:
-        return self.rows[length].reciprocal_total
-
 
 def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]) -> None:
     """Visit ``(word length, bytes)`` of every necklace within budget, once

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 
 from .census import FIXTURES, CensusRow, census, table_to_csv, table_to_json
 from .formulas import (
@@ -33,6 +34,7 @@ from .spectral import (
 from .words import DomainError, GroupParams, make_params
 
 
+@cache  # it holds no per-call state, and building it costs most of a small run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hecke-census",

@@ -12,11 +12,16 @@ against the census series it counts.
 Formulas return an ``int``, or a ``Fraction`` where the published 1/2 or
 1/6 factor does not divide exactly; the ledger records such a value as a
 MISMATCH finding.
+
+The claims that read the census are the ``Claim`` rows of ``CLAIMS``,
+written by one loop; a new such claim is one more row.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -284,11 +289,134 @@ class ClaimLedger:
         return json.dumps({"claims": [e.to_doc() for e in self.entries]}, indent=2) + "\n"
 
 
+def _even(l: int, params: GroupParams) -> int:
+    return 2 * l
+
+
+def _odd(l: int, params: GroupParams) -> int:
+    return 2 * l - 1
+
+
+def _closed(formula):
+    """The closed form ``formula(l, params)`` as a printed value."""
+    return lambda l, params, column: formula(l, params)
+
+
+def _combined_count(l: int, params: GroupParams, column):
+    """Proposition 3.6: the three category formulas summed at the word
+    length of L3.5's index l; L3.3 and L3.4 count only even lengths."""
+    total = symmetric_p_count(l, params)
+    if symmetric_p_word_length(l, params) % 2 == 0 and l >= 2:
+        total += symmetric_count(l, params) + p_reciprocal_count(l, params)
+    return total
+
+
+def _recurrence(length):
+    """The printed recurrence at index l over the census column's earlier terms."""
+
+    def printed(l: int, params: GroupParams, column):
+        weights = params.block_weights(params.r + 1)
+        return _recur({l - w: column[length(l - w, params)] for w in weights}, l, weights)
+
+    return printed
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One census-reading claim: at each index l, its printed value against
+    the census column ``column`` at word length ``length(l, params)``.
+
+    ``printed(l, params, column)`` receives that column as a map from word
+    length to count.  A claim stated for one parity of r ("r odd" or
+    "r even") is absent for the other, apart from one NOT-APPLICABLE entry
+    with the paper_ref ``not_applicable`` when that is set."""
+
+    claim_id: str
+    paper_ref: str
+    column: str
+    length: Callable[[int, GroupParams], int]
+    indices: Callable[[int, int], Iterable[int]]  # from (r, u); cut where length > max-len
+    printed: Callable[[int, GroupParams, dict[int, int]], object]
+    keys: tuple[str, ...] = ("l",)  # params after p, of l, word_length, column, relation
+    relation: str = ""
+    stated_for: str = ""
+    not_applicable: str = ""
+
+
+_ODD_FAMILY = "odd-length family requires even r"
+
+# The census-reading claims in ledger order, in groups.  The rows of a group
+# share the first row's index loop: at each l, each row in turn.
+CLAIMS: tuple[tuple[Claim, ...], ...] = (
+    (Claim("L3.3", "symmetric class count at word length 2l", "symmetric",
+           _even, lambda r, u: itertools.count(2), _closed(symmetric_count)),
+     Claim("L3.4", "p-reciprocal class count at word length 2l", "p_reciprocal",
+           _even, lambda r, u: itertools.count(2), _closed(p_reciprocal_count))),
+    (Claim("L3.5", "symmetric p-reciprocal class count", "symmetric_p", symmetric_p_word_length,
+           lambda r, u: itertools.count(1), _closed(symmetric_p_count), keys=("l", "word_length")),
+     Claim("P3.6", "combined reciprocal class count", "reciprocal_total", symmetric_p_word_length,
+           lambda r, u: itertools.count(1), _combined_count, keys=("word_length",))),
+    (Claim("L4.1.1", "reciprocal class count at word length 2l, l <= r", "reciprocal_total",
+           _even, lambda r, u: range(1, r + 1), _closed(total_count_even), stated_for="r odd",
+           not_applicable="even-length piecewise family requires odd r"),),
+    (Claim("L4.1.2", "reciprocal class count at word length 2l, l = r+1", "reciprocal_total",
+           _even, lambda r, u: (r + 1,), _closed(total_count_even), stated_for="r odd"),),
+    (Claim("L4.1.3", "even-length recurrence, l >= r+2", "reciprocal_total", _even,
+           lambda r, u: itertools.count(r + 2), _recurrence(_even), keys=("l", "column"),
+           stated_for="r odd"),),
+    (Claim("L4.7.1", "reciprocal class count at word length 2l-1, small l", "reciprocal_total",
+           _odd, lambda r, u: range(2, r + u + 2), _closed(total_count_odd),
+           stated_for="r even", not_applicable=_ODD_FAMILY),),
+    (Claim("L4.7.2", "reciprocal class count at word length 2l-1, l = r+u+2", "reciprocal_total",
+           _odd, lambda r, u: (r + u + 2,), _closed(total_count_odd),
+           stated_for="r even", not_applicable=_ODD_FAMILY),),
+    (Claim("L4.7.3", "odd-length count equals shifted even-length count", "reciprocal_total",
+           _odd, lambda r, u: itertools.count(r + u + 3),
+           lambda l, params, column: column[2 * (l - params.u - 1)], keys=("l", "relation"),
+           relation="even-family-equality", stated_for="r even", not_applicable=_ODD_FAMILY),
+     Claim("L4.7.3", "odd-length recurrence, large l", "reciprocal_total", _odd,
+           lambda r, u: itertools.count(r + u + 3), _recurrence(_odd), keys=("l", "relation"),
+           relation="recurrence", stated_for="r even")),
+    *((Claim("L4.1.3", "per-category even-length recurrence probe", column, _even,
+             lambda r, u: itertools.count(r + 2), _recurrence(_even), keys=("l", "column")),)
+      for column in ("symmetric", "p_reciprocal", "symmetric_p")),
+)
+
+
+def _census_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable) -> None:
+    """Every group of ``CLAIMS`` in turn, over the indices l whose word
+    length is in the table."""
+    r, u = params.r, params.u
+    parity = ("even", "odd")[r % 2]
+    for group in CLAIMS:
+        first = group[0]
+        if first.stated_for not in ("", f"r {parity}"):
+            for claim in group:
+                if claim.not_applicable:
+                    ledger.add(claim.claim_id, {"p": params.p}, claim.stated_for,
+                               f"r={r} {parity}", "NOT-APPLICABLE", claim.not_applicable)
+            continue
+        columns = [{n: getattr(row, claim.column) for n, row in table.rows.items()}
+                   for claim in group]
+        for l in first.indices(r, u):
+            if first.length(l, params) > table.max_len:
+                break
+            for claim, column in zip(group, columns):
+                length = claim.length(l, params)
+                values = {"l": l, "word_length": length, "column": claim.column,
+                          "relation": claim.relation}
+                ledger.compare(
+                    claim.claim_id,
+                    {"p": params.p, **{key: values[key] for key in claim.keys}},
+                    claim.printed(l, params, column),
+                    column[length],
+                    claim.paper_ref,
+                )
+
+
 def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
     """One ledger entry per applicable claim instance for this census."""
     r = params.require_even()
-    u = params.u
-    assert u is not None
     max_len = table.max_len
     ledger = ClaimLedger()
 
@@ -303,51 +431,7 @@ def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
                 "signed-syllable solution count, double-sum form",
             )
 
-    # per-length category formulas vs census columns; P3.6 reuses each value
-    even_counts = {}
-    for l in range(2, max_len // 2 + 1):
-        sym, prec = symmetric_count(l, params), p_reciprocal_count(l, params)
-        even_counts[l] = sym + prec
-        ledger.compare(
-            "L3.3",
-            {"p": params.p, "l": l},
-            sym,
-            table.rows[2 * l].symmetric,
-            "symmetric class count at word length 2l",
-        )
-        ledger.compare(
-            "L3.4",
-            {"p": params.p, "l": l},
-            prec,
-            table.rows[2 * l].p_reciprocal,
-            "p-reciprocal class count at word length 2l",
-        )
-    for l in range(1, max_len + 1):
-        wl = symmetric_p_word_length(l, params)
-        if wl < 2 or wl > max_len:
-            continue
-        expected = symmetric_p_count(l, params)
-        ledger.compare(
-            "L3.5",
-            {"p": params.p, "l": l, "word_length": wl},
-            expected,
-            table.rows[wl].symmetric_p,
-            "symmetric p-reciprocal class count",
-        )
-        # Proposition totals: the three category formulas combined
-        if wl % 2 == 0:
-            expected += even_counts.get(wl // 2, 0)
-        ledger.compare(
-            "P3.6",
-            {"p": params.p, "word_length": wl},
-            expected,
-            table.rows[wl].reciprocal_total,
-            "combined reciprocal class count",
-        )
-
-    _even_family_claims(ledger, params, table)
-    _odd_family_claims(ledger, params, table)
-    _category_recurrence_probe(ledger, params, table)
+    _census_claims(ledger, params, table)
     _fixture_claims(ledger, params, table)
     _normal_form_claims(ledger, params, min(max_len, 12))
 
@@ -366,143 +450,25 @@ def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
     return ledger
 
 
-def _even_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable) -> None:
-    r = params.r
-    assert r is not None
-    max_l = table.max_len // 2
-    if r % 2 != 1:
-        ledger.add(
-            "L4.1.1",
-            {"p": params.p},
-            "r odd",
-            f"r={r} even",
-            "NOT-APPLICABLE",
-            "even-length piecewise family requires odd r",
-        )
-        return
-    weights = params.block_weights(r + 1)
-    even = {l: table.rows[2 * l].reciprocal_total for l in range(1, max_l + 1)}
-    for l, observed in even.items():
-        if l <= r:
-            ledger.compare(
-                "L4.1.1",
-                {"p": params.p, "l": l},
-                total_count_even(l, params),
-                observed,
-                "reciprocal class count at word length 2l, l <= r",
-            )
-        elif l == r + 1:
-            ledger.compare(
-                "L4.1.2",
-                {"p": params.p, "l": l},
-                total_count_even(l, params),
-                observed,
-                "reciprocal class count at word length 2l, l = r+1",
-            )
-        else:
-            ledger.compare(
-                "L4.1.3",
-                {"p": params.p, "l": l, "column": "reciprocal_total"},
-                _recur(even, l, weights),
-                observed,
-                "even-length recurrence, l >= r+2",
-            )
-
-
-def _odd_family_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable) -> None:
-    r = params.r
-    u = params.u
-    assert r is not None and u is not None
-    if r % 2 != 0:
-        for claim_id in ("L4.7.1", "L4.7.2", "L4.7.3"):
-            ledger.add(
-                claim_id,
-                {"p": params.p},
-                "r even",
-                f"r={r} odd",
-                "NOT-APPLICABLE",
-                "odd-length family requires even r",
-            )
-        return
-    max_l = (table.max_len + 1) // 2
-    weights = params.block_weights(r + 1)
-    odd = {l: table.rows[2 * l - 1].reciprocal_total for l in range(2, max_l + 1)}
-    for l, observed in odd.items():
-        if l <= r + u + 1:
-            ledger.compare(
-                "L4.7.1",
-                {"p": params.p, "l": l},
-                total_count_odd(l, params),
-                observed,
-                "reciprocal class count at word length 2l-1, small l",
-            )
-        elif l == r + u + 2:
-            ledger.compare(
-                "L4.7.2",
-                {"p": params.p, "l": l},
-                total_count_odd(l, params),
-                observed,
-                "reciprocal class count at word length 2l-1, l = r+u+2",
-            )
-        else:
-            even_len = 2 * (l - u - 1)
-            if even_len >= 2:
-                ledger.compare(
-                    "L4.7.3",
-                    {"p": params.p, "l": l, "relation": "even-family-equality"},
-                    table.rows[even_len].reciprocal_total,
-                    observed,
-                    "odd-length count equals shifted even-length count",
-                )
-            if l - r - 1 in odd:  # every term is a census row
-                ledger.compare(
-                    "L4.7.3",
-                    {"p": params.p, "l": l, "relation": "recurrence"},
-                    _recur(odd, l, weights),
-                    observed,
-                    "odd-length recurrence, large l",
-                )
-
-
-def _category_recurrence_probe(
-    ledger: ClaimLedger, params: GroupParams, table: CensusTable
-) -> None:
-    r = params.r
-    assert r is not None
-    max_l = table.max_len // 2
-    weights = params.block_weights(r + 1)
-    for column in ("symmetric", "p_reciprocal", "symmetric_p"):
-        col = {l: getattr(table.rows[2 * l], column) for l in range(1, max_l + 1)}
-        for l in range(r + 2, max_l + 1):
-            ledger.compare(
-                "L4.1.3",
-                {"p": params.p, "l": l, "column": column},
-                _recur(col, l, weights),
-                col[l],
-                "per-category even-length recurrence probe",
-            )
-
-
-# Pinned cross-p fixtures: (claim id, p, l, word length, formula).
-_PINNED = (
-    ("L4.1.1", 6, 2, 4, total_count_even),
-    ("L4.7.1", 4, 4, 7, total_count_odd),
-)
+# Pinned cross-p fixtures: (claim id, p, l), compared with ``census.FIXTURES``.
+_PINNED = (("L4.1.1", 6, 2), ("L4.7.1", 4, 4))
 
 
 def _fixture_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable) -> None:
-    """Pinned small cross-p fixtures, present in every ledger.  The observed
-    values are the hand-verified ``census.FIXTURES``."""
-    observed = {(p, length): want for p, column, length, want in FIXTURES
-                if column == "reciprocal_total"}
-    for claim_id, p, l, length, formula in _PINNED:
+    """Pinned small cross-p fixtures, present in every ledger: a claim's
+    printed value against the hand-verified ``census.FIXTURES``."""
+    for claim_id, p, l in _PINNED:
+        claim = next(c for group in CLAIMS for c in group if c.claim_id == claim_id)
+        fixture = make_params(p)
+        length = claim.length(l, fixture)
         if params.p == p and table.max_len >= length:
-            continue  # the main loop already covers this entry
+            continue  # the census claims already cover this entry
+        column = {n: want for q, name, n, want in FIXTURES if (q, name) == (p, claim.column)}
         ledger.compare(
             claim_id,
             {"p": p, "l": l, "fixture": True},
-            formula(l, make_params(p)),
-            observed[(p, length)],
+            claim.printed(l, fixture, column),
+            column[length],
             f"pinned fixture: reciprocal count at word length {length}",
         )
 

@@ -94,7 +94,7 @@ def test_criterion_2_census_fixtures():
     with _Budget("2 (census fixtures)", 5.0):
         tables = {4: census(make_params(4), 10), 6: census(make_params(6), 8)}
         for p, column, length, want in FIXTURES:
-            assert getattr(tables[p].row(length), column) == want, (p, column, length)
+            assert getattr(tables[p].rows[length], column) == want, (p, column, length)
 
 
 def test_criterion_3_classification_cross_validation():
@@ -171,9 +171,9 @@ def test_criterion_6_growth_convergence():
             r = params.r
             table = census(params, 24)
             if r % 2 == 1:
-                seed = [table.reciprocal_total(2 * l) for l in range(1, 13)]
+                seed = [table.rows[2 * l].reciprocal_total for l in range(1, 13)]
             else:
-                seed = [table.reciprocal_total(2 * l - 1) for l in range(2, 13)]
+                seed = [table.rows[2 * l - 1].reciprocal_total for l in range(2, 13)]
             extended = recurrence_extend(seed, r, 80 - len(seed))
             rho = dominant_root(build_growth_poly(r))
             ratio = extended[-1] / extended[-2]
@@ -196,9 +196,9 @@ def test_criterion_7_claims_ledger(capsys):
         entry = ledger.find("L2.6", x=3, r=2)[0]
         assert entry.observed == signed_syllable_count(3, 2) == 1
         entry = ledger.find("L4.1.1", p=6, l=2)[0]
-        assert entry.observed == table.reciprocal_total(4)
+        assert entry.observed == table.rows[4].reciprocal_total
         entry = ledger.find("L4.7.1", p=4, l=4)[0]
-        assert entry.observed == census(make_params(4), 7).reciprocal_total(7)
+        assert entry.observed == census(make_params(4), 7).rows[7].reciprocal_total
         # JSON document validates against the shipped schema
         jsonschema = pytest.importorskip("jsonschema")
         import importlib.resources as resources

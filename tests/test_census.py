@@ -40,15 +40,15 @@ P6 = make_params(6)
 
 def test_p4_reciprocal_totals():
     t = census(P4, 7)
-    assert t.reciprocal_total(3) == 1
-    assert t.reciprocal_total(4) == 1
-    assert t.reciprocal_total(7) == 2
+    assert t.rows[3].reciprocal_total == 1
+    assert t.rows[4].reciprocal_total == 1
+    assert t.rows[7].reciprocal_total == 2
 
 
 def test_p6_reciprocal_totals():
     t = census(P6, 6)
-    assert t.reciprocal_total(4) == 2
-    assert t.reciprocal_total(6) == 1
+    assert t.rows[4].reciprocal_total == 2
+    assert t.rows[6].reciprocal_total == 1
 
 
 def test_category_fixtures():
@@ -188,7 +188,7 @@ def test_reciprocal_total_matches_classifier():
         if is_reciprocal(c):
             by_len[c.word_length()] = by_len.get(c.word_length(), 0) + 1
     for length in range(2, 11):
-        assert t.reciprocal_total(length) == by_len.get(length, 0)
+        assert t.rows[length].reciprocal_total == by_len.get(length, 0)
 
 
 @pytest.mark.parametrize("p", range(3, 11))

@@ -3,12 +3,16 @@
 import hashlib
 import importlib.resources as resources
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hecke_census
 from hecke_census.census import census, table_to_csv
-from hecke_census.cli import main
+from hecke_census.cli import _build_parser, main
 from hecke_census.words import make_params
 
 
@@ -312,3 +316,27 @@ def test_domain_error_exit_code(capsys):
 def test_odd_p_claims_rejected(capsys):
     code = main(["claims", "--p", "5", "--max-len", "6"])
     assert code == 2
+
+
+def test_one_parser_per_process_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    # the parser is built once and reused: a usage error, then --format csv,
+    # then the JSON default must each print what a new process prints
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(hecke_census.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    calls = (
+        ["census", "--p", "6"],
+        ["census", "--p", "6", "--max-len", "8", "--format", "csv"],
+        ["census", "--p", "6", "--max-len", "8"],
+    )
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "hecke_census", *argv],
+                               capture_output=True, text=True, env=env, check=False)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert code == 0 and out.startswith("{")
+    assert _build_parser() is _build_parser()

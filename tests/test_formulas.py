@@ -242,7 +242,7 @@ def test_piecewise_tail_follows_recurrence(family, extra):
 
 def test_recurrence_matches_census_tail_p6():
     t = census(P6, 22)
-    seq = [t.reciprocal_total(2 * l) for l in range(1, 12)]
+    seq = [t.rows[2 * l].reciprocal_total for l in range(1, 12)]
     for l in range(5, 11):  # a_l indexed from 1 at position 0
         idx = l - 1
         assert seq[idx] == 2 * (seq[idx - 2] + seq[idx - 3]) + seq[idx - 4]
@@ -303,7 +303,7 @@ def test_claims_check_observed_matches_census():
     for entry in ledger.entries:
         if entry.claim_id == "L4.1.1" and "fixture" not in entry.params:
             l = entry.params["l"]
-            assert entry.observed == table.reciprocal_total(2 * l)
+            assert entry.observed == table.rows[2 * l].reciprocal_total
 
 
 # sha256 of ``claims --p P --max-len L`` stdout: the ledger bytes are the contract
@@ -332,3 +332,44 @@ def test_ledger_bytes_pinned(capsys, p, max_len):
     assert main(["claims", "--p", str(p), "--max-len", str(max_len)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert digest == LEDGER_SHA256[(p, max_len)]
+
+
+# params keys, in order, of the census-reading entries that are not fixtures
+CENSUS_KEYS = {
+    "L3.3": ["p", "l"],
+    "L3.4": ["p", "l"],
+    "L3.5": ["p", "l", "word_length"],
+    "P3.6": ["p", "word_length"],
+    "L4.1.1": ["p", "l"],
+    "L4.1.2": ["p", "l"],
+    "L4.1.3": ["p", "l", "column"],
+    "L4.7.1": ["p", "l"],
+    "L4.7.2": ["p", "l"],
+    "L4.7.3": ["p", "l", "relation"],
+}
+
+
+@pytest.mark.parametrize("p", [4, 6, 8, 10, 12, 14])
+def test_ledger_shape(p):
+    # survives a re-pin of LEDGER_SHA256: which ids are NOT-APPLICABLE, and
+    # the params keys by which readers of the ledger find each entry
+    params = make_params(p)
+    ledger = claims_check(params, census(params, 30))
+    not_applicable = [(e.claim_id, list(e.params)) for e in ledger.entries
+                      if e.status == "NOT-APPLICABLE"]
+    if params.r % 2 == 0:
+        assert not_applicable == [("L4.1.1", ["p"])]
+        present = {"L4.1.3", "L4.7.1", "L4.7.2", "L4.7.3"}
+    else:
+        assert not_applicable == [("L4.7.1", ["p"]), ("L4.7.2", ["p"]), ("L4.7.3", ["p"])]
+        present = {"L4.1.1", "L4.1.2", "L4.1.3"}
+    seen = set()
+    for e in ledger.entries:
+        if e.claim_id not in CENSUS_KEYS or e.status == "NOT-APPLICABLE" or "fixture" in e.params:
+            continue
+        assert list(e.params) == CENSUS_KEYS[e.claim_id], (e.claim_id, e.params)
+        seen.add(e.claim_id)
+    assert seen == {"L3.3", "L3.4", "L3.5", "P3.6"} | present
+    if params.r % 2 == 0:
+        relations = {e.params["relation"] for e in ledger.find("L4.7.3")}
+        assert relations == {"even-family-equality", "recurrence"}
