@@ -63,7 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("verify", help="scaled hand-verified fixture and invariant suite")
-    sp.add_argument("--max-len", type=int, default=14, help="cross-validation length budget")
     sp.add_argument("--out", default=None)
     return parser
 
@@ -115,8 +114,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
             f"need at least r+1 = {r + 1}"
         )
     extended = recurrence_extend(seed, r, max(0, args.extend_to - len(seed)))
-    ratio_trace = tuple(growth_estimate(extended)["ratio_trace"])
-    report = replace(analyze_growth(r), ratio_trace=ratio_trace)
+    report = replace(analyze_growth(r), ratio_trace=growth_estimate(extended))
     _emit(report.to_json(), args.out)
     return 0
 
@@ -127,13 +125,19 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     return 0
 
 
+# word-length budgets of verify: the classification cross-validation and
+# the normal-form soundness check
+_CROSS_CHECK_LEN = 14
+_NORMAL_FORM_LEN = 12
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, detail))
 
-    # each fixture table reaches its longest fixture; --max-len bounds the cross-checks
+    # each fixture table reaches its longest fixture
     p4, p6 = make_params(4), make_params(6)
     longest = {p: max(length for q, _, length, _ in FIXTURES if q == p) for p in (4, 6)}
     tables = {params.p: census(params, longest[params.p]) for params in (p4, p6)}
@@ -148,12 +152,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     agree = engine_ok = True
     detail = engine_detail = ""
-    budget = min(args.max_len, 14)
     for params in (p4, p6):
         # per length, indexed by Category: not reciprocal, symmetric,
         # p_reciprocal, symmetric_p; then the powers of i g^r
-        tally = {length: [0] * 5 for length in range(2, budget + 1)}
-        for c in enumerate_classes(params, budget):
+        tally = {length: [0] * 5 for length in range(2, _CROSS_CHECK_LEN + 1)}
+        for c in enumerate_classes(params, _CROSS_CHECK_LEN):
             info = classify(c, with_witnesses=True)
             counts = tally[c.word_length()]
             counts[info.category] += 1
@@ -162,7 +165,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if agree and wtypes != info.reciprocator_types:
                 agree = False
                 detail = f"disagreement at {c} (p={params.p})"
-        engine = census(params, budget).rows
+        engine = census(params, _CROSS_CHECK_LEN).rows
         rows = {length: CensusRow(*n[1:], sum(n[:4])) for length, n in tally.items()}
         wrong = [length for length, row in rows.items() if engine[length] != row]
         if engine_ok and wrong:
@@ -187,18 +190,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         all(squarefree_multiplicity(build_growth_poly(rr))[1] == 1 for rr in range(2, 11)),
     )
 
-    # normal-form soundness
-    sound = True
-    detail = ""
-    for params in (p4, p6):
-        for length in range(2, min(args.max_len, 12) + 1):
-            for c in normal_form_generate(params, length):
-                info = classify(c, with_witnesses=False)
-                if not info.is_reciprocal:
-                    sound = False
-                    detail = f"non-reciprocal normal form {c} (p={params.p})"
-                    break
-    check("normal-form soundness", sound, detail)
+    # normal-form soundness, naming the first non-reciprocal normal form
+    unsound = next((
+        f"non-reciprocal normal form {c} (p={params.p})"
+        for params in (p4, p6)
+        for length in range(2, _NORMAL_FORM_LEN + 1)
+        for c in normal_form_generate(params, length)
+        if not classify(c, with_witnesses=False).is_reciprocal
+    ), "")
+    check("normal-form soundness", not unsound, unsound)
 
     lines = []
     failed = 0

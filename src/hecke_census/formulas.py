@@ -32,6 +32,7 @@ from .spectral import (
     dominant_root,
     eisenstein_check,
     eval_at_sqrt2,
+    growth_estimate,
     sqrt2_sign,
 )
 from .words import DomainError, GroupParams, make_params
@@ -273,18 +274,6 @@ class ClaimLedger:
         status = "PASS" if expected == observed else "MISMATCH"
         self.add(claim_id, params, expected, observed, status, paper_ref)
 
-    def ids(self) -> set[str]:
-        return {e.claim_id for e in self.entries}
-
-    def find(self, claim_id: str, **match) -> list[ClaimEntry]:
-        out = []
-        for e in self.entries:
-            if e.claim_id != claim_id:
-                continue
-            if all(e.params.get(k) == v for k, v in match.items()):
-                out.append(e)
-        return out
-
     def to_json(self) -> str:
         return json.dumps({"claims": [e.to_doc() for e in self.entries]}, indent=2) + "\n"
 
@@ -516,19 +505,18 @@ def _spectral_claims(ledger, params: GroupParams, table: CensusTable) -> None:
         "sign bracket for the dominant root",
     )
     ei = eisenstein_check(poly)
-    ledger.add(
+    ledger.compare(
         "EISEN",
-        {"r": r, "prime": 2},
+        {"r": r, "prime": ei["prime"]},
         "satisfied",
         "satisfied" if ei["satisfied"] else f"not_satisfied ({ei['reason']})",
-        "PASS" if ei["satisfied"] else "MISMATCH",
         "Eisenstein criterion at 2 after the x -> x+1 shift",
     )
     # headline growth claim: census seed extended by the recurrence
     seed = [table.rows[2 * l].reciprocal_total for l in range(1, table.max_len // 2 + 1)]
     if len(seed) >= r + 1 and any(seed):
         extended = recurrence_extend(seed, r, 80 - len(seed))
-        ratio = extended[-1] / extended[-2]
+        _, ratio = growth_estimate(extended)[-1]
         diff = abs(ratio - dominant_root(poly))
         ledger.add(
             "THM-MAIN",

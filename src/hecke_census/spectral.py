@@ -7,9 +7,13 @@ reciprocal of the dominant zero of ``1 - B``, and the class-count
 recurrence is the recurrence of the census series ``h = 1/(1 - B)``.  The
 dominant root is isolated by dyadic bisection with exact integer sign
 evaluation; the full root set comes from a deterministic simultaneous
-iteration; squarefreeness and the maximum root multiplicity come from
-primitive pseudo-remainder gcds over Z.  The sign probes at sqrt(2) are
-computed in the ring Z[sqrt(2)], no floating point involved.
+iteration; the maximum root multiplicity s comes from primitive
+pseudo-remainder gcds over Z.  The sign probes at sqrt(2) are computed in
+the ring Z[sqrt(2)], no floating point involved.
+
+Each fact has one home: a ``GrowthReport`` derives squarefreeness from s
+and prints the record of ``eisenstein_check`` as it is, and the last pair of
+the ``growth_estimate`` trace is the growth estimate.
 """
 
 from __future__ import annotations
@@ -76,15 +80,11 @@ def eval_at_sqrt2(poly: IntPoly) -> tuple[int, int]:
 
 
 def sqrt2_sign(a: int, b: int) -> int:
-    """Sign of a + b*sqrt(2), exactly."""
-    if a >= 0 and b >= 0:
-        return 1 if (a or b) else 0
-    if a <= 0 and b <= 0:
-        return -1 if (a or b) else 0
-    # opposite signs: compare a^2 with 2 b^2
-    if a > 0:  # b < 0
-        return 1 if a * a > 2 * b * b else (-1 if a * a < 2 * b * b else 0)
-    return -1 if a * a > 2 * b * b else (1 if a * a < 2 * b * b else 0)
+    """Sign of a + b*sqrt(2), exactly.  sqrt(2) is irrational, so
+    a^2 = 2 b^2 only at a = b = 0, and the term of larger modulus decides
+    the sign."""
+    lead = a if a * a > 2 * b * b else b
+    return (lead > 0) - (lead < 0)
 
 
 def _dyadic_sign(poly: IntPoly, m: int, k: int) -> int:
@@ -109,17 +109,14 @@ def dominant_root(poly: IntPoly) -> float:
     for k in range(1, 41):
         lo, hi = 2 * lo, 2 * hi
         mid = lo + 1
-        v = _dyadic_sign(poly, mid, k)
-        if v == 0:
-            lo = hi = mid
-            break
-        if v < 0:
+        if _dyadic_sign(poly, mid, k) < 0:
             lo = mid
         else:
             hi = mid
-    # the root is bracketed strictly; as poly(1) < 0 < poly(2) this also
-    # rules out an integer root (a rational root of a monic integer
-    # polynomial is an integer)
+    # the root is bracketed strictly.  A rational root of a monic integer
+    # polynomial is an integer, so bisection never meets a root of the
+    # polynomials built here; a dyadic root of any other input becomes hi,
+    # and this check raises
     if not _dyadic_sign(poly, lo, k) < 0 < _dyadic_sign(poly, hi, k):
         raise ArithmeticError(
             f"bisection lost the sign change on [{lo / 2**k}, {hi / 2**k}]"
@@ -222,26 +219,20 @@ def squarefree_multiplicity(poly: IntPoly) -> tuple[bool, int]:
 
 
 def eisenstein_check(poly: IntPoly) -> dict:
-    """Eisenstein criterion for p(x+1) at the prime 2."""
+    """Eisenstein criterion for p(x+1) at the prime 2, as the record
+    ``{satisfied, prime, shifted_coefficients, reason}``; ``reason`` is None
+    exactly when the criterion holds."""
     prime = 2
-    shifted = poly.shift()
-    coeffs = shifted.coefficients
-    for i in range(len(coeffs) - 1):
-        if coeffs[i] % prime != 0:
-            return {
-                "satisfied": False,
-                "prime": prime,
-                "shifted_coefficients": list(coeffs),
-                "reason": f"coefficient {coeffs[i]} at degree {i} not divisible by {prime}",
-            }
-    if coeffs[0] % (prime * prime) == 0:
-        return {
-            "satisfied": False,
-            "prime": prime,
-            "shifted_coefficients": list(coeffs),
-            "reason": f"constant term {coeffs[0]} divisible by {prime}^2",
-        }
-    return {"satisfied": True, "prime": prime, "shifted_coefficients": list(coeffs)}
+    coeffs = poly.shift().coefficients
+    odd = next((i for i, c in enumerate(coeffs[:-1]) if c % prime), None)
+    if odd is not None:
+        reason = f"coefficient {coeffs[odd]} at degree {odd} not divisible by {prime}"
+    elif coeffs[0] % (prime * prime) == 0:
+        reason = f"constant term {coeffs[0]} divisible by {prime}^2"
+    else:
+        reason = None
+    return {"satisfied": reason is None, "prime": prime,
+            "shifted_coefficients": list(coeffs), "reason": reason}
 
 
 @dataclass(frozen=True)
@@ -250,10 +241,13 @@ class GrowthReport:
     poly: IntPoly
     rho: float
     roots: tuple[complex, ...]
-    s: int
-    squarefree: bool
-    eisenstein: dict
+    s: int  # the largest root multiplicity
+    eisenstein: dict  # the record of ``eisenstein_check``
     ratio_trace: tuple[tuple[int, float], ...] = ()
+
+    @property
+    def squarefree(self) -> bool:
+        return self.s == 1
 
     def to_json(self) -> str:
         doc = {
@@ -262,12 +256,7 @@ class GrowthReport:
             "rho": repr(self.rho),
             "s": self.s,
             "squarefree": self.squarefree,
-            "eisenstein": {
-                "satisfied": self.eisenstein["satisfied"],
-                "prime": self.eisenstein["prime"],
-                "shifted_coefficients": self.eisenstein["shifted_coefficients"],
-                "reason": self.eisenstein.get("reason"),
-            },
+            "eisenstein": self.eisenstein,
             "roots": [[z.real, z.imag] for z in self.roots],
             "ratio_trace": [[i, repr(v)] for i, v in self.ratio_trace],
         }
@@ -278,20 +267,19 @@ def analyze_growth(r: int) -> GrowthReport:
     poly = build_growth_poly(r)
     rho = dominant_root(poly)
     roots = tuple(all_roots(poly))
-    squarefree, s = squarefree_multiplicity(poly)
     return GrowthReport(
         r=r,
         poly=poly,
         rho=rho,
         roots=roots,
-        s=s,
-        squarefree=squarefree,
+        s=squarefree_multiplicity(poly)[1],
         eisenstein=eisenstein_check(poly),
     )
 
 
-def growth_estimate(seq: Sequence[int]) -> dict:
-    """Consecutive-ratio trace of a count sequence and its final ratio.
+def growth_estimate(seq: Sequence[int]) -> tuple[tuple[int, float], ...]:
+    """Consecutive-ratio trace of a count sequence: the pairs
+    ``(i, seq[i] / seq[i - 1])``, whose last ratio estimates the growth rate.
 
     Leading terms up to and including the last zero are excluded (small
     lengths may sit outside the recurrence regime).
@@ -303,5 +291,4 @@ def growth_estimate(seq: Sequence[int]) -> dict:
     tail = seq[base:]
     if len(tail) < 2:
         raise DomainError("sequence has fewer than two trailing nonzero terms")
-    ratios = [(base + i, tail[i] / tail[i - 1]) for i in range(1, len(tail))]
-    return {"ratio_trace": ratios, "final_ratio": ratios[-1][1]}
+    return tuple((base + i, tail[i] / tail[i - 1]) for i in range(1, len(tail)))

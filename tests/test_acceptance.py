@@ -33,6 +33,7 @@ from hecke_census.spectral import (
 )
 from hecke_census.words import IOTA, Word, make_params
 from composition_reference import compositions
+from ledger_queries import find_entries, ledger_ids
 
 
 class _Budget:
@@ -191,13 +192,13 @@ def test_criterion_7_claims_ledger(capsys):
             "L4.1.3", "L4.7.1", "L4.7.2", "L4.7.3", "MA-5.3.2", "L3.2-NF",
             "L4.6-bracket", "EISEN", "THM-MAIN",
         }
-        assert expected_ids <= ledger.ids()
+        assert expected_ids <= ledger_ids(ledger)
         # pinned entries with observed == census output
-        entry = ledger.find("L2.6", x=3, r=2)[0]
+        entry = find_entries(ledger, "L2.6", x=3, r=2)[0]
         assert entry.observed == signed_syllable_count(3, 2) == 1
-        entry = ledger.find("L4.1.1", p=6, l=2)[0]
+        entry = find_entries(ledger, "L4.1.1", p=6, l=2)[0]
         assert entry.observed == table.rows[4].reciprocal_total
-        entry = ledger.find("L4.7.1", p=4, l=4)[0]
+        entry = find_entries(ledger, "L4.7.1", p=4, l=4)[0]
         assert entry.observed == census(make_params(4), 7).rows[7].reciprocal_total
         # JSON document validates against the shipped schema
         jsonschema = pytest.importorskip("jsonschema")

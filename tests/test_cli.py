@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import hecke_census
+from hecke_census import cli
 from hecke_census.census import census, table_to_csv
 from hecke_census.cli import _build_parser, main
-from hecke_census.words import make_params
+from hecke_census.words import CyclicWord, make_params
 
 
 def run(capsys, *argv):
@@ -127,16 +128,24 @@ def test_growth_short_seed_is_reported_before_the_root_iteration(capsys):
 
 
 def test_verify_passes(capsys):
-    code, out = run(capsys, "verify", "--max-len", "10")
+    code, out = run(capsys, "verify")
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
-def test_verify_short_budget_checks_every_fixture(capsys):
-    # fixture tables reach the longest fixture whatever --max-len is
-    code, out = run(capsys, "verify", "--max-len", "8")
-    assert code == 0
-    assert out.splitlines()[-1] == "17/17 checks passed"
+def test_verify_names_the_first_non_reciprocal_normal_form(capsys, monkeypatch):
+    # i g^1 is not reciprocal; added at every length for p = 4 and p = 6,
+    # the check must name the first one it meets, at p = 4
+    generate = cli.normal_form_generate
+
+    def unsound(params, length):
+        return generate(params, length) | {CyclicWord.from_blocks(params, (1,))}
+
+    monkeypatch.setattr(cli, "normal_form_generate", unsound)
+    code, out = run(capsys, "verify")
+    assert code == 1
+    assert "[FAIL] normal-form soundness  (non-reciprocal normal form i g^1 (p=4))" in out
+    assert out.splitlines()[-1] == "16/17 checks passed"
 
 
 def test_verify_runs_no_root_iteration(capsys, monkeypatch):
@@ -144,7 +153,7 @@ def test_verify_runs_no_root_iteration(capsys, monkeypatch):
         raise AssertionError("verify must not run the root iteration")
 
     monkeypatch.setattr("hecke_census.spectral.all_roots", refuse)
-    code, out = run(capsys, "verify", "--max-len", "8")
+    code, out = run(capsys, "verify")
     assert code == 0
     assert out.splitlines()[-1] == "17/17 checks passed"
 
@@ -303,9 +312,11 @@ def test_usage_error_exit_code(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--tol", "1e-12"])  # removed option
         assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["claims", "--p", "4", "--max-len", "6", "--format", "json"])  # removed option
-    assert exc.value.code == 2
+    for argv in (["claims", "--p", "4", "--max-len", "6", "--format", "json"],
+                 ["verify", "--max-len", "8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)  # removed option
+        assert exc.value.code == 2
 
 
 def test_domain_error_exit_code(capsys):

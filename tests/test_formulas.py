@@ -29,6 +29,7 @@ from hecke_census.formulas import (
 from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import DomainError, make_params
 from composition_reference import bounded_compositions_dp, compositions
+from ledger_queries import find_entries, ledger_ids
 
 
 P4 = make_params(4)
@@ -283,16 +284,16 @@ def test_ledger_json_shape():
 def test_claims_check_p6_contains_known_findings():
     table = census(P6, 12)
     ledger = claims_check(P6, table)
-    ids = ledger.ids()
+    ids = ledger_ids(ledger)
     for required in ("L2.6", "L3.3", "L3.4", "L3.5", "P3.6", "L4.1.1",
                      "L4.1.2", "L4.1.3", "L4.7.1", "MA-5.3.2", "L3.2-NF"):
         assert required in ids, required
-    l2 = ledger.find("L2.6", x=3, r=2)
+    l2 = find_entries(ledger, "L2.6", x=3, r=2)
     assert l2 and l2[0].status == "MISMATCH"
-    l41 = ledger.find("L4.1.1", p=6, l=2)
+    l41 = find_entries(ledger, "L4.1.1", p=6, l=2)
     assert l41 and l41[0].status == "MISMATCH"
     assert l41[0].observed == 2
-    l47 = ledger.find("L4.7.1", p=4, l=4)
+    l47 = find_entries(ledger, "L4.7.1", p=4, l=4)
     assert l47 and l47[0].status == "MISMATCH"
     assert l47[0].observed == 2
 
@@ -371,5 +372,5 @@ def test_ledger_shape(p):
         seen.add(e.claim_id)
     assert seen == {"L3.3", "L3.4", "L3.5", "P3.6"} | present
     if params.r % 2 == 0:
-        relations = {e.params["relation"] for e in ledger.find("L4.7.3")}
+        relations = {e.params["relation"] for e in find_entries(ledger, "L4.7.3")}
         assert relations == {"even-family-equality", "recurrence"}

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecke_census.spectral import (
+    GrowthReport,
     IntPoly,
     all_roots,
     analyze_growth,
@@ -142,11 +144,27 @@ def test_sqrt2_sign_cases():
     assert sqrt2_sign(2, -2) < 0
     assert sqrt2_sign(-3, 2) < 0
     assert sqrt2_sign(-2, 2) > 0
+    # a nonzero a + b*sqrt2 has modulus at least 1/(|a| + |b|*sqrt2) > 1/100
+    # here, far above the float's rounding error, so its sign is exact
+    for a in range(-50, 51):
+        for b in range(-50, 51):
+            x = a + b * math.sqrt(2)
+            assert sqrt2_sign(a, b) == (x > 0) - (x < 0), (a, b)
 
 
 def test_dominant_root_golden_values():
     assert abs(dominant_root(build_growth_poly(2)) - 1.6180339887) < 1e-9
     assert abs(dominant_root(build_growth_poly(3)) - 1.8392867552) < 1e-9
+
+
+def test_dominant_root_rejects_a_dyadic_root():
+    # 2x - 3 is not monic: its root 3/2 is the first bisection midpoint
+    with pytest.raises(ArithmeticError):
+        dominant_root(IntPoly((-3, 2)))
+
+
+def test_dominant_root_of_a_non_monic_quadratic():
+    assert abs(dominant_root(IntPoly((-5, 0, 2))) - math.sqrt(5 / 2)) < 1e-12
 
 
 def test_dominant_root_is_a_root():
@@ -239,6 +257,26 @@ def test_eisenstein_positive_case():
     assert report["satisfied"]
 
 
+@pytest.mark.parametrize("coefficients", [
+    (1, 0, 1),  # satisfied
+    (-1, -2, 0, 1),  # r = 2: an odd shifted coefficient
+    (3, 0, 1),  # shifted (4, 2, 1): the constant term is divisible by 4
+])
+def test_eisenstein_record_has_one_shape(coefficients):
+    report = eisenstein_check(IntPoly(coefficients))
+    assert list(report) == ["satisfied", "prime", "shifted_coefficients", "reason"]
+    assert (report["reason"] is None) == report["satisfied"]
+
+
+def test_growth_report_derives_squarefree_from_s():
+    report = analyze_growth(3)
+    assert report.squarefree and json.loads(report.to_json())["squarefree"] is True
+    assert not replace(report, s=2).squarefree
+    with pytest.raises(TypeError):  # no constructor field beside s
+        GrowthReport(3, report.poly, report.rho, report.roots, 1,
+                     squarefree=True, eisenstein=report.eisenstein)
+
+
 def test_analyze_growth_report_fields():
     report = analyze_growth(3)
     assert report.r == 3
@@ -252,14 +290,15 @@ def test_analyze_growth_report_fields():
 def test_growth_estimate_geometric():
     rho = 1.5
     seq = [round(10 * rho**i) for i in range(40)]
-    est = growth_estimate(seq)
-    assert abs(est["final_ratio"] - rho) < 1e-3
+    trace = growth_estimate(seq)
+    assert isinstance(trace, tuple) and trace[-1][0] == 39
+    assert abs(trace[-1][1] - rho) < 1e-3
 
 
 def test_growth_estimate_skips_interior_zeros():
     seq = [1, 0, 2, 1, 4, 4, 9, 12, 22, 33, 56, 88]
-    est = growth_estimate(seq)
-    assert est["ratio_trace"][0][0] > 2  # starts after the last zero
+    trace = growth_estimate(seq)
+    assert trace[0] == (3, 1 / 2)  # starts after the last zero
 
 
 def test_growth_estimate_rejects_tiny_sequences():
