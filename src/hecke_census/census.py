@@ -29,7 +29,9 @@ Analytic Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)`` and
 
 Every division is exact or raises.  ``enumerate_classes`` is the
 enumeration oracle: ``_scan`` generates every necklace once, as its least
-rotation, and ``enumerate_classes`` builds each class key from it once.
+rotation, and ``enumerate_classes`` decodes each class key from those bytes
+once and keeps them as the key's byte code (``CyclicWord.code``), which is
+the classifier's input: ``classify`` reads the ``_scan`` bytes as they are.
 """
 
 from __future__ import annotations
@@ -195,7 +197,9 @@ def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]
     _scan(params, max_len, lambda length, s: by_length[length].append(s))
     for bucket in by_length:
         for s in bucket:
-            yield CyclicWord(params, decode(s))
+            c = CyclicWord(params, decode(s))
+            vars(c)["code"] = s  # fill the cached byte code: s encodes c's blocks
+            yield c
 
 
 def table_to_csv(table: CensusTable) -> str:

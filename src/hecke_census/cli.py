@@ -187,7 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     check("rho(r=3) golden", abs(rho3 - 1.8392867552) < 1e-9, f"rho={rho3!r}")
     check(
         "squarefree r=2..10",
-        all(squarefree_multiplicity(build_growth_poly(rr))[1] == 1 for rr in range(2, 11)),
+        all(squarefree_multiplicity(build_growth_poly(rr)) == 1 for rr in range(2, 11)),
     )
 
     # normal-form soundness, naming the first non-reciprocal normal form

@@ -15,13 +15,18 @@ enumeration oracle stop at the weight budget.
 
 ``reflection_category`` is the reflection classifier behind
 ``reciprocal.classify``; ``Category`` is the package's category type.
+``classify`` hands it a class key's byte code (``CyclicWord.code``): for the
+enumeration oracle these are the bytes that ``census._scan`` generated, so
+an enumerated class is never re-encoded.  This module is the package's one
+codec; ``words`` imports it only when a key built elsewhere first needs
+its code, since this module builds its table from ``words``.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .words import DomainError, GroupParams, exponent_ordinal
+from .words import DomainError, exponent_ordinal
 
 
 class Category(enum.IntEnum):
@@ -46,30 +51,24 @@ _NEGATE = {o: _FLIP[:o] + bytes((o,)) + _FLIP[o + 1 :] for o in range(0, 256, 2)
 
 def encode(blocks: tuple[int, ...]) -> bytes:
     try:
-        return bytes(map(_BYTE.__getitem__, blocks))
+        return bytes([_BYTE[k] for k in blocks])
     except KeyError as exc:
         raise DomainError(f"block g^{exc.args[0]} has no byte: blocks need |k| <= 128") from None
 
 
 def decode(s: bytes) -> tuple[int, ...]:
-    return tuple(map(EXPONENTS.__getitem__, s))
-
-
-def r_byte(params: GroupParams) -> int | None:
-    """Byte of g^r, the one block that is its own negative; None for odd p.
-    From p = 258 on it exceeds 255, so it is in no byte string."""
-    return exponent_ordinal(params.r) if params.even else None
+    return tuple([EXPONENTS[o] for o in s])
 
 
 def rev_neg(s: bytes, r: int | None) -> bytes:
     """Byte string of the inverse class (reverse and negate), with ``r`` the
-    byte of g^r (``r_byte``)."""
+    byte of g^r (``GroupParams.r_byte``)."""
     return s[::-1].translate(_NEGATE.get(r, _FLIP))
 
 
 def reflection_category(r: int | None, s: bytes) -> Category:
     """Reciprocal category of a necklace; ``r`` is the byte of g^r
-    (``r_byte``).
+    (``GroupParams.r_byte``).
 
     A reversal at offset t (the inverse class rotated left by t equals s)
     acts on the 2n syllable positions as the reflection

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .necklaces import Category, encode, r_byte, reflection_category
+from .necklaces import Category, reflection_category
 from .words import CyclicWord, DomainError, GroupParams, InvolutionType, Word
 
 
@@ -67,7 +67,7 @@ def _require_blocks(c: CyclicWord) -> tuple[int, ...]:
 
 
 def _reflection_category(c: CyclicWord) -> Category:
-    return reflection_category(r_byte(c.params), encode(_require_blocks(c)))
+    return reflection_category(c.params.r_byte, c.code)
 
 
 def is_reciprocal(c: CyclicWord) -> bool:

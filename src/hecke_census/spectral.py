@@ -208,14 +208,15 @@ def _int_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     return IntPoly(tuple(a))
 
 
-def squarefree_multiplicity(poly: IntPoly) -> tuple[bool, int]:
-    """(squarefree, max root multiplicity) by repeated exact gcd."""
+def squarefree_multiplicity(poly: IntPoly) -> int:
+    """The largest root multiplicity s, by repeated exact gcd; the polynomial
+    is squarefree exactly when s is 1."""
     cur = poly
     s = 0
     while cur.degree > 0:
         cur = _int_gcd(cur, cur.derivative())
         s += 1
-    return s == 1, s
+    return s
 
 
 def eisenstein_check(poly: IntPoly) -> dict:
@@ -272,7 +273,7 @@ def analyze_growth(r: int) -> GrowthReport:
         poly=poly,
         rho=rho,
         roots=roots,
-        s=squarefree_multiplicity(poly)[1],
+        s=squarefree_multiplicity(poly),
         eisenstein=eisenstein_check(poly),
     )
 

@@ -65,6 +65,13 @@ class GroupParams:
     def u(self) -> int | None:
         return self.p // 4 if self.even else None
 
+    @cached_property
+    def r_byte(self) -> int | None:
+        """Byte of g^r in ``necklaces`` (its ``exponent_ordinal``), the one
+        block that is its own negative; None for odd p.  From p = 258 on it
+        exceeds 255, so it is in no byte string."""
+        return exponent_ordinal(self.r) if self.even else None
+
     def canonical_exponent(self, k: int) -> int:
         """Reduce ``k`` mod p into the canonical range ``(-p/2, p/2]``."""
         k %= self.p
@@ -263,7 +270,8 @@ class CyclicWord:
     ``(k1, ..., kn)`` of its alternating form ``i g^k1 ... i g^kn`` in its
     least rotation.  A torsion class has ``block_exponents`` None and
     ``torsion`` its core: ``()`` for the identity, else one syllable.
-    Equality and hashing compare these fields; ``syllables`` is derived.
+    Equality and hashing compare these fields; ``syllables`` and ``code``
+    are derived.
     """
 
     params: GroupParams
@@ -280,6 +288,17 @@ class CyclicWord:
         if best:
             blocks = blocks[best:] + blocks[:best]
         return CyclicWord(params, blocks)
+
+    @cached_property
+    def code(self) -> bytes:
+        """The blocks as ``necklaces`` bytes, the classifier's input.  The
+        enumeration oracle fills it with the bytes it generated the class
+        from; any other key encodes its blocks on first use."""
+        if self.block_exponents is None:
+            raise DomainError("only infinite-order classes have blocks to encode")
+        from .necklaces import encode  # necklaces builds its codec from this module
+
+        return encode(self.block_exponents)
 
     @property
     def syllables(self) -> tuple[int, ...]:

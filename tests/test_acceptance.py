@@ -156,8 +156,7 @@ def test_criterion_5_spectral():
             poly = build_growth_poly(r)
             assert poly(2) == 3
             assert sqrt2_sign(*eval_at_sqrt2(poly)) < 0
-            squarefree, s = squarefree_multiplicity(poly)
-            assert squarefree and s == 1
+            assert squarefree_multiplicity(poly) == 1
         for r in range(2, 7):
             poly = build_growth_poly(r)
             rho = dominant_root(poly)

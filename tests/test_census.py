@@ -16,7 +16,7 @@ from hecke_census.census import (
     table_to_csv,
     table_to_json,
 )
-from hecke_census.necklaces import encode, r_byte, reflection_category
+from hecke_census.necklaces import encode, reflection_category
 from hecke_census.reciprocal import Category, classify, is_reciprocal, reciprocator_witnesses
 from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import (
@@ -219,7 +219,7 @@ def test_category_columns_match_witness_search(p):
 
 def _brute_rows(params, max_len):
     """Census rows by walking every necklace and classifying each one."""
-    r = r_byte(params)
+    r = params.r_byte
     counts = [[0] * 5 for _ in range(max_len + 1)]  # indexed by Category, then power
     none, sym, prec, symp = Category
 

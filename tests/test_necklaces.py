@@ -13,7 +13,6 @@ from hecke_census.necklaces import (
     decode,
     encode,
     exponent_ordinal,
-    r_byte,
     reflection_category,
     rev_neg,
 )
@@ -24,8 +23,8 @@ from word_reference import inverse_key
 
 P4 = make_params(4)
 P6 = make_params(6)
-R4 = r_byte(P4)
-R6 = r_byte(P6)
+R4 = P4.r_byte
+R6 = P6.r_byte
 
 
 def test_ordinal_round_trip():
@@ -77,7 +76,7 @@ def test_one_byte_table_for_every_group():
     fixes g^r alone, when g^r has a byte."""
     for p in [*range(3, 262), 300, 1000]:
         params = make_params(p)
-        r = r_byte(params)
+        r = params.r_byte
         s = bytes(range(min(p - 1, 256)))
         assert decode(s) == tuple(params.exponent_range(params.p)[: len(s)])
         assert rev_neg(rev_neg(s, r), r) == s
@@ -125,7 +124,7 @@ def test_reflection_category_of_power():
 @pytest.mark.parametrize("p", range(3, 13))
 def test_reflection_category_matches_reference_on_every_necklace(p):
     params = make_params(p)
-    r = r_byte(params)
+    r = params.r_byte
     necklaces = []
     _scan(params, 14, lambda length, s: necklaces.append(s))
     for s in necklaces:
@@ -142,7 +141,7 @@ def test_reflection_category_matches_reference_on_every_necklace(p):
 def test_reflection_category_matches_reference_on_random_bytes(p, raw, repeat):
     """Random strings, and reciprocal ones built from them: x + rev_neg(x),
     the same with g^r blocks between, and powers of each."""
-    r_ord = r_byte(make_params(p))
+    r_ord = make_params(p).r_byte
     x = bytes(o % (p - 1) for o in raw)
     y = rev_neg(x, r_ord)
     candidates = [x, x + y]

@@ -7,8 +7,11 @@ from dataclasses import fields
 import pytest
 
 import necklace_reference
-from hecke_census.census import enumerate_classes
-from hecke_census.necklaces import encode, r_byte
+from hecke_census import census as census_module
+from hecke_census import necklaces, words
+from hecke_census import reciprocal as reciprocal_module
+from hecke_census.census import CensusRow, census, enumerate_classes
+from hecke_census.necklaces import encode, reflection_category
 from hecke_census.reciprocal import (
     Category,
     classify,
@@ -78,11 +81,12 @@ def test_non_reciprocal():
 
 
 def test_torsion_rejected():
-    c, _ = Word.parse(P6, "g^2").cyclic_reduce()
-    with pytest.raises(DomainError):
-        classify(c)
-    with pytest.raises(DomainError):
-        is_reciprocal(c)
+    for text in ("1", "i", "g^2"):
+        c, _ = Word.parse(P6, text).cyclic_reduce()
+        with pytest.raises(DomainError, match="infinite-order"):
+            classify(c)
+        with pytest.raises(DomainError, match="infinite-order"):
+            is_reciprocal(c)
 
 
 _IOTA, _TILDE = InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE
@@ -102,7 +106,7 @@ def test_classify_matches_field_reference(p):
     params = make_params(p)
     for c in enumerate_classes(params, 14):
         blocks = c.block_exponents
-        category = necklace_reference.reflection_category(r_byte(params), encode(blocks))
+        category = necklace_reference.reflection_category(params.r_byte, encode(blocks))
         reciprocal = category is not Category.NOT_RECIPROCAL
         power = params.even and all(k == params.r for k in blocks)
         for with_witnesses in (False, True):
@@ -269,3 +273,86 @@ def test_normal_form_power_classes():
         r = params.r
         for m in range(1, 5):
             assert cls(params, (r,) * m) in normal_form_generate(params, m * (r + 1)), (p, m)
+
+
+# ---------------------------------------------------------------------------
+# the byte code: the enumeration's bytes are the classifier's input
+
+
+@pytest.mark.parametrize("p,max_len", [(4, 14), (5, 12)])
+def test_enumeration_is_not_re_encoded(monkeypatch, p, max_len):
+    """A classify sweep over the enumeration reads the bytes that ``_scan``
+    generated: with every ``encode`` in the package raising, its tallies
+    still equal the census."""
+
+    def no_encode(blocks):
+        raise AssertionError(f"re-encoded {blocks}")
+
+    for module in (census_module, necklaces, reciprocal_module, words):
+        if hasattr(module, "encode"):
+            monkeypatch.setattr(module, "encode", no_encode)
+    params = make_params(p)
+    with pytest.raises(AssertionError, match="re-encoded"):  # the patch is live
+        classify(CyclicWord.from_blocks(params, (1, 2)), with_witnesses=False)
+    tally = {length: [0] * 5 for length in range(2, max_len + 1)}  # sym, prec, symp, power, all
+    for c in enumerate_classes(params, max_len):
+        info = classify(c, with_witnesses=False)
+        counts = tally[c.word_length()]
+        counts[4] += 1
+        if info.is_reciprocal:
+            counts[info.category - 1] += 1
+            counts[3] += info.is_power_of_iota_tilde_gamma
+    assert census(params, max_len).rows == {n: CensusRow(*t) for n, t in tally.items()}
+
+
+@pytest.mark.parametrize("p", range(3, 13))
+def test_enumerated_code_is_the_encoded_key(p):
+    """Every enumerated class carries ``encode`` of its blocks as its code,
+    and it equals and hashes like the key ``from_blocks`` builds."""
+    params = make_params(p)
+    for c in enumerate_classes(params, 14):
+        assert c.code == encode(c.block_exponents), c
+        key = CyclicWord.from_blocks(params, c.block_exponents)
+        assert key == c and hash(key) == hash(c), c
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 8])
+def test_keys_built_elsewhere_classify_by_their_encoded_blocks(monkeypatch, p):
+    """Keys from ``from_blocks``, ``cyclic_reduce`` and
+    ``normal_form_generate`` encode their own blocks once, on first use, and
+    classify as the reflection classifier reads those bytes."""
+    params = make_params(p)
+    rng = random.Random(p)
+    keys = [CyclicWord.from_blocks(params, c.block_exponents[::-1])
+            for c in enumerate_classes(params, 10)]
+    while len(keys) < 400:
+        key = _random_word(params, rng, rng.randint(2, 12)).cyclic_reduce()[0]
+        if not key.is_torsion():
+            keys.append(key)
+    if params.even:
+        keys += [c for length in range(2, 11) for c in normal_form_generate(params, length)]
+    expected = [reflection_category(params.r_byte, encode(key.block_exponents)) for key in keys]
+    encoded = []
+
+    def counted(blocks):
+        encoded.append(blocks)
+        return encode(blocks)
+
+    monkeypatch.setattr(necklaces, "encode", counted)
+    for key, category in zip(keys, expected):
+        for _ in range(2):
+            assert classify(key, with_witnesses=False).category is category, key
+        assert key.code == encode(key.block_exponents), key
+    assert encoded == [key.block_exponents for key in keys]
+
+
+def test_code_stays_out_of_repr_and_equality():
+    c = next(c for c in enumerate_classes(P6, 6) if c.block_exponents == (1, 2))
+    fresh = CyclicWord(P6, (1, 2))
+    assert "code" in vars(c) and "code" not in vars(fresh)  # filled by the enumeration
+    assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+    forged = CyclicWord(P6, (1, 2))
+    vars(forged)["code"] = b"\xff"
+    assert forged == c and hash(forged) == hash(c) and repr(forged) == repr(c)
+    assert "code" not in repr(c) and repr(c.code) not in repr(c)
+    assert "code" not in {f.name for f in fields(CyclicWord)}

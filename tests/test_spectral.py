@@ -71,14 +71,14 @@ def _frac_gcd(f, g):
     return f
 
 
-def fraction_squarefree_multiplicity(poly: IntPoly) -> tuple[bool, int]:
+def fraction_squarefree_multiplicity(poly: IntPoly) -> int:
     cur = [Fraction(c) for c in poly.coefficients]
     s = 0
     while len(cur) > 1:
         deriv = [i * c for i, c in enumerate(cur)][1:] or [Fraction(0)]
         cur = _frac_gcd(cur, deriv)
         s += 1
-    return s == 1, s
+    return s
 
 
 def _poly_mul(f, g):
@@ -197,8 +197,7 @@ def test_all_roots_deterministic():
 
 def test_squarefree_growth_polys():
     for r in range(2, 11):
-        squarefree, s = squarefree_multiplicity(build_growth_poly(r))
-        assert squarefree and s == 1
+        assert squarefree_multiplicity(build_growth_poly(r)) == 1
 
 
 def test_dominant_root_matches_fraction_reference():
@@ -214,7 +213,7 @@ def test_dominance_certificate():
     for r in range(2, 131):
         weights = make_params(2 * r).block_weights(r + 1)
         assert {2, 3} <= set(weights) and min(weights.values()) > 0, r
-        assert squarefree_multiplicity(build_growth_poly(r)) == (True, 1), r
+        assert squarefree_multiplicity(build_growth_poly(r)) == 1, r
 
 
 @settings(max_examples=60, deadline=None)
@@ -236,12 +235,11 @@ def test_squarefree_matches_fraction_reference(linear, quadratic, lead):
     got = squarefree_multiplicity(poly)
     assert got == fraction_squarefree_multiplicity(poly)
     if factors:
-        assert got[1] == max(m for _, m in factors)
+        assert got == max(m for _, m in factors)
 
 
 def test_squarefree_detects_multiplicity():
-    squarefree, s = squarefree_multiplicity(IntPoly((1, 2, 1)))  # (x+1)^2
-    assert not squarefree and s == 2
+    assert squarefree_multiplicity(IntPoly((1, 2, 1))) == 2  # (x+1)^2
 
 
 def test_eisenstein_r2_not_satisfied():
