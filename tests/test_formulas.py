@@ -151,6 +151,10 @@ def test_p_reciprocal_examples():
     assert p_reciprocal_count(5, P4) == 1
     assert p_reciprocal_count(4, P4) == 0
     assert p_reciprocal_count(3, P4) == 0  # below minimal length
+    for p in range(4, 41, 2):
+        params = make_params(p)
+        for l in range(0, params.r + 2):  # the double sum is empty below l = r + 2
+            assert p_reciprocal_count(l, params) == 0, (p, l)
 
 
 def test_symmetric_p_power_only_length():
@@ -171,6 +175,46 @@ def test_formulas_require_even_p():
     p5 = make_params(5)
     with pytest.raises(DomainError):
         symmetric_count(2, p5)
+
+
+def _total_count(l, params):
+    return (total_count_even if params.r % 2 == 1 else total_count_odd)(l, params)
+
+
+# evaluator and its smallest accepted l (for the piecewise totals: the family
+# that the parity of r allows, from l = 1 for odd r and l = 2 for even r)
+PUBLISHED = {
+    "symmetric_count": (symmetric_count, lambda r: 2),
+    "p_reciprocal_count": (p_reciprocal_count, lambda r: 1),
+    "symmetric_p_count": (symmetric_p_count, lambda r: 1),
+    "total_count": (_total_count, lambda r: 1 if r % 2 == 1 else 2),
+}
+
+# sha256 of the lines "p l repr(value)" for every even p from 4 to 40 and
+# every l from the smallest accepted one to 40, and of "r x verbatim corrected"
+# for the Lemma 2.6 sum at r = 2..8, x = 2..40: the printed values are the contract
+PUBLISHED_SHA256 = {
+    "symmetric_count": "7bb1b49b052de9fd9e765d05eeba4ee93b7a3daa6f54c82b8438652873f145f0",
+    "p_reciprocal_count": "353e276c2ea6c565eb7ec0ff6a189eea15d9075290cdc4857dcb9c01d5b3fcb0",
+    "symmetric_p_count": "6df41360577c69ae7d99031aefe14b260352f93e314320cb89a9e371eb41b990",
+    "total_count": "fb59142dd335ddbdb3ef96d42416a5bae558f2199056fa9ae906d1f407878fb1",
+    "lemma26_sum": "2c10645d869a739ee487347897b240e3299d0bcb4924d8f2ff141804487b1777",
+}
+
+
+def published_lines(name):
+    if name == "lemma26_sum":
+        return [f"{r} {x} {lemma26_sum(x, r)!r} {lemma26_sum(x, r, corrected=True)!r}"
+                for r in range(2, 9) for x in range(2, 41)]
+    formula, first = PUBLISHED[name]
+    return [f"{p} {l} {formula(l, make_params(p))!r}"
+            for p in range(4, 41, 2) for l in range(first(p // 2), 41)]
+
+
+@pytest.mark.parametrize("name", sorted(PUBLISHED_SHA256))
+def test_published_values_pinned(name):
+    digest = hashlib.sha256("\n".join(published_lines(name)).encode("utf-8")).hexdigest()
+    assert digest == PUBLISHED_SHA256[name]
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +391,7 @@ CENSUS_KEYS = {
     "L4.7.1": ["p", "l"],
     "L4.7.2": ["p", "l"],
     "L4.7.3": ["p", "l", "relation"],
+    "MA-5.3.2": ["p", "l"],
 }
 
 
@@ -370,7 +415,7 @@ def test_ledger_shape(p):
             continue
         assert list(e.params) == CENSUS_KEYS[e.claim_id], (e.claim_id, e.params)
         seen.add(e.claim_id)
-    assert seen == {"L3.3", "L3.4", "L3.5", "P3.6"} | present
+    assert seen == {"L3.3", "L3.4", "L3.5", "P3.6", "MA-5.3.2"} | present
     if params.r % 2 == 0:
         relations = {e.params["relation"] for e in find_entries(ledger, "L4.7.3")}
         assert relations == {"even-family-equality", "recurrence"}
