@@ -13,8 +13,13 @@ Formulas return an ``int``, or a ``Fraction`` where the published 1/2 or
 1/6 factor does not divide exactly; the ledger records such a value as a
 MISMATCH finding.
 
-The claims that read the census are the ``Claim`` rows of ``CLAIMS``,
-written by one loop; a new such claim is one more row.
+``lemma26_sum`` is the one Lemma 2.6 sum, and ``recurrence_extend`` the one
+place the class-count recurrence runs: the piecewise families extend their
+printed seed with it, the recurrence claims the census column's r + 1
+preceding terms.
+
+The claims that read the census are the ``Claim`` rows of ``CLAIMS`` and
+``QUOTED_CLAIMS``, written by one loop; a new such claim is one more row.
 """
 
 from __future__ import annotations
@@ -86,8 +91,10 @@ def _double_sum(r: int, q_max: int, corrected: bool, n_lo, n_hi, arg) -> int:
     return total
 
 
-def _signed_sum(x: int, r: int, corrected: bool) -> int:
-    """The Lemma 2.6 double sum in x."""
+def lemma26_sum(x: int, r: int, corrected: bool = False) -> int:
+    """The published double sum for ``signed_syllable_count``."""
+    if r < 2 or x < 2:
+        raise DomainError("requires r >= 2 and x >= 2")
     q_max = x // (r + 1) if corrected else _ceil_div(x, r + 1) - 1
     return _double_sum(
         r,
@@ -99,13 +106,6 @@ def _signed_sum(x: int, r: int, corrected: bool) -> int:
     )
 
 
-def lemma26_sum(x: int, r: int, corrected: bool = False) -> int:
-    """The published double sum for ``signed_syllable_count``."""
-    if r < 2 or x < 2:
-        raise DomainError("requires r >= 2 and x >= 2")
-    return _signed_sum(x, r, corrected)
-
-
 def _as_int_or_fraction(v: Fraction):
     return int(v) if v.denominator == 1 else v
 
@@ -115,14 +115,12 @@ def symmetric_count(l: int, params: GroupParams):
     r = params.require_even()
     if l < 2:
         raise DomainError("l must be >= 2")
-    return _as_int_or_fraction(Fraction(_signed_sum(l, r, False), 2))
+    return _as_int_or_fraction(Fraction(lemma26_sum(l, r), 2))
 
 
 def p_reciprocal_count(l: int, params: GroupParams):
     """Published count of p-reciprocal classes of word length 2l."""
     r = params.require_even()
-    if l < r + 2:
-        return 0
     total = _double_sum(
         r,
         _ceil_div(l, r + 1) - 2,
@@ -148,10 +146,9 @@ def symmetric_p_count(l: int, params: GroupParams):
     power-class term at word lengths that are multiples of r + 1.
     """
     r = params.require_even()
-    u = params.u
-    assert u is not None
+    x = l - params.u
     word_length = symmetric_p_word_length(l, params)
-    total = _signed_sum(l - u, r, False) if l >= u else 0
+    total = lemma26_sum(x, r) if x >= 2 else 0  # the printed sum is empty at x = 0, 1
     if word_length % (r + 1) == 0 and word_length >= r + 1:
         total += 2  # the power class, counted once after halving
     return _as_int_or_fraction(Fraction(total, 2))
@@ -162,29 +159,13 @@ def _sixth(l: int) -> Fraction:
     return (Fraction(2) ** l + (2 if l % 2 == 0 else -2)) / 6
 
 
-def _recur(a, l: int, weights: dict[int, int]):
-    """Term l of a_l = sum_w c_w a_{l-w} over the block weights c_w of p = 2r,
-    which is a_l = 2*sum_{j=1}^{r-1} a_{l-j-1} + a_{l-r-1}; ``a`` maps index
-    to term."""
-    return sum(c * a[l - w] for w, c in weights.items())
-
-
 def _piecewise_family(l: int, params: GroupParams, shift: int):
-    """Term l of the published piecewise family: (2^k + 2(-1)^k)/6 at k = m - shift
+    """Term l of the published piecewise family: (2^k + 2(-1)^k)/6 at k = l - shift
     up to k = r, a u-correction at k = r + 1, then the recurrence."""
-    r, u = params.r, params.u
-    assert r is not None and u is not None
-    weights = params.block_weights(r + 1)
-    seq: dict[int, Fraction] = {}
-    for m in range(1, l + 1):
-        k = m - shift
-        if k <= r:
-            seq[m] = _sixth(k)
-        elif k == r + 1:
-            seq[m] = _sixth(k) + _sixth(u + 1) - 1
-        else:
-            seq[m] = _recur(seq, m, weights)
-    return _as_int_or_fraction(seq[l])
+    r = params.r
+    seed = [_sixth(k) for k in range(1 - shift, r + 1)]
+    seed.append(_sixth(r + 1) + _sixth(params.u + 1) - 1)
+    return _as_int_or_fraction(recurrence_extend(seed, r, l - len(seed))[l - 1])
 
 
 def total_count_even(l: int, params: GroupParams):
@@ -211,17 +192,21 @@ def marmolejo_word_count(l: int) -> Fraction:
     """Quoted count of cyclically reduced reciprocal words at length 2l."""
     if l < 1:
         raise DomainError("l must be >= 1")
-    return Fraction(2**l + 2 * (-1) ** l, 3)
+    return 2 * _sixth(l)
 
 
 def recurrence_extend(seed: list[int], r: int, count: int) -> list[int]:
-    """Append ``count`` further terms of the class-count recurrence of order r + 1."""
+    """Append ``count`` further terms of the class-count recurrence of order
+    r + 1, a_l = sum_w b_w a_{l-w} over the block weights b_w of p = 2r, which
+    is a_l = 2*sum_{j=1}^{r-1} a_{l-j-1} + a_{l-r-1}."""
+    if r < 2:
+        raise DomainError("r must be >= 2")
     if len(seed) < r + 1:
         raise DomainError(f"seed must have at least r+1 = {r + 1} terms")
     weights = make_params(2 * r).block_weights(r + 1)
     out = list(seed)
     for _ in range(count):
-        out.append(_recur(out, len(out), weights))
+        out.append(sum(b * out[-w] for w, b in weights.items()))
     return out
 
 
@@ -301,11 +286,13 @@ def _combined_count(l: int, params: GroupParams, column):
 
 
 def _recurrence(length):
-    """The printed recurrence at index l over the census column's earlier terms."""
+    """The printed recurrence at index l: the census column's r + 1 preceding
+    terms extended by one (weight 1 has no blocks, so term l - 1 weighs 0)."""
 
     def printed(l: int, params: GroupParams, column):
-        weights = params.block_weights(params.r + 1)
-        return _recur({l - w: column[length(l - w, params)] for w in weights}, l, weights)
+        r = params.r
+        preceding = [column[length(m, params)] for m in range(l - r - 1, l)]
+        return recurrence_extend(preceding, r, 1)[-1]
 
     return printed
 
@@ -371,13 +358,22 @@ CLAIMS: tuple[tuple[Claim, ...], ...] = (
       for column in ("symmetric", "p_reciprocal", "symmetric_p")),
 )
 
+# Census-reading claims quoted from other work, in groups like ``CLAIMS``;
+# they are written after the normal-form probe, which fixes the ledger order.
+QUOTED_CLAIMS: tuple[tuple[Claim, ...], ...] = (
+    (Claim("MA-5.3.2", "quoted reciprocal word count / 2 at word length 2l (l <= r)",
+           "reciprocal_total", _even, lambda r, u: range(1, r + 1),
+           _closed(lambda l, params: _as_int_or_fraction(marmolejo_word_count(l) / 2))),),
+)
 
-def _census_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable) -> None:
-    """Every group of ``CLAIMS`` in turn, over the indices l whose word
+
+def _census_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable,
+                   groups: tuple[tuple[Claim, ...], ...]) -> None:
+    """Every group of ``groups`` in turn, over the indices l whose word
     length is in the table."""
     r, u = params.r, params.u
     parity = ("even", "odd")[r % 2]
-    for group in CLAIMS:
+    for group in groups:
         first = group[0]
         if first.stated_for not in ("", f"r {parity}"):
             for claim in group:
@@ -405,8 +401,7 @@ def _census_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable)
 
 def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
     """One ledger entry per applicable claim instance for this census."""
-    r = params.require_even()
-    max_len = table.max_len
+    params.require_even()
     ledger = ClaimLedger()
 
     # solution-count double sum, verbatim vs the census series h
@@ -420,21 +415,10 @@ def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
                 "signed-syllable solution count, double-sum form",
             )
 
-    _census_claims(ledger, params, table)
+    _census_claims(ledger, params, table, CLAIMS)
     _fixture_claims(ledger, params, table)
-    _normal_form_claims(ledger, params, min(max_len, 12))
-
-    # Marmolejo cross-check at small even lengths
-    for l in range(1, min(r, max_len // 2) + 1):
-        expected = _as_int_or_fraction(marmolejo_word_count(l) / 2)
-        ledger.compare(
-            "MA-5.3.2",
-            {"p": params.p, "l": l},
-            expected,
-            table.rows[2 * l].reciprocal_total,
-            "quoted reciprocal word count / 2 at word length 2l (l <= r)",
-        )
-
+    _normal_form_claims(ledger, params, min(table.max_len, 12))
+    _census_claims(ledger, params, table, QUOTED_CLAIMS)
     _spectral_claims(ledger, params, table)
     return ledger
 

@@ -45,13 +45,18 @@ class UnsupportedParameterError(DomainError):
 
 @dataclass(frozen=True)
 class GroupParams:
-    """Parameters of the group Z_2 * Z_p.
+    """Parameters of the group Z_2 * Z_p, for p >= 3 (a smaller p is a
+    ``DomainError``).
 
     ``r = p/2`` and the parity witness ``u`` (``r = 2u`` or ``r = 2u+1``)
     are defined only for even ``p``; for odd ``p`` both are None.
     """
 
     p: int
+
+    def __post_init__(self) -> None:
+        if self.p < 3:
+            raise DomainError(f"p must be >= 3, got {self.p}")
 
     @property
     def even(self) -> bool:
@@ -104,8 +109,7 @@ class GroupParams:
 
 
 def make_params(p: int) -> GroupParams:
-    if p < 3:
-        raise DomainError(f"p must be >= 3, got {p}")
+    """``GroupParams(p)``, which rejects p < 3 itself."""
     return GroupParams(p)
 
 

@@ -253,6 +253,12 @@ def test_recurrence_extend_short_seed():
         recurrence_extend([1, 2], 3, 1)
 
 
+@pytest.mark.parametrize("r", [1, 0, -2])
+def test_recurrence_extend_rejects_r_below_two(r):
+    with pytest.raises(DomainError, match="^r must be >= 2$"):
+        recurrence_extend([1, 2, 3], r, 2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed_a=st.lists(st.integers(min_value=0, max_value=50), min_size=4, max_size=6),

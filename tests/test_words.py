@@ -61,6 +61,13 @@ def test_make_params_rejects_small_p():
         make_params(2)
 
 
+@pytest.mark.parametrize("p", [2, 1, 0, -6])
+def test_group_params_rejects_small_p(p):
+    # the constructor checks p itself: no census or class count of Z_2 * Z_2
+    with pytest.raises(DomainError, match=f"^p must be >= 3, got {p}$"):
+        GroupParams(p)
+
+
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8])
 def test_canonical_exponent_range(p):
     params = make_params(p)
