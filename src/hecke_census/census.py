@@ -28,17 +28,19 @@ Analytic Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)`` and
 - The power column is the one class ``(g^r ... g^r)``: ``[(r+1) | L]``.
 
 Every division is exact or raises.  ``enumerate_classes`` is the
-enumeration oracle: ``_scan`` generates every necklace once, as its least
-rotation, and ``enumerate_classes`` decodes each class key from those bytes
-once and keeps them as the key's byte code (``CyclicWord.code``), which is
-the classifier's input: ``classify`` reads the ``_scan`` bytes as they are.
+enumeration oracle: ``_scan``, an iterative prenecklace walk, returns the
+bytes of every necklace once, as its least rotation, in one bucket per
+word length.  ``enumerate_classes`` decodes each class key from those
+bytes once and keeps them as the key's byte code (``CyclicWord.code``),
+which is the classifier's input, and the bucket index as its word length:
+``classify`` reads the ``_scan`` bytes as they are.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .necklaces import WEIGHTS, decode
 from .words import CyclicWord, DomainError, GroupParams
@@ -81,17 +83,17 @@ class CensusTable:
     rows: dict[int, CensusRow]
 
 
-def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]) -> None:
-    """Visit ``(word length, bytes)`` of every necklace within budget, once
-    each, as its least rotation and in lexicographic byte order.
+def _scan(params: GroupParams, max_len: int) -> list[list[bytes]]:
+    """The bytes of every necklace within budget, once each, as its least
+    rotation: bucket L lists those of word length L in lexicographic order.
 
     This is the FKM prenecklace generator (Cattell, Ruskey, Sawada, Serra
-    and Miers, J. Algorithms 37, 2000).  A prenecklace whose longest Lyndon
-    prefix has length q extends only by a byte >= the byte q places back,
-    and it is a necklace exactly when q divides its length.  Every prefix
-    of a necklace is a prenecklace of no larger weight, and block weights
-    do not decrease with the byte, so each extension loop stops at the
-    budget.
+    and Miers, J. Algorithms 37, 2000), walked depth first without
+    recursion.  A prenecklace whose longest Lyndon prefix has length q
+    extends only by a byte >= the byte q places back, and it is a necklace
+    exactly when q divides its length.  Every prefix of a necklace is a
+    prenecklace of no larger weight, and block weights do not decrease with
+    the byte, so each extension range stops at the budget.
     """
     if max_len < 2:
         raise DomainError("max_len must be >= 2")
@@ -99,22 +101,38 @@ def _scan(params: GroupParams, max_len: int, visit: Callable[[int, bytes], None]
     fits = [min(params.p - 1, 2 * b - 2) for b in range(max_len + 1)]
     if fits[max_len] > len(WEIGHTS):
         raise DomainError(f"g^k with |k| > 128 has no byte: p={params.p} needs max_len <= 129")
+    buckets: list[list[bytes]] = [[] for _ in range(max_len + 1)]
+    # One frame per prefix length t (a block weighs >= 2): the next byte to
+    # try after buf[:t] and the end of its range, the weight of buf[:t], and
+    # the Lyndon prefix length that byte gives, which is buf[:t]'s own for
+    # the first byte (it repeats the byte q places back) and t + 1 after it.
+    depth = max_len // 2 + 1
+    nxt, end, used, lyn = ([0] * depth for _ in range(4))
+    end[0], lyn[0] = fits[max_len], 1  # after the empty prefix, each byte is a Lyndon word
     buf = bytearray()
-
-    def extend(used: int, q: int) -> None:
-        t = len(buf)
-        if t % q == 0:
-            visit(used, bytes(buf))
-        back = buf[t - q]
-        for o in range(back, fits[max_len - used]):
-            buf.append(o)
-            extend(used + WEIGHTS[o], q if o == back else t + 1)
+    t = 0
+    while True:
+        o = nxt[t]
+        if o == end[t]:
+            if not t:
+                return buckets
+            t -= 1
             buf.pop()
-
-    for o in range(fits[max_len]):
+            continue
+        nxt[t] = o + 1
+        q = lyn[t]
+        lyn[t] = t + 1
+        w = used[t] + WEIGHTS[o]
         buf.append(o)
-        extend(WEIGHTS[o], 1)
-        buf.pop()
+        t += 1
+        if t % q == 0:
+            buckets[w].append(bytes(buf))
+        back, stop = buf[t - q], fits[max_len - w]
+        if back < stop:
+            nxt[t], end[t], used[t], lyn[t] = back, stop, w, q
+        else:  # no byte extends buf within budget
+            t -= 1
+            buf.pop()
 
 
 def block_series(weights: dict[int, int], n: int) -> tuple[list[int], list[int]]:
@@ -188,17 +206,22 @@ def census(params: GroupParams, max_len: int) -> CensusTable:
 def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]:
     """Every infinite-order class of word length <= max_len, exactly once.
 
-    Ordered by (word length, class-key order).  ``_scan`` emits least
-    rotations in byte order, which is class-key order, so a list per
-    length keeps that order without a sort.  Unlike ``census``, this holds
-    the bytes of every class before yielding the first.
+    Ordered by (word length, class-key order).  ``_scan`` lists least
+    rotations in byte order, which is class-key order, one bucket per
+    length, so no sort is needed.  Unlike ``census``, this holds the bytes
+    of every class before yielding the first.
+
+    Each key is built by filling its instance dict in one update: the
+    dataclass fields, as ``CyclicWord(params, decode(s))`` would set them,
+    and the two derived values the scan already holds, the byte code s and
+    the word length, the bucket index.
     """
-    by_length: list[list[bytes]] = [[] for _ in range(max_len + 1)]
-    _scan(params, max_len, lambda length, s: by_length[length].append(s))
-    for bucket in by_length:
+    new = object.__new__
+    for length, bucket in enumerate(_scan(params, max_len)):
         for s in bucket:
-            c = CyclicWord(params, decode(s))
-            vars(c)["code"] = s  # fill the cached byte code: s encodes c's blocks
+            c = new(CyclicWord)
+            vars(c).update(params=params, block_exponents=decode(s), torsion=(),
+                           code=s, _length=length)
             yield c
 
 

@@ -66,12 +66,8 @@ def _require_blocks(c: CyclicWord) -> tuple[int, ...]:
     return c.block_exponents
 
 
-def _reflection_category(c: CyclicWord) -> Category:
-    return reflection_category(c.params.r_byte, c.code)
-
-
 def is_reciprocal(c: CyclicWord) -> bool:
-    return _reflection_category(c) is not Category.NOT_RECIPROCAL
+    return reflection_category(c.params.r_byte, c.code) is not Category.NOT_RECIPROCAL
 
 
 def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
@@ -80,7 +76,7 @@ def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
     The verdict is frozen and may be shared between classes: only a power
     of ``i g^r`` or a call with witnesses gets an instance of its own.
     """
-    info = _VERDICTS[_reflection_category(c)]
+    info = _VERDICTS[reflection_category(c.params.r_byte, c.code)]
     blocks = c.block_exponents
     if blocks.count(c.params.r) == len(blocks):  # r is None for odd p
         info = replace(info, power_exponent=len(blocks))

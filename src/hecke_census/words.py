@@ -274,8 +274,8 @@ class CyclicWord:
     ``(k1, ..., kn)`` of its alternating form ``i g^k1 ... i g^kn`` in its
     least rotation.  A torsion class has ``block_exponents`` None and
     ``torsion`` its core: ``()`` for the identity, else one syllable.
-    Equality and hashing compare these fields; ``syllables`` and ``code``
-    are derived.
+    Equality and hashing compare these fields; ``syllables``, ``code`` and
+    the word length are derived.
     """
 
     params: GroupParams
@@ -311,11 +311,18 @@ class CyclicWord:
             return self.torsion
         return tuple(s for k in blocks for s in (IOTA, k))
 
-    def word_length(self) -> int:
+    @cached_property
+    def _length(self) -> int:
+        """The word length.  The enumeration oracle fills it with the length
+        of the bucket it generated the class in; any other key computes it
+        on first use."""
         blocks = self.block_exponents
         if blocks is None:
             return sum(abs(s) or 1 for s in self.torsion)
         return len(blocks) + sum(map(abs, blocks))
+
+    def word_length(self) -> int:
+        return self._length
 
     def to_word(self) -> Word:
         return Word(self.params, self.syllables)

@@ -1,6 +1,7 @@
 """Census engine and enumeration oracle: fixtures, engine vs oracle,
 exactly-once emission, determinism."""
 
+import gc
 import json
 import math
 
@@ -111,6 +112,19 @@ def test_enumerate_sorted_and_unique():
             assert (key.syllables, key.block_exponents) == (c.syllables, c.block_exponents)
 
 
+def test_enumeration_leaves_no_garbage_cycle():
+    """An exhausted enumeration frees its bytes by reference counting: it
+    leaves nothing for the cyclic garbage collector to reclaim."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in enumerate_classes(P6, 12):
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _block_words(weights, max_len):
     """Every (weight, bytes) of a nonempty block word within the budget."""
     out = []
@@ -130,11 +144,14 @@ def _block_words(weights, max_len):
 
 
 def _check_scan(params, max_len, necklaces):
-    got = []
-    _scan(params, max_len, lambda length, s: got.append((length, s)))
-    strings = [s for _, s in got]
-    assert strings == sorted(set(strings)), "duplicate or out of lexicographic order"
-    assert set(got) == {(w, s) for w, s in necklaces if w <= max_len}
+    buckets = _scan(params, max_len)
+    assert len(buckets) == max_len + 1
+    for bucket in buckets:
+        assert all(a < b for a, b in zip(bucket, bucket[1:])), "duplicate or out of lexicographic order"
+    strings = [s for bucket in buckets for s in bucket]
+    assert len(strings) == len(set(strings)), "a byte string in two buckets"
+    got = {(length, s) for length, bucket in enumerate(buckets) for s in bucket}
+    assert got == {(w, s) for w, s in necklaces if w <= max_len}
 
 
 @pytest.mark.parametrize("p", range(3, 13))
@@ -222,15 +239,13 @@ def _brute_rows(params, max_len):
     r = params.r_byte
     counts = [[0] * 5 for _ in range(max_len + 1)]  # indexed by Category, then power
     none, sym, prec, symp = Category
-
-    def visit(length, s):
-        cat = reflection_category(r, s)
+    for length, bucket in enumerate(_scan(params, max_len)):
         row = counts[length]
-        row[cat] += 1
-        if cat is symp and all(o == r for o in s):
-            row[4] += 1
-
-    _scan(params, max_len, visit)
+        for s in bucket:
+            cat = reflection_category(r, s)
+            row[cat] += 1
+            if cat is symp and all(o == r for o in s):
+                row[4] += 1
     return {
         length: CensusRow(c[sym], c[prec], c[symp], c[4], c[none] + c[sym] + c[prec] + c[symp])
         for length, c in enumerate(counts)

@@ -125,8 +125,7 @@ def test_reflection_category_of_power():
 def test_reflection_category_matches_reference_on_every_necklace(p):
     params = make_params(p)
     r = params.r_byte
-    necklaces = []
-    _scan(params, 14, lambda length, s: necklaces.append(s))
+    necklaces = [s for bucket in _scan(params, 14) for s in bucket]
     for s in necklaces:
         assert reflection_category(r, s) == necklace_reference.reflection_category(r, s), s
 

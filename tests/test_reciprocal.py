@@ -307,12 +307,18 @@ def test_enumeration_is_not_re_encoded(monkeypatch, p, max_len):
 
 @pytest.mark.parametrize("p", range(3, 13))
 def test_enumerated_code_is_the_encoded_key(p):
-    """Every enumerated class carries ``encode`` of its blocks as its code,
-    and it equals and hashes like the key ``from_blocks`` builds."""
+    """Every enumerated class carries ``encode`` of its blocks as its code
+    and their length as its word length, holds every dataclass field, and
+    equals, hashes and prints like the key the constructor builds."""
     params = make_params(p)
+    names = {f.name for f in fields(CyclicWord)}
     for c in enumerate_classes(params, 14):
-        assert c.code == encode(c.block_exponents), c
-        key = CyclicWord.from_blocks(params, c.block_exponents)
+        blocks = c.block_exponents
+        assert names <= vars(c).keys(), c
+        assert c.code == encode(blocks), c
+        assert c.word_length() == len(blocks) + sum(map(abs, blocks)), c
+        assert repr(c) == repr(CyclicWord(params, blocks)), c
+        key = CyclicWord.from_blocks(params, blocks)
         assert key == c and hash(key) == hash(c), c
 
 
@@ -347,12 +353,17 @@ def test_keys_built_elsewhere_classify_by_their_encoded_blocks(monkeypatch, p):
 
 
 def test_code_stays_out_of_repr_and_equality():
+    """The byte code and the cached word length are derived: in no field,
+    ``repr``, equality or hash."""
     c = next(c for c in enumerate_classes(P6, 6) if c.block_exponents == (1, 2))
     fresh = CyclicWord(P6, (1, 2))
-    assert "code" in vars(c) and "code" not in vars(fresh)  # filled by the enumeration
+    for name in ("code", "_length"):  # filled by the enumeration
+        assert name in vars(c) and name not in vars(fresh)
     assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
     forged = CyclicWord(P6, (1, 2))
-    vars(forged)["code"] = b"\xff"
+    vars(forged).update(code=b"\xff", _length=99)
     assert forged == c and hash(forged) == hash(c) and repr(forged) == repr(c)
     assert "code" not in repr(c) and repr(c.code) not in repr(c)
-    assert "code" not in {f.name for f in fields(CyclicWord)}
+    assert "_length" not in repr(c)
+    assert {"code", "_length"}.isdisjoint(f.name for f in fields(CyclicWord))
+    assert fresh.word_length() == 5 and vars(fresh)["_length"] == 5  # computed on first use
