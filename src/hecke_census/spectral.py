@@ -6,8 +6,9 @@ The polynomial is ``p(x) = x^(r+1) - 2*(x^(r-1) + ... + x) - 1``, built as
 reciprocal of the dominant zero of ``1 - B``, and the class-count
 recurrence is the recurrence of the census series ``h = 1/(1 - B)``.  The
 dominant root is isolated by dyadic bisection with exact integer sign
-evaluation; the full root set comes from a deterministic simultaneous
-iteration; the maximum root multiplicity s comes from primitive
+evaluation; the full root set comes from a deterministic Aberth-Ehrlich
+iteration, whose real zeros are then correctly rounded by exact integer
+signs; the maximum root multiplicity s comes from primitive
 pseudo-remainder gcds over Z.  The sign probes at sqrt(2) are computed in
 the ring Z[sqrt(2)], no floating point involved.
 
@@ -124,22 +125,59 @@ def dominant_root(poly: IntPoly) -> float:
     return (lo + hi) / 2 ** (k + 1)
 
 
-def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[complex]:
-    """All complex roots by simultaneous (Durand-Kerner) iteration.
+def _float_sign(poly: IntPoly, x: float) -> int:
+    """Sign of poly(x) at a double x, exactly: x is m / 2^k."""
+    m, d = x.as_integer_ratio()
+    return _dyadic_sign(poly, m, d.bit_length() - 1)
 
-    Deterministic start: points on the circle of radius 1 + max |coeff|
-    with a fixed angular offset, so root ordering is stable across runs.
+
+def _round_real_zero(poly: IntPoly, x: float) -> float | None:
+    """The double nearest a real zero of poly within 64 ulps of x, or None.
+
+    Walks outward from x, one ulp each way per step, to the first pair of
+    adjacent doubles a, b across which poly changes sign (or a double where
+    it vanishes), and returns the one of a, b on the zero's side of their
+    midpoint.  Every sign is exact."""
+    s = _float_sign(poly, x)
+    if s == 0:
+        return x
+    lo = hi = x
+    for _ in range(64):
+        below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        for a, b in ((lo, below), (hi, above)):
+            sb = _float_sign(poly, b)
+            if sb == 0:
+                return b
+            if sb != s:
+                ma, da = a.as_integer_ratio()
+                mb, db = b.as_integer_ratio()
+                d = max(da, db)  # 2^k, and (a + b) / 2 = (ma*d/da + mb*d/db) / 2^(k+1)
+                mid = _dyadic_sign(poly, ma * (d // da) + mb * (d // db), d.bit_length())
+                return a if mid == sb else b
+        lo, hi = below, above
+    return None
+
+
+def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[complex]:
+    """All complex roots by Aberth-Ehrlich iteration, real zeros correctly
+    rounded by exact signs.
+
+    Deterministic start: points on the circle of radius 1.1 with a fixed
+    angular offset, so root ordering is stable across runs.  Every zero of
+    the growth polynomials but rho < 2 lies in the closed unit disk.  The
+    iterates are updated in place (Gauss-Seidel); an iterate freezes once
+    its step falls to 4e-16 of its modulus, or stops shrinking below 1e-8 of
+    it.  Each iterate that is real to 1e-9 of its modulus then moves to the
+    double nearest the real zero beside it (``_round_real_zero``).  The
+    residual check is absolute: every |p(z)| of the monic polynomial must be
+    at most ``tol``.
     """
     deg = poly.degree
     if deg < 1:
         raise DomainError("degree must be >= 1")
     lead = poly.coefficients[-1]
-    monic = [c / lead for c in poly.coefficients]
-    radius = 1 + max(abs(c) for c in monic)
-    zs = [
-        radius * cmath.exp(1j * (2 * math.pi * k / deg + 0.4)) for k in range(deg)
-    ]
-    rev = monic[::-1]
+    rev = [c / lead for c in reversed(poly.coefficients)]
+    zs = [1.1 * cmath.exp(1j * (2 * math.pi * k / deg + 0.4)) for k in range(deg)]
 
     def peval(z: complex) -> complex:
         acc = 0j
@@ -147,23 +185,32 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
             acc = acc * z + c
         return acc
 
+    last_step = [math.inf] * deg
+    active = range(deg)
     for _ in range(max_iter):
-        shift = 0.0
-        new = []
-        for i, z in enumerate(zs):
-            denom = 1.0 + 0j
-            for w in zs[:i]:
-                denom *= z - w
-            for w in zs[i + 1:]:
-                denom *= z - w
-            dz = peval(z) / denom
-            new.append(z - dz)
-            step = abs(dz)
-            if step > shift:
-                shift = step
-        zs = new
-        if shift < 1e-15:
+        if not active:
             break
+        moving = []
+        for i in active:
+            z = zs[i]
+            p = dp = 0j
+            for c in rev:
+                dp = dp * z + p
+                p = p * z + c
+            n = p / dp
+            dz = n / (1 - n * sum(1 / (z - w) for j, w in enumerate(zs) if j != i))
+            zs[i] = z - dz
+            step = abs(dz)
+            size = abs(z)
+            if step > 4e-16 * size and not (last_step[i] <= step < 1e-8 * size):
+                moving.append(i)
+            last_step[i] = step
+        active = moving
+    for i, z in enumerate(zs):
+        if abs(z.imag) <= 1e-9 * abs(z):
+            x = _round_real_zero(poly, z.real)
+            if x is not None:
+                zs[i] = complex(x, 0.0)
     worst = max(abs(peval(z)) for z in zs)
     if not worst <= tol:  # also a NaN residual: the iteration overflowed
         raise ArithmeticError(

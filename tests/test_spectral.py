@@ -174,13 +174,66 @@ def test_dominant_root_is_a_root():
         assert abs(poly(rho)) < 1e-9
 
 
+def correctly_rounded_rho(poly: IntPoly) -> float:
+    """The double nearest the irrational zero of poly in (1, 2): integer
+    bisection to a bracket [lo, hi] / 2^k of at least 80 bits whose ends
+    ``Fraction`` rounds to one double."""
+    deg = poly.degree
+
+    def sign(m, k):  # of poly(m / 2^k), from 2^(k*deg) * poly(m / 2^k)
+        v = sum(c * m**i << (k * (deg - i)) for i, c in enumerate(poly.coefficients))
+        return (v > 0) - (v < 0)
+
+    lo, hi, k = 1, 2, 0
+    assert sign(lo, 0) < 0 < sign(hi, 0)
+    # rho_53 lies about 2^-101 below the rounding boundary 2 - 2^-53
+    while k < 80 or float(Fraction(lo, 2**k)) != float(Fraction(hi, 2**k)):
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        if sign(lo + 1, k) < 0:
+            lo += 1
+        else:
+            hi -= 1
+    return float(Fraction(lo, 2**k))
+
+
 def test_all_roots_residual_and_count():
-    for r in range(2, 7):
+    # every r with a growth polynomial that all_roots solves at the default tol
+    for r in [*range(2, 20), *range(21, 26), *range(38, 53)]:
         poly = build_growth_poly(r)
         roots = all_roots(poly)
         assert len(roots) == r + 1
         for z in roots:
             assert abs(poly(z)) < 1e-8
+            assert min(abs(z.conjugate() - w) for w in roots) <= 1e-12, r
+        # Vieta: P_r has no x^r term, and its roots multiply to (-1)^(r+1) c_0
+        assert abs(sum(roots)) <= 1e-12 * (r + 1), r
+        assert abs(math.prod(roots) - (-1) ** (r + 1) * poly.coefficients[0]) <= 1e-9, r
+
+
+def test_all_roots_failures_are_those_of_the_rounded_rho():
+    # the residual check is absolute, and near rho ~ 2 one ulp of rho moves
+    # P_r by P_r'(rho) * 2^-52 ~ 3 * 2^(r-52): whether all_roots fails is a
+    # property of P_r at the double nearest rho, not of the iteration path
+    for r in range(2, 61):
+        poly = build_growth_poly(r)
+        rho = correctly_rounded_rho(poly)
+        if abs(poly(rho)) > 1e-10:
+            with pytest.raises(ArithmeticError):
+                all_roots(poly)
+        else:
+            all_roots(poly)
+        roots = all_roots(poly, tol=math.inf)
+        assert max(z.real for z in roots if z.imag == 0) == rho, r
+        assert complex(-1.0, 0.0) in roots, r
+
+
+def test_all_roots_failure_residuals_are_finite():
+    for r in range(41, 131):
+        try:
+            all_roots(build_growth_poly(r))
+        except ArithmeticError as exc:
+            residual = float(str(exc).split()[3])
+            assert math.isfinite(residual), (r, str(exc))
 
 
 def test_all_roots_within_dominant_modulus():
