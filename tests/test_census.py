@@ -2,6 +2,7 @@
 exactly-once emission, determinism."""
 
 import gc
+import hashlib
 import json
 import math
 
@@ -362,6 +363,25 @@ def test_all_classes_law_at_large_length(p):
     for length in (999, 1000):
         log_ratio = math.log(rows[length].all_classes) + math.log(length) - length * log_rho
         assert abs(math.expm1(log_ratio)) < 1e-8, (length, log_ratio)
+
+
+# sha256 of the census CSV at lengths past the B(x)^m reference's reach (200)
+CENSUS_CSV_SHA256 = {
+    (3, 2000): "356eda9feeb406ec36fb508645d39d15c30cc46d827d6d62e5bbc72c42ecf5b6",
+    (4, 2000): "3912a8372df164eddfe941b831fac652b57b3aa636c41637536454bb20bb080b",
+    (5, 2000): "b7eeca4561a400248d65d689a32d47d95cfe0dd58806e7b19b482a10c3b9e545",
+    (6, 2000): "f1dac42f09b4b948485e61c6c7f937cd1f6273c11df2f86d12fb1c4c8c708306",
+    (7, 2000): "b09adb8f170f31aa0c013016342e312ba021f3930aa96917f234f8087ad0872c",
+    (8, 2000): "9145ee66e160852a4a704fcfb9d28260fad7aef158c04143a2791f56a4e7b2e8",
+    (41, 1000): "4b9da2c5510b4738676be09424d87650f04ecc91aa39f12a077971338495749e",
+    (10**9, 600): "14af2e493ded15781616767b8af815fca199fcebad2ebfbda6270c8dca09b813",
+}
+
+
+@pytest.mark.parametrize("p,max_len", sorted(CENSUS_CSV_SHA256))
+def test_census_csv_pinned(p, max_len):
+    text = table_to_csv(census(make_params(p), max_len))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CENSUS_CSV_SHA256[(p, max_len)]
 
 
 def test_engine_ignores_exponents_beyond_the_budget():
