@@ -7,9 +7,10 @@ these necklaces by Burnside's lemma over the dihedral action; the
 categories are those of the source paper, arXiv:2411.00739.  Summed over
 the block count n, the Burnside terms are coefficients of two series in
 ``B(x) = sum_k x^(1+|k|)``, whose coefficients are
-``GroupParams.block_weights`` (``block_series``; Flajolet and Sedgewick,
-Analytic Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)`` and
-``g = x B'/(1 - B)``, which is x times the derivative of ``-log(1 - B)``.
+``GroupParams.block_weights`` (Flajolet and Sedgewick, Analytic
+Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)``, from
+``block_series``, the one loop that runs the recurrence of a series over
+``1 - B``, and ``g = x B' h``, x times the derivative of ``-log(1 - B)``.
 
 - Rotations: ``all_classes(L) = (1/L) sum_{d|L} phi(d) g[L/d]``.
 - Reflections: a class is reciprocal when one of the n maps
@@ -30,10 +31,8 @@ Analytic Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)`` and
 Every division is exact or raises.  ``enumerate_classes`` is the
 enumeration oracle: ``_scan``, an iterative prenecklace walk, returns the
 bytes of every necklace once, as its least rotation, in one bucket per
-word length.  ``enumerate_classes`` decodes each class key from those
-bytes once and keeps them as the key's byte code (``CyclicWord.code``),
-which is the classifier's input, and the bucket index as its word length:
-``classify`` reads the ``_scan`` bytes as they are.
+word length, and each class key keeps its bytes as its byte code
+(``CyclicWord.code``, the classifier's input) and its bucket as its length.
 """
 
 from __future__ import annotations
@@ -135,18 +134,18 @@ def _scan(params: GroupParams, max_len: int) -> list[list[bytes]]:
             buf.pop()
 
 
-def block_series(weights: dict[int, int], n: int) -> tuple[list[int], list[int]]:
-    """``h[j] = [x^j] 1/(1 - B)`` and ``g[j] = [x^j] x B'/(1 - B)`` for
-    j <= n, where ``B(x) = sum_w weights[w] x^w`` and every weight w >= 1."""
-    h, g = [1] + [0] * n, [0] * (n + 1)
-    terms = sorted(weights.items())
-    for j in range(1, n + 1):
-        for w, c in terms:
+def block_series(weights: dict[int, int], terms: list, n: int) -> list:
+    """``terms`` continued to index n, as a new list, by the recurrence over
+    ``1 - sum_w weights[w] x^w`` (w >= 1): ``a_j = sum_{w <= j} weights[w] a_{j-w}``."""
+    a, items = list(terms), sorted(weights.items())
+    for j in range(len(a), n + 1):
+        s = 0
+        for w, c in items:
             if w > j:
                 break
-            h[j] += c * h[j - w]
-            g[j] += w * c * h[j - w]
-    return h, g
+            s += c * a[j - w]
+        a.append(s)
+    return a
 
 
 def _exact_div(num: int, den: int, what: str, length: int) -> int:
@@ -163,7 +162,11 @@ def census(params: GroupParams, max_len: int) -> CensusTable:
     Burnside's lemma over the dihedral action (see the module docstring)."""
     if max_len < 2:
         raise DomainError("max_len must be >= 2")
-    h, g = block_series(params.block_weights(max_len), max_len)
+    weights = params.block_weights(max_len)
+    h = block_series(weights, [1], max_len)
+    g = [0] * (max_len + 1)  # x B' h: one shifted copy of h per weight
+    for w, c in weights.items():
+        g[w:] = [x + w * c * y for x, y in zip(g[w:], h)]
     phi = list(range(max_len + 1))  # Euler's totient, by sieve
     for i in range(2, max_len + 1):
         if phi[i] == i:

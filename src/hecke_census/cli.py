@@ -113,7 +113,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
             f"--max-len {args.max_len} yields only {len(seed)} family terms; "
             f"need at least r+1 = {r + 1}"
         )
-    extended = recurrence_extend(seed, r, max(0, args.extend_to - len(seed)))
+    extended = recurrence_extend(seed, r, args.extend_to - len(seed))
     report = replace(analyze_growth(r), ratio_trace=growth_estimate(extended))
     _emit(report.to_json(), args.out)
     return 0

@@ -13,10 +13,10 @@ Formulas return an ``int``, or a ``Fraction`` where the published 1/2 or
 1/6 factor does not divide exactly; the ledger records such a value as a
 MISMATCH finding.
 
-``lemma26_sum`` is the one Lemma 2.6 sum, and ``recurrence_extend`` the one
-place the class-count recurrence runs: the piecewise families extend their
-printed seed with it, the recurrence claims the census column's r + 1
-preceding terms.
+``lemma26_sum`` is the one Lemma 2.6 sum.  The class-count recurrence is
+that of the census series h, run by ``census.block_series`` alone: through
+``recurrence_extend`` the piecewise families extend their printed seed and
+the recurrence claims the census column's r + 1 preceding terms.
 
 The claims that read the census are the ``Claim`` rows of ``CLAIMS`` and
 ``QUOTED_CLAIMS``, written by one loop; a new such claim is one more row.
@@ -71,7 +71,7 @@ def signed_syllable_count(x: int, r: int) -> int:
     with sum |ki| + n = x: the census series h of p = 2r."""
     if r < 2 or x < 2:
         raise DomainError("requires r >= 2 and x >= 2")
-    return block_series(make_params(2 * r).block_weights(x), x)[0][x]
+    return block_series(make_params(2 * r).block_weights(x), [1], x)[x]
 
 
 def _double_sum(r: int, q_max: int, corrected: bool, n_lo, n_hi, arg) -> int:
@@ -203,11 +203,7 @@ def recurrence_extend(seed: list[int], r: int, count: int) -> list[int]:
         raise DomainError("r must be >= 2")
     if len(seed) < r + 1:
         raise DomainError(f"seed must have at least r+1 = {r + 1} terms")
-    weights = make_params(2 * r).block_weights(r + 1)
-    out = list(seed)
-    for _ in range(count):
-        out.append(sum(b * out[-w] for w, b in weights.items()))
-    return out
+    return block_series(make_params(2 * r).block_weights(r + 1), seed, len(seed) + count - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,13 @@ The polynomial is ``p(x) = x^(r+1) - 2*(x^(r-1) + ... + x) - 1``, built as
 ``x^(r+1) (1 - B(1/x))`` from the block series ``B`` of p = 2r
 (``GroupParams.block_weights``).  So the dominant root rho is the
 reciprocal of the dominant zero of ``1 - B``, and the class-count
-recurrence is the recurrence of the census series ``h = 1/(1 - B)``.  The
-dominant root is isolated by dyadic bisection with exact integer sign
-evaluation; the full root set comes from a deterministic Aberth-Ehrlich
-iteration, whose real zeros are then correctly rounded by exact integer
-signs; the maximum root multiplicity s comes from primitive
-pseudo-remainder gcds over Z.  The sign probes at sqrt(2) are computed in
-the ring Z[sqrt(2)], no floating point involved.
+recurrence is that of the census series ``h = 1/(1 - B)``, which
+``census.block_series`` runs.  The dominant root is isolated by dyadic
+bisection with exact integer sign evaluation; the full root set comes
+from a deterministic Aberth-Ehrlich iteration, whose real zeros are then
+correctly rounded by exact integer signs; the maximum root multiplicity s
+comes from primitive pseudo-remainder gcds over Z.  The sign probes at
+sqrt(2) are computed in the ring Z[sqrt(2)], no floating point involved.
 
 Each fact has one home: a ``GrowthReport`` derives squarefreeness from s
 and prints the record of ``eisenstein_check`` as it is, and the last pair of

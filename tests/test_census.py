@@ -27,6 +27,7 @@ from hecke_census.words import (
     InvolutionType,
     make_params,
 )
+from composition_reference import block_powers
 from necklace_reference import is_minimal_rotation
 from word_reference import all_reduced_words, inverse_key
 
@@ -288,20 +289,7 @@ def test_engine_properties(p, short, long):
 def _block_power_rows(params, max_len):
     """Census rows from a table of B(x)^m and one Burnside sum per block
     count n: the sums that ``block_series`` collapses, kept as a reference."""
-    b = [0] * (max_len + 1)
-    for a in range(1, min(params.p // 2, max_len - 1) + 1):
-        b[1 + a] = 2 if params.canonical_exponent(-a) == -a else 1
-    terms = [(w, c) for w, c in enumerate(b) if c]
-    powers = [[1] + [0] * max_len]  # powers[m][j] = [x^j] B(x)^m
-    for _ in range(max_len // 2):
-        prev, nxt = powers[-1], [0] * (max_len + 1)
-        for i, c in enumerate(prev):
-            if c:
-                for w, bw in terms:
-                    if i + w > max_len:
-                        break
-                    nxt[i + w] += c * bw
-        powers.append(nxt)
+    powers = block_powers(params, max_len)  # powers[m][j] = [x^j] B(x)^m
     phi = list(range(max_len + 1))  # Euler's totient, by sieve
     for i in range(2, max_len + 1):
         if phi[i] == i:

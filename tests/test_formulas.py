@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke_census.census import block_series, census
+from hecke_census.census import census
 from hecke_census.cli import main
 from hecke_census.formulas import (
     ClaimLedger,
@@ -28,7 +28,7 @@ from hecke_census.formulas import (
 )
 from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import DomainError, make_params
-from composition_reference import bounded_compositions_dp, compositions
+from composition_reference import block_powers, bounded_compositions_dp, compositions
 from ledger_queries import find_entries, ledger_ids
 
 
@@ -259,6 +259,32 @@ def test_recurrence_extend_rejects_r_below_two(r):
         recurrence_extend([1, 2, 3], r, 2)
 
 
+def _explicit_recurrence(seed, r, count):
+    """The docstring's form, a_l = 2 sum_{j=1}^{r-1} a_{l-j-1} + a_{l-r-1}."""
+    out = list(seed)
+    for l in range(len(seed), len(seed) + count):
+        out.append(2 * sum(out[l - j - 1] for j in range(1, r)) + out[l - r - 1])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_recurrence_extend_explicit_form(data):
+    r = data.draw(st.integers(min_value=2, max_value=12), label="r")
+    term = data.draw(st.sampled_from([
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.fractions(min_value=-100, max_value=100, max_denominator=36),
+    ]))
+    seed = data.draw(st.lists(term, min_size=r + 1, max_size=r + 4), label="seed")
+    count = data.draw(st.integers(min_value=-3, max_value=25), label="count")
+    kept = list(seed)
+    out = recurrence_extend(seed, r, count)
+    assert seed == kept and out is not seed
+    assert out == _explicit_recurrence(seed, r, max(count, 0))
+    if count <= 0:
+        assert out == seed
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed_a=st.lists(st.integers(min_value=0, max_value=50), min_size=4, max_size=6),
@@ -300,13 +326,15 @@ def test_recurrence_matches_census_tail_p6():
 
 
 def test_recurrence_is_the_census_series():
-    # the class-count recurrence, the census series h = 1/(1 - B) and the
-    # growth polynomial x^(r+1) (1 - B(1/x)) share one block law
+    # the class-count recurrence continues h = 1/(1 - B) = sum_m B(x)^m, summed
+    # from a table of B(x)^m, and the growth polynomial x^(r+1) (1 - B(1/x))
+    # has the block law's dominant zero
     for r in range(2, 41):
-        weights = make_params(2 * r).block_weights(3 * r)
-        h = block_series(weights, 3 * r)[0]
+        params = make_params(2 * r)
+        h = [sum(column) for column in zip(*block_powers(params, 3 * r))]
         assert recurrence_extend(h[: r + 1], r, 2 * r) == h
         rho = dominant_root(build_growth_poly(r))
+        weights = params.block_weights(3 * r)
         assert abs(sum(c * rho**-w for w, c in weights.items()) - 1) < 1e-10
 
 
