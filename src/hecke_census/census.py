@@ -163,10 +163,10 @@ def census(params: GroupParams, max_len: int) -> CensusTable:
     if max_len < 2:
         raise DomainError("max_len must be >= 2")
     weights = params.block_weights(max_len)
-    h = block_series(weights, [1], max_len)
-    g = [0] * (max_len + 1)  # x B' h: one shifted copy of h per weight
-    for w, c in weights.items():
-        g[w:] = [x + w * c * y for x, y in zip(g[w:], h)]
+    h, g = block_series(weights, [1], max_len), [0] * (max_len + 1)
+    for w, c in weights.items():  # g = x B' h
+        for j in range(w, max_len + 1):
+            g[j] += w * c * h[j - w]
     phi = list(range(max_len + 1))  # Euler's totient, by sieve
     for i in range(2, max_len + 1):
         if phi[i] == i:

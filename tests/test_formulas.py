@@ -280,9 +280,7 @@ def test_recurrence_extend_explicit_form(data):
     kept = list(seed)
     out = recurrence_extend(seed, r, count)
     assert seed == kept and out is not seed
-    assert out == _explicit_recurrence(seed, r, max(count, 0))
-    if count <= 0:
-        assert out == seed
+    assert out == _explicit_recurrence(seed, r, max(count, 0))  # the seed itself for count <= 0
 
 
 @settings(max_examples=100, deadline=None)
