@@ -38,8 +38,7 @@ word length, and each class key keeps its bytes as its byte code
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .necklaces import WEIGHTS, decode
 from .words import CyclicWord, DomainError, GroupParams
@@ -62,8 +61,7 @@ FIXTURES = (
 )
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     symmetric: int
     p_reciprocal: int
     symmetric_p: int
@@ -75,8 +73,7 @@ class CensusRow:
         return self.symmetric + self.p_reciprocal + self.symmetric_p
 
 
-@dataclass(frozen=True)
-class CensusTable:
+class CensusTable(NamedTuple):
     params: GroupParams
     max_len: int
     rows: dict[int, CensusRow]
@@ -196,14 +193,9 @@ def census(params: GroupParams, max_len: int) -> CensusTable:
             p_reciprocal = _exact_div(gamma - odd_roots, 2, "gamma-axis count", length)
             symmetric_p[length] += odd_roots
         all_classes = _exact_div(rotation_fixed[length], length, "rotation-fixed sum", length)
-        rows[length] = CensusRow(
-            symmetric=symmetric,
-            p_reciprocal=p_reciprocal,
-            symmetric_p=symmetric_p[length],
-            power=int(params.even and length % fixed_block == 0),
-            all_classes=all_classes,
-        )
-    return CensusTable(params=params, max_len=max_len, rows=rows)
+        power = int(params.even and length % fixed_block == 0)
+        rows[length] = CensusRow(symmetric, p_reciprocal, symmetric_p[length], power, all_classes)
+    return CensusTable(params, max_len, rows)
 
 
 def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]:
@@ -215,7 +207,7 @@ def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]
     of every class before yielding the first.
 
     Each key is built by filling its instance dict in one update: the
-    dataclass fields, as ``CyclicWord(params, decode(s))`` would set them,
+    fields, as ``CyclicWord(params, decode(s))`` would set them,
     and the two derived values the scan already holds, the byte code s and
     the word length, the bucket index.
     """

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from functools import cache
 
 from .census import FIXTURES, CensusRow, census, table_to_csv, table_to_json
@@ -114,7 +113,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
             f"need at least r+1 = {r + 1}"
         )
     extended = recurrence_extend(seed, r, args.extend_to - len(seed))
-    report = replace(analyze_growth(r), ratio_trace=growth_estimate(extended))
+    report = analyze_growth(r)._replace(ratio_trace=growth_estimate(extended))
     _emit(report.to_json(), args.out)
     return 0
 

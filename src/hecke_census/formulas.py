@@ -27,9 +27,9 @@ from __future__ import annotations
 import itertools
 import json
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .census import FIXTURES, CensusTable, block_series
 from .spectral import (
@@ -210,8 +210,7 @@ def recurrence_extend(seed: list[int], r: int, count: int) -> list[int]:
 # claims ledger
 
 
-@dataclass(frozen=True)
-class ClaimEntry:
+class ClaimEntry(NamedTuple):
     claim_id: str
     params: dict
     expected: object
@@ -242,9 +241,9 @@ def _jsonable(v):
     return v
 
 
-@dataclass
 class ClaimLedger:
-    entries: list[ClaimEntry] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.entries: list[ClaimEntry] = []
 
     def add(self, claim_id, params, expected, observed, status, paper_ref) -> None:
         self.entries.append(
@@ -293,8 +292,7 @@ def _recurrence(length):
     return printed
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One census-reading claim: at each index l, its printed value against
     the census column ``column`` at word length ``length(l, params)``.
 

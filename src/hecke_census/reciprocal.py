@@ -16,7 +16,7 @@ derives the rest from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .necklaces import Category, reflection_category
 from .words import CyclicWord, DomainError, GroupParams, InvolutionType, Word
@@ -35,8 +35,7 @@ _TYPES = (
 )
 
 
-@dataclass(frozen=True)
-class ReciprocalInfo:
+class ReciprocalInfo(NamedTuple):
     """``power_exponent`` is m when the class is ``(i g^r)^m``, else None."""
 
     category: Category
@@ -79,9 +78,9 @@ def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
     info = _VERDICTS[reflection_category(c.params.r_byte, c.code)]
     blocks = c.block_exponents
     if blocks.count(c.params.r) == len(blocks):  # r is None for odd p
-        info = replace(info, power_exponent=len(blocks))
+        info = info._replace(power_exponent=len(blocks))
     if with_witnesses and info.is_reciprocal:
-        info = replace(info, witnesses=tuple(reciprocator_witnesses(c)))
+        info = info._replace(witnesses=tuple(reciprocator_witnesses(c)))
     return info
 
 

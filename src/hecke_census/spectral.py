@@ -22,14 +22,12 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .words import DomainError, make_params
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(NamedTuple):
     """Dense integer polynomial, constant term first."""
 
     coefficients: tuple[int, ...]
@@ -283,8 +281,7 @@ def eisenstein_check(poly: IntPoly) -> dict:
             "shifted_coefficients": list(coeffs), "reason": reason}
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     r: int
     poly: IntPoly
     rho: float

@@ -30,7 +30,6 @@ at once.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -43,8 +42,27 @@ class UnsupportedParameterError(DomainError):
     """Raised when an operation requires even p but p is odd."""
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class _Frozen:
+    """Fields set once, by ``__init__``, and named in ``_fields``, which
+    ``__repr__`` prints.  The instance dict also holds the values that
+    ``cached_property`` computes on first use.  Each subclass defines
+    ``__eq__`` and ``__hash__`` on its field tuple itself, because a loop
+    over ``_fields`` would slow the sets of class keys."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GroupParams(_Frozen):
     """Parameters of the group Z_2 * Z_p, for p >= 3 (a smaller p is a
     ``DomainError``).
 
@@ -52,11 +70,21 @@ class GroupParams:
     are defined only for even ``p``; for odd ``p`` both are None.
     """
 
+    _fields = ("p",)
     p: int
 
-    def __post_init__(self) -> None:
-        if self.p < 3:
-            raise DomainError(f"p must be >= 3, got {self.p}")
+    def __init__(self, p: int) -> None:
+        object.__setattr__(self, "p", p)
+        if p < 3:
+            raise DomainError(f"p must be >= 3, got {p}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p,) == (other.p,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p,))
 
     @property
     def even(self) -> bool:
@@ -145,8 +173,7 @@ def reduce_syllables(seq: Iterable[int], params: GroupParams) -> tuple[int, ...]
     return tuple(stack)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Frozen):
     """A reduced word; the empty sequence is the identity.
 
     ``syllables`` must already be reduced (alternating, canonical nonzero
@@ -154,8 +181,21 @@ class Word:
     from arbitrary syllables with ``from_syllables`` or ``parse``.
     """
 
+    _fields = ("params", "syllables")
     params: GroupParams
-    syllables: tuple[int, ...] = ()
+    syllables: tuple[int, ...]
+
+    def __init__(self, params: GroupParams, syllables: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "syllables", syllables)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.params, self.syllables) == (other.params, other.syllables)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.syllables))
 
     @staticmethod
     def identity(params: GroupParams) -> "Word":
@@ -266,8 +306,7 @@ class Word:
         return InvolutionType.NOT_INVOLUTION
 
 
-@dataclass(frozen=True)
-class CyclicWord:
+class CyclicWord(_Frozen):
     """Rotation-canonical cyclically reduced word: a conjugacy-class key.
 
     An infinite-order class is keyed by ``block_exponents``, the tuple
@@ -278,9 +317,25 @@ class CyclicWord:
     the word length are derived.
     """
 
+    _fields = ("params", "block_exponents", "torsion")
     params: GroupParams
     block_exponents: tuple[int, ...] | None
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
+
+    def __init__(self, params: GroupParams, block_exponents: tuple[int, ...] | None,
+                 torsion: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "block_exponents", block_exponents)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.params, self.block_exponents, self.torsion)
+                    == (other.params, other.block_exponents, other.torsion))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.block_exponents, self.torsion))
 
     @staticmethod
     def from_blocks(params: GroupParams, blocks: Sequence[int]) -> "CyclicWord":

@@ -1,7 +1,12 @@
 """The package's records: repr, hash, immutability and equality by value."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hecke_census
 from hecke_census.census import CensusRow, census
 from hecke_census.formulas import ClaimEntry
 from hecke_census.reciprocal import classify
@@ -68,6 +73,7 @@ def test_record_hashes_as_its_field_tuple(name):
     field is unhashable, as its field tuple is."""
     build, _, names, _ = RECORDS[name]
     x = build()
+    assert type(x)._fields == names
     values = tuple(getattr(x, n) for n in names)
     try:
         expected = hash(values)
@@ -98,3 +104,15 @@ def test_records_compare_by_value(name):
     assert x == y and not x != y
     assert x != z and not x == z
     assert sum(getattr(x, n) != getattr(z, n) for n in names) == 1
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Each CLI run is a fresh process, and these two modules cost about
+    as much to import as the whole package."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import hecke_census.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = str(Path(hecke_census.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

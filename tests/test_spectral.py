@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -322,7 +321,7 @@ def test_eisenstein_record_has_one_shape(coefficients):
 def test_growth_report_derives_squarefree_from_s():
     report = analyze_growth(3)
     assert report.squarefree and json.loads(report.to_json())["squarefree"] is True
-    assert not replace(report, s=2).squarefree
+    assert not report._replace(s=2).squarefree
     with pytest.raises(TypeError):  # no constructor field beside s
         GrowthReport(3, report.poly, report.rho, report.roots, 1,
                      squarefree=True, eisenstein=report.eisenstein)
