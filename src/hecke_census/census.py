@@ -31,8 +31,9 @@ Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)``, from
 Every division is exact or raises.  ``enumerate_classes`` is the
 enumeration oracle: ``_scan``, an iterative prenecklace walk, returns the
 bytes of every necklace once, as its least rotation, in one bucket per
-word length, and each class key keeps its bytes as its byte code
-(``CyclicWord.code``, the classifier's input) and its bucket as its length.
+word length.  Each class key holds only its bytes, as its byte code
+(``CyclicWord.code``, the classifier's input), and its bucket, as its
+length; its blocks are decoded from the bytes only if they are read.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import json
 from typing import Iterator, NamedTuple
 
-from .necklaces import WEIGHTS, decode
+from .necklaces import WEIGHTS
 from .words import CyclicWord, DomainError, GroupParams
 
 CSV_HEADER = "len,symmetric,p_reciprocal,symmetric_p,power,reciprocal_total,all_classes"
@@ -206,17 +207,22 @@ def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]
     length, so no sort is needed.  Unlike ``census``, this holds the bytes
     of every class before yielding the first.
 
-    Each key is built by filling its instance dict in one update: the
-    fields, as ``CyclicWord(params, decode(s))`` would set them,
-    and the two derived values the scan already holds, the byte code s and
-    the word length, the bucket index.
+    Each key carries only what the scan holds: its bytes s as its byte code
+    and its bucket as its word length, with the fields ``params`` and
+    ``torsion`` it shares with its bucket.  Its instance dict is filled in
+    one update from a dict per bucket; ``block_exponents``, which
+    ``CyclicWord(params, decode(s))`` would set, is decoded from s only when
+    it is first read.  So it compares, hashes and prints as that key does,
+    and a sweep that only classifies decodes nothing.
     """
     new = object.__new__
     for length, bucket in enumerate(_scan(params, max_len)):
+        shared = {"params": params, "torsion": (), "_length": length}
         for s in bucket:
             c = new(CyclicWord)
-            vars(c).update(params=params, block_exponents=decode(s), torsion=(),
-                           code=s, _length=length)
+            d = vars(c)
+            d.update(shared)
+            d["code"] = s
             yield c
 
 

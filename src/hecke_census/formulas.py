@@ -24,6 +24,7 @@ The claims that read the census are the ``Claim`` rows of ``CLAIMS`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections.abc import Callable, Iterable
@@ -66,6 +67,9 @@ def bounded_compositions(n: int, r: int, x: int) -> int:
     return total
 
 
+_psi = bounded_compositions  # Psi as the double sums call it; see claims_check
+
+
 def signed_syllable_count(x: int, r: int) -> int:
     """Ground truth: tuples (n; k1..kn), n > 0, -r < ki <= r, ki != 0,
     with sum |ki| + n = x: the census series h of p = 2r."""
@@ -84,7 +88,7 @@ def _double_sum(r: int, q_max: int, corrected: bool, n_lo, n_hi, arg) -> int:
         for n in range(lo, hi + 1):
             sub = n - q if corrected else n
             total += (
-                bounded_compositions(sub, r - 1, arg(n, q))
+                _psi(sub, r - 1, arg(n, q))
                 * 2 ** (n - q)
                 * comb(n, q)
             )
@@ -394,8 +398,21 @@ def _census_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable,
 
 
 def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
-    """One ledger entry per applicable claim instance for this census."""
+    """One ledger entry per applicable claim instance for this census.
+
+    The printed double sums ask for the same values of Psi many times over,
+    so Psi is memoized for the length of this call and no longer: no state
+    outlives it."""
+    global _psi
     params.require_even()
+    _psi = functools.cache(bounded_compositions)
+    try:
+        return _claims_ledger(params, table)
+    finally:
+        _psi = bounded_compositions
+
+
+def _claims_ledger(params: GroupParams, table: CensusTable) -> ClaimLedger:
     ledger = ClaimLedger()
 
     # solution-count double sum, verbatim vs the census series h

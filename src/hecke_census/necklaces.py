@@ -17,9 +17,10 @@ enumeration oracle stop at the weight budget.
 ``reciprocal.classify``; ``Category`` is the package's category type.
 ``classify`` hands it a class key's byte code (``CyclicWord.code``): for the
 enumeration oracle these are the bytes that ``census._scan`` generated, so
-an enumerated class is never re-encoded.  This module is the package's one
-codec; ``words`` imports it only when a key built elsewhere first needs
-its code, since this module builds its table from ``words``.
+an enumerated class is never re-encoded, nor decoded unless its blocks are
+read.  This module is the package's one codec; ``words`` imports it only
+when a key first needs its code or its blocks, since this module builds
+its table from ``words``.
 """
 
 from __future__ import annotations
@@ -80,11 +81,13 @@ def reflection_category(r: int | None, s: bytes) -> Category:
     parity, so one reversal gives both families.  The offsets are the
     matches of s in the doubled inverse, found by ``bytes.find``.
     """
-    n = len(s)
     u2 = rev_neg(s, r) * 2
+    t = u2.find(s)
+    if t < 0:  # most classes
+        return Category.NOT_RECIPROCAL
+    n = len(s)
     iota_t = gamma_t = False
     odd_n = n % 2 == 1
-    t = u2.find(s)
     while 0 <= t < n:  # u2[t : t + n] == s; offset n repeats offset 0
         c = (-t) % n
         if odd_n:

@@ -74,11 +74,13 @@ def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
 
     The verdict is frozen and may be shared between classes: only a power
     of ``i g^r`` or a call with witnesses gets an instance of its own.
+    Without witnesses it reads only the class's byte code, so an
+    enumerated key is never decoded.
     """
-    info = _VERDICTS[reflection_category(c.params.r_byte, c.code)]
-    blocks = c.block_exponents
-    if blocks.count(c.params.r) == len(blocks):  # r is None for odd p
-        info = info._replace(power_exponent=len(blocks))
+    params, s = c.params, c.code
+    info = _VERDICTS[reflection_category(params.r_byte, s)]
+    if s == params.r_code * len(s):  # never, if r_code is empty
+        info = info._replace(power_exponent=len(s))
     if with_witnesses and info.is_reciprocal:
         info = info._replace(witnesses=tuple(reciprocator_witnesses(c)))
     return info

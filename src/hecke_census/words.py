@@ -105,6 +105,13 @@ class GroupParams(_Frozen):
         exceeds 255, so it is in no byte string."""
         return exponent_ordinal(self.r) if self.even else None
 
+    @cached_property
+    def r_code(self) -> bytes:
+        """The byte code of the block g^r, so that ``(i g^r)^m`` has the code
+        ``r_code * m``; empty when g^r has no byte: for odd p, which has no
+        g^r, and from p = 258 on, where ``r_byte`` exceeds 255."""
+        return bytes((self.r_byte,)) if self.even and self.r_byte < 256 else b""
+
     def canonical_exponent(self, k: int) -> int:
         """Reduce ``k`` mod p into the canonical range ``(-p/2, p/2]``."""
         k %= self.p
@@ -315,11 +322,15 @@ class CyclicWord(_Frozen):
     ``torsion`` its core: ``()`` for the identity, else one syllable.
     Equality and hashing compare these fields; ``syllables``, ``code`` and
     the word length are derived.
+
+    ``__init__`` sets the blocks, and ``code`` encodes them on first use.
+    The enumeration oracle builds its keys the other way round: it sets
+    only ``code``, and ``block_exponents`` decodes it on first read, so a
+    key that is only classified is never decoded.
     """
 
     _fields = ("params", "block_exponents", "torsion")
     params: GroupParams
-    block_exponents: tuple[int, ...] | None
     torsion: tuple[int, ...]
 
     def __init__(self, params: GroupParams, block_exponents: tuple[int, ...] | None,
@@ -349,13 +360,22 @@ class CyclicWord(_Frozen):
         return CyclicWord(params, blocks)
 
     @cached_property
+    def block_exponents(self) -> tuple[int, ...] | None:
+        """Read only for an enumerated key, which ``__init__`` did not build:
+        its blocks, decoded from ``code`` on first read."""
+        from .necklaces import decode  # necklaces builds its codec from this module
+
+        return decode(self.code)
+
+    @cached_property
     def code(self) -> bytes:
         """The blocks as ``necklaces`` bytes, the classifier's input.  The
-        enumeration oracle fills it with the bytes it generated the class
-        from; any other key encodes its blocks on first use."""
+        enumeration oracle sets it, and not the blocks, to the bytes it
+        generated the class from; any other key encodes its blocks on first
+        use."""
         if self.block_exponents is None:
             raise DomainError("only infinite-order classes have blocks to encode")
-        from .necklaces import encode  # necklaces builds its codec from this module
+        from .necklaces import encode
 
         return encode(self.block_exponents)
 

@@ -18,7 +18,7 @@ from hecke_census.census import (
     table_to_csv,
     table_to_json,
 )
-from hecke_census.necklaces import encode, reflection_category
+from hecke_census.necklaces import decode, encode, reflection_category
 from hecke_census.reciprocal import Category, classify, is_reciprocal, reciprocator_witnesses
 from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import (
@@ -112,6 +112,26 @@ def test_enumerate_sorted_and_unique():
         for c in seen:
             key = CyclicWord.from_blocks(params, c.block_exponents)
             assert (key.syllables, key.block_exponents) == (c.syllables, c.block_exponents)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 8, 258])
+def test_enumerated_keys_decode_their_blocks_only_when_read(p):
+    """An enumerated key holds its byte code and not its blocks, and a
+    classification without witnesses leaves it so.  Once read, its blocks
+    are ``decode`` of its code, and it equals, hashes, prints, measures and
+    decomposes as the key that ``from_blocks`` builds from them."""
+    params = make_params(p)
+    keys = list(enumerate_classes(params, 12 if p < 258 else 9))
+    assert all("block_exponents" not in vars(c) for c in keys)
+    for c in keys:
+        classify(c, with_witnesses=False)
+        assert "block_exponents" not in vars(c), c
+        key = CyclicWord.from_blocks(params, decode(c.code))
+        assert hash(c) == hash(key) and c == key, c
+        assert repr(c) == repr(key), c
+        assert c.block_exponents == key.block_exponents == decode(c.code), c
+        assert c.word_length() == key.word_length(), c
+        assert c.primitive_decomposition() == key.primitive_decomposition(), c
 
 
 def test_enumeration_leaves_no_garbage_cycle():

@@ -411,6 +411,40 @@ def test_ledger_bytes_pinned(capsys, p, max_len):
     assert digest == LEDGER_SHA256[(p, max_len)]
 
 
+def test_claims_check_memoizes_psi_for_one_call_only(monkeypatch):
+    """Inside ``claims_check`` each value of Psi is computed once; the memo
+    is dropped when the call returns or raises, so a second run in the same
+    process starts afresh and writes the same ledger, and no other caller
+    sees the memo."""
+    from hecke_census import formulas
+
+    calls = []
+
+    def counted(n, r, x):
+        calls.append((n, r, x))
+        return bounded_compositions(n, r, x)
+
+    monkeypatch.setattr(formulas, "bounded_compositions", counted)
+    monkeypatch.setattr(formulas, "_psi", counted)
+    params = make_params(6)
+    table = census(params, 30)
+    first, second = (claims_check(params, table).entries for _ in range(2))
+    assert first == second
+    assert len(calls) == 2 * len(set(calls)) > 0
+    assert formulas._psi is counted
+    del calls[:]
+    assert lemma26_sum(14, 3) == lemma26_sum(14, 3)
+    assert len(calls) == 2 * len(set(calls)) > 0  # not memoized outside claims_check
+
+    def fail(*args):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(formulas, "_spectral_claims", fail)
+    with pytest.raises(RuntimeError, match="stop"):
+        claims_check(params, table)
+    assert formulas._psi is counted
+
+
 # params keys, in order, of the census-reading entries that are not fixtures
 CENSUS_KEYS = {
     "L3.3": ["p", "l"],

@@ -123,6 +123,37 @@ def test_classify_matches_field_reference(p):
             assert info.reciprocator_types == _REFERENCE_TYPES[category], c
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 4, 6, 8, 10, 258, 260])
+def test_power_exponent_from_bytes_matches_the_block_reference(p):
+    """Without witnesses, ``classify`` finds the powers ``(i g^r)^m`` in the
+    byte code alone: its ``power_exponent`` agrees with the test on the
+    blocks, every power within the budget is found, and none is found for
+    odd p or past p = 257, where g^r has no byte."""
+    params = make_params(p)
+    max_len = 14 if p < 258 else 9
+    found = []
+    for c in enumerate_classes(params, max_len):
+        info = classify(c, with_witnesses=False)
+        assert "block_exponents" not in vars(c), c  # decoded only below
+        blocks = c.block_exponents
+        power = all(k == params.r for k in blocks)
+        assert info.power_exponent == (len(blocks) if power else None), c
+        found += [c] * power
+    if params.r_code:
+        top = max_len // (params.r + 1)
+        assert found == [CyclicWord(params, (params.r,) * m) for m in range(1, top + 1)]
+    else:
+        assert found == [] and (p % 2 or params.r_byte > 255)
+
+
+def test_power_exponent_at_the_last_byte():
+    """At p = 256, g^128 has the last byte of Z_p, 254, and is still found."""
+    params = make_params(256)
+    assert params.r_code == b"\xfe" and make_params(258).r_code == b""
+    for blocks, power in (((128,), 1), ((128,) * 3, 3), ((128, 1), None), ((127,), None)):
+        assert classify(CyclicWord.from_blocks(params, blocks), False).power_exponent == power
+
+
 # ---------------------------------------------------------------------------
 # class keys
 
