@@ -361,8 +361,8 @@ class CyclicWord(_Frozen):
 
     @cached_property
     def block_exponents(self) -> tuple[int, ...] | None:
-        """Read only for an enumerated key, which ``__init__`` did not build:
-        its blocks, decoded from ``code`` on first read."""
+        """An enumerated key's blocks, decoded from ``code`` on first read;
+        ``__init__`` sets them for every other key."""
         from .necklaces import decode  # necklaces builds its codec from this module
 
         return decode(self.code)
