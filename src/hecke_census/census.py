@@ -28,10 +28,11 @@ Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)``, from
   and ``symmetric_p = O + D``.
 - The power column is the one class ``(g^r ... g^r)``: ``[(r+1) | L]``.
 
-Every division is exact or raises.  ``enumerate_classes`` is the
+Every division is exact or raises.  ``enumeration_census`` is the
 enumeration oracle: ``_scan``, an iterative prenecklace walk, returns the
 bytes of every necklace once, as its least rotation, in one bucket per
-word length.  Each class key holds only its bytes, as its byte code
+word length, and ``enumeration_census`` counts the buckets.  A key of
+``enumerate_classes`` holds only its bytes, as its byte code
 (``CyclicWord.code``, the classifier's input), and its bucket, as its
 length; its blocks are decoded from the bytes only if they are read.
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 import json
 from typing import Iterator, NamedTuple
 
-from .necklaces import WEIGHTS
+from .necklaces import WEIGHTS, reflection_category
 from .words import CyclicWord, DomainError, GroupParams
 
 CSV_HEADER = "len,symmetric,p_reciprocal,symmetric_p,power,reciprocal_total,all_classes"
@@ -196,6 +197,21 @@ def census(params: GroupParams, max_len: int) -> CensusTable:
         all_classes = _exact_div(rotation_fixed[length], length, "rotation-fixed sum", length)
         power = int(params.even and length % fixed_block == 0)
         rows[length] = CensusRow(symmetric, p_reciprocal, symmetric_p[length], power, all_classes)
+    return CensusTable(params, max_len, rows)
+
+
+def enumeration_census(params: GroupParams, max_len: int) -> CensusTable:
+    """The census table by enumeration: each necklace that ``_scan`` lists
+    counts where ``classify`` would put it, read from its bytes alone,
+    with no class key."""
+    r, r_code = params.r_byte, params.r_code
+    rows = {}
+    for length, bucket in enumerate(_scan(params, max_len)[2:], 2):
+        n = [0] * 5  # indexed by Category, then the powers of i g^r
+        for s in bucket:
+            n[reflection_category(r, s)] += 1
+            n[4] += s == r_code * len(s)
+        rows[length] = CensusRow(*n[1:], len(bucket))
     return CensusTable(params, max_len, rows)
 
 

@@ -15,7 +15,9 @@ import argparse
 import sys
 from functools import cache
 
-from .census import FIXTURES, CensusRow, census, table_to_csv, table_to_json
+from .census import (
+    FIXTURES, census, enumerate_classes, enumeration_census, table_to_csv, table_to_json
+)
 from .formulas import (
     claims_check,
     lemma26_sum,
@@ -124,8 +126,8 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     return 0
 
 
-# word-length budgets of verify: the classification cross-validation and
-# the normal-form soundness check
+# word-length budgets of verify: the fixtures, the engine check and the
+# classification cross-validation; the normal-form soundness check
 _CROSS_CHECK_LEN = 14
 _NORMAL_FORM_LEN = 12
 
@@ -136,42 +138,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, detail))
 
-    # each fixture table reaches its longest fixture
+    # one census per p for the fixtures (the longest is at length 10) and the engine check
     p4, p6 = make_params(4), make_params(6)
-    longest = {p: max(length for q, _, length, _ in FIXTURES if q == p) for p in (4, 6)}
-    tables = {params.p: census(params, longest[params.p]) for params in (p4, p6)}
+    tables = {params.p: census(params, _CROSS_CHECK_LEN) for params in (p4, p6)}
     for p, column, length, want in FIXTURES:
         got = getattr(tables[p].rows[length], column)
         name = f"p={p} {column.removesuffix('_total')} len {length}"
         check(f"fixture: {name}", got == want, f"expected {want}, got {got}")
 
-    # classification cross-validation (reflection method vs coset search);
-    # the same enumeration, tallied per length, is the census engine's oracle
-    from .census import enumerate_classes
-
-    agree = engine_ok = True
-    detail = engine_detail = ""
+    # classification cross-validation (reflection method vs coset search)
+    detail = ""
     for params in (p4, p6):
-        # per length, indexed by Category: not reciprocal, symmetric,
-        # p_reciprocal, symmetric_p; then the powers of i g^r
-        tally = {length: [0] * 5 for length in range(2, _CROSS_CHECK_LEN + 1)}
         for c in enumerate_classes(params, _CROSS_CHECK_LEN):
             info = classify(c, with_witnesses=True)
-            counts = tally[c.word_length()]
-            counts[info.category] += 1
-            counts[4] += info.is_power_of_iota_tilde_gamma
             wtypes = frozenset(w.involution_type() for w in info.witnesses)
-            if agree and wtypes != info.reciprocator_types:
-                agree = False
+            if not detail and wtypes != info.reciprocator_types:
                 detail = f"disagreement at {c} (p={params.p})"
-        engine = census(params, _CROSS_CHECK_LEN).rows
-        rows = {length: CensusRow(*n[1:], sum(n[:4])) for length, n in tally.items()}
-        wrong = [length for length, row in rows.items() if engine[length] != row]
-        if engine_ok and wrong:
-            engine_ok = False
-            engine_detail = f"p={params.p} len {wrong[0]}"
-    check("classification cross-validation", agree, detail)
-    check("census engine == enumeration", engine_ok, engine_detail)
+    check("classification cross-validation", not detail, detail)
+
+    # the census engine against the enumeration oracle
+    wrong = next((
+        f"p={p} len {length}"
+        for p, table in tables.items()
+        for length, row in enumeration_census(table.params, _CROSS_CHECK_LEN).rows.items()
+        if table.rows[length] != row
+    ), "")
+    check("census engine == enumeration", not wrong, wrong)
 
     # corrected double sum equals the census series h it counts
     formulas_ok = all(

@@ -15,11 +15,12 @@ from hecke_census.census import (
     _scan,
     census,
     enumerate_classes,
+    enumeration_census,
     table_to_csv,
     table_to_json,
 )
-from hecke_census.necklaces import decode, encode, reflection_category
-from hecke_census.reciprocal import Category, classify, is_reciprocal, reciprocator_witnesses
+from hecke_census.necklaces import decode, encode
+from hecke_census.reciprocal import classify, is_reciprocal, reciprocator_witnesses
 from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import (
     CyclicWord,
@@ -256,31 +257,12 @@ def test_category_columns_match_witness_search(p):
     assert census(params, max_len).rows == expected
 
 
-def _brute_rows(params, max_len):
-    """Census rows by walking every necklace and classifying each one."""
-    r = params.r_byte
-    counts = [[0] * 5 for _ in range(max_len + 1)]  # indexed by Category, then power
-    none, sym, prec, symp = Category
-    for length, bucket in enumerate(_scan(params, max_len)):
-        row = counts[length]
-        for s in bucket:
-            cat = reflection_category(r, s)
-            row[cat] += 1
-            if cat is symp and all(o == r for o in s):
-                row[4] += 1
-    return {
-        length: CensusRow(c[sym], c[prec], c[symp], c[4], c[none] + c[sym] + c[prec] + c[symp])
-        for length, c in enumerate(counts)
-        if length >= 2
-    }
-
-
 @pytest.mark.parametrize("p", range(3, 13))
 def test_engine_matches_enumeration_at_every_budget(p):
     params = make_params(p)
-    brute = _brute_rows(params, 20)
+    oracle = enumeration_census(params, 20).rows
     for max_len in range(2, 21):  # at 2 and 3 only the first block weights fit
-        expected = {length: brute[length] for length in range(2, max_len + 1)}
+        expected = {length: oracle[length] for length in range(2, max_len + 1)}
         assert census(params, max_len).rows == expected, max_len
 
 
@@ -288,7 +270,7 @@ def test_engine_matches_enumeration_at_every_budget(p):
 @given(p=st.integers(3, 40), max_len=st.integers(2, 14))
 def test_engine_matches_enumeration_property(p, max_len):
     params = make_params(p)
-    assert census(params, max_len).rows == _brute_rows(params, max_len)
+    assert census(params, max_len) == enumeration_census(params, max_len)
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,18 +400,10 @@ def test_large_p_enumeration_and_classifier(p):
     """Past p = 257 the census equals the enumeration, and every verdict of
     the classifier names the involution types that the witness search finds."""
     params = make_params(p)
-    tally = {length: [0] * 5 for length in range(2, 10)}  # sym, prec, symp, power, all
-    column = {Category.SYMMETRIC: 0, Category.P_RECIPROCAL: 1, Category.SYMMETRIC_P_RECIPROCAL: 2}
+    assert census(params, 9) == enumeration_census(params, 9)
     for c in enumerate_classes(params, 9):
         info = classify(c)
-        counts = tally[c.word_length()]
-        counts[4] += 1
-        if info.is_reciprocal:
-            counts[column[info.category]] += 1
-            counts[3] += info.is_power_of_iota_tilde_gamma
         assert frozenset(h.involution_type() for h in info.witnesses) == info.reciprocator_types
-    expected = {length: CensusRow(*counts) for length, counts in tally.items()}
-    assert census(params, 9).rows == expected == _brute_rows(params, 9)
 
 
 def test_inverse_closure():

@@ -127,10 +127,36 @@ def test_growth_short_seed_is_reported_before_the_root_iteration(capsys):
     )
 
 
+VERIFY_OUT = """\
+[PASS] fixture: p=4 reciprocal len 3
+[PASS] fixture: p=4 reciprocal len 4
+[PASS] fixture: p=4 reciprocal len 7
+[PASS] fixture: p=6 reciprocal len 4
+[PASS] fixture: p=6 reciprocal len 6
+[PASS] fixture: p=4 symmetric len 4
+[PASS] fixture: p=6 symmetric len 6
+[PASS] fixture: p=6 symmetric len 8
+[PASS] fixture: p=4 p_reciprocal len 10
+[PASS] fixture: p=4 p_reciprocal len 8
+[PASS] classification cross-validation
+[PASS] census engine == enumeration
+[PASS] corrected double sum == census series h
+[PASS] rho(r=2) golden
+[PASS] rho(r=3) golden
+[PASS] squarefree r=2..10
+[PASS] normal-form soundness
+17/17 checks passed
+"""
+
+
 def test_verify_passes(capsys):
-    code, out = run(capsys, "verify")
-    assert code == 0
-    assert "[PASS]" in out and "[FAIL]" not in out
+    assert run(capsys, "verify") == (0, VERIFY_OUT)
+
+
+def verify_fails(capsys, check, detail):
+    """verify exits 1 and prints its passing output but for one failed check."""
+    failed = VERIFY_OUT.replace(f"[PASS] {check}\n", f"[FAIL] {check}  ({detail})\n")
+    assert run(capsys, "verify") == (1, failed.replace("17/17", "16/17"))
 
 
 def test_verify_names_the_first_non_reciprocal_normal_form(capsys, monkeypatch):
@@ -142,10 +168,33 @@ def test_verify_names_the_first_non_reciprocal_normal_form(capsys, monkeypatch):
         return generate(params, length) | {CyclicWord.from_blocks(params, (1,))}
 
     monkeypatch.setattr(cli, "normal_form_generate", unsound)
-    code, out = run(capsys, "verify")
-    assert code == 1
-    assert "[FAIL] normal-form soundness  (non-reciprocal normal form i g^1 (p=4))" in out
-    assert out.splitlines()[-1] == "16/17 checks passed"
+    verify_fails(capsys, "normal-form soundness", "non-reciprocal normal form i g^1 (p=4)")
+
+
+def test_verify_names_the_first_wrong_census_length(capsys, monkeypatch):
+    # an engine count off by one at a length that no fixture reads
+    engine = cli.census
+
+    def off_by_one(params, max_len):
+        table = engine(params, max_len)
+        if params.p == 6:
+            table.rows[13] = table.rows[13]._replace(all_classes=table.rows[13].all_classes + 1)
+        return table
+
+    monkeypatch.setattr(cli, "census", off_by_one)
+    verify_fails(capsys, "census engine == enumeration", "p=6 len 13")
+
+
+def test_verify_names_the_first_classification_disagreement(capsys, monkeypatch):
+    # the witness search loses the involution of the symmetric class i g^1 i g^-1
+    classify, dropped = cli.classify, CyclicWord.from_blocks(make_params(4), (1, -1))
+
+    def lossy(c, with_witnesses=True):
+        info = classify(c, with_witnesses)
+        return info._replace(witnesses=()) if c == dropped else info
+
+    monkeypatch.setattr(cli, "classify", lossy)
+    verify_fails(capsys, "classification cross-validation", "disagreement at i g^1 i g^-1 (p=4)")
 
 
 def test_verify_runs_no_root_iteration(capsys, monkeypatch):
@@ -153,9 +202,7 @@ def test_verify_runs_no_root_iteration(capsys, monkeypatch):
         raise AssertionError("verify must not run the root iteration")
 
     monkeypatch.setattr("hecke_census.spectral.all_roots", refuse)
-    code, out = run(capsys, "verify")
-    assert code == 0
-    assert out.splitlines()[-1] == "17/17 checks passed"
+    assert run(capsys, "verify") == (0, VERIFY_OUT)
 
 
 def test_root_finder_failure_is_one_line_error(capsys):
