@@ -32,7 +32,7 @@ Every division is exact or raises.  ``enumeration_census`` is the
 enumeration oracle: ``_scan``, an iterative prenecklace walk, returns the
 bytes of every necklace once, as its least rotation, in one bucket per
 word length, and ``enumeration_census`` counts the buckets.  A key of
-``enumerate_classes`` holds only its bytes, as its byte code
+``enumerate_classes`` holds its bytes, as every class key does
 (``CyclicWord.code``, the classifier's input), and its bucket, as its
 length; its blocks are decoded from the bytes only if they are read.
 """
@@ -223,17 +223,14 @@ def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]
     length, so no sort is needed.  Unlike ``census``, this holds the bytes
     of every class before yielding the first.
 
-    Each key carries only what the scan holds: its bytes s as its byte code
-    and its bucket as its word length, with the fields ``params`` and
-    ``torsion`` it shares with its bucket.  Its instance dict is filled in
-    one update from a dict per bucket; ``block_exponents``, which
-    ``CyclicWord(params, decode(s))`` would set, is decoded from s only when
-    it is first read.  So it compares, hashes and prints as that key does,
-    and a sweep that only classifies decodes nothing.
+    Each key is ``CyclicWord(params, s)`` for the scan's bytes s, with its
+    bucket as its word length.  Its instance dict is filled in one update
+    from a dict per bucket, and its blocks are decoded only when first
+    read, so a sweep that only classifies decodes nothing.
     """
     new = object.__new__
     for length, bucket in enumerate(_scan(params, max_len)):
-        shared = {"params": params, "torsion": (), "_length": length}
+        shared = {"params": params, "_length": length}
         for s in bucket:
             c = new(CyclicWord)
             d = vars(c)

@@ -126,10 +126,9 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     return 0
 
 
-# word-length budgets of verify: the fixtures, the engine check and the
-# classification cross-validation; the normal-form soundness check
+# word-length budget of verify: the fixtures, the engine check, the
+# classification cross-validation and the normal-form soundness check
 _CROSS_CHECK_LEN = 14
-_NORMAL_FORM_LEN = 12
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -185,7 +184,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     unsound = next((
         f"non-reciprocal normal form {c} (p={params.p})"
         for params in (p4, p6)
-        for length in range(2, _NORMAL_FORM_LEN + 1)
+        for length in range(2, _CROSS_CHECK_LEN + 1)
         for c in normal_form_generate(params, length)
         if not classify(c, with_witnesses=False).is_reciprocal
     ), "")

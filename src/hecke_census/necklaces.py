@@ -15,12 +15,12 @@ enumeration oracle stop at the weight budget.
 
 ``reflection_category`` is the reflection classifier behind
 ``reciprocal.classify``; ``Category`` is the package's category type.
-``classify`` hands it a class key's byte code (``CyclicWord.code``): for the
-enumeration oracle these are the bytes that ``census._scan`` generated, so
-an enumerated class is never re-encoded, nor decoded unless its blocks are
-read.  This module is the package's one codec; ``words`` imports it only
-when a key first needs its code or its blocks, since this module builds
-its table from ``words``.
+``classify`` hands it a class key's byte code (``CyclicWord.code``), which
+every key is built from: the bytes that ``census._scan`` or
+``reciprocal.normal_form_generate`` generated, so no key is encoded, nor
+decoded unless its blocks are read.  This module is the package's one
+codec; ``words`` imports it only when a key first needs its blocks or its
+length, since this module builds its table from ``words``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Reciprocity analysis of conjugacy classes.
 
-A class ``[g]`` is reciprocal when ``g`` is conjugate to ``g^-1``.  For
-infinite-order classes this is a rotation condition on the block tuple:
-the reversed, negated tuple must be a rotation of the original.  Each
+A class ``[g]`` is reciprocal when ``g`` is conjugate to ``g^-1``.  The
+classes here are of infinite order, each keyed by the bytes of its blocks
+(``CyclicWord.code``), and reciprocity is a rotation condition on them:
+the reversed, negated bytes must be a rotation of the original.  Each
 valid reversal acts on the syllable cycle as a reflection fixing two
 antipodal syllables, and the fixed syllables (``i`` or ``g^r``) name the
 two possible conjugacy families of involutions that invert ``g``.
@@ -11,14 +12,15 @@ Two independent classification routes are provided: the reflection
 fixed-point method (primary, ``necklaces.reflection_category``) and an
 explicit involution search in the reciprocator coset (oracle).  They must
 always agree.  A verdict (``ReciprocalInfo``) stores three fields and
-derives the rest from them.
+derives the rest from them.  ``normal_form_generate`` builds the
+reciprocal classes of one length from the Lemma 3.2 shapes, as bytes.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .necklaces import Category, reflection_category
+from .necklaces import WEIGHTS, Category, encode, reflection_category, rev_neg
 from .words import CyclicWord, DomainError, GroupParams, InvolutionType, Word
 
 
@@ -59,12 +61,6 @@ class ReciprocalInfo(NamedTuple):
 _VERDICTS = tuple(map(ReciprocalInfo, Category))
 
 
-def _require_blocks(c: CyclicWord) -> tuple[int, ...]:
-    if c.block_exponents is None:
-        raise DomainError("reciprocity analysis is defined for infinite-order classes only")
-    return c.block_exponents
-
-
 def is_reciprocal(c: CyclicWord) -> bool:
     return reflection_category(c.params.r_byte, c.code) is not Category.NOT_RECIPROCAL
 
@@ -93,7 +89,6 @@ def reciprocator_witnesses(c: CyclicWord) -> list[Word]:
     syllable rotation aligning ``c^-1`` with ``c`` and searches its coset
     by the primitive root for involutions.
     """
-    blocks = _require_blocks(c)
     w = c.to_word()
     syls = w.syllables
     inv_syls = w.inverse().syllables
@@ -111,7 +106,7 @@ def reciprocator_witnesses(c: CyclicWord) -> list[Word]:
     witnesses: dict[InvolutionType, Word] = {}
     g_inv = w.inverse()
     cand = h0
-    for _ in range(2 * len(blocks) + 1):
+    for _ in range(2 * len(c.code) + 1):
         typ = cand.involution_type()
         if typ is not InvolutionType.NOT_INVOLUTION and typ not in witnesses:
             if (cand * w * cand.inverse()) == g_inv:
@@ -124,36 +119,36 @@ def reciprocator_witnesses(c: CyclicWord) -> list[Word]:
     return [witnesses[t] for t in sorted(witnesses, key=lambda t: t.value)]
 
 
-def _block_words(weight: int, params: GroupParams):
-    """All tuples of canonical blocks whose weights ``1 + |k|`` sum to weight."""
-    if weight == 0:
-        yield ()
-    for k in params.exponent_range(weight - 1):
-        for rest in _block_words(weight - 1 - abs(k), params):
-            yield (k,) + rest
-
-
 def normal_form_generate(params: GroupParams, length: int) -> set[CyclicWord]:
     """Class keys of all reciprocal normal-form words of the given length.
 
-    Each normal form is ``before + ks + middle + neg_rev(ks)`` with
+    Each normal form is ``before + ks + middle + rev_neg(ks)`` with
     ``(before, middle)`` one of four shapes: a plain palindrome, a
     g^r-bracketed palindrome and the two single-g^r forms.  ``ks`` is any
     block word of half the weight the fixed g^r blocks leave; the powers of
-    ``i g^r`` are the forms with ``ks`` a power of g^r.  Deduplicated by
-    class key; every emitted class is reciprocal by construction.
+    ``i g^r`` are the forms with ``ks`` a power of g^r.  The forms are built
+    as ``necklaces`` bytes, and the half-words come from a table per weight
+    that holds only bytes within it, as ``census._scan`` does, so the cost
+    does not depend on p.  A form's key is its least byte rotation; every
+    emitted class is reciprocal by construction.
     """
     r = params.require_even()
     if length < 2:
         raise DomainError("length must be >= 2")
-    out: set[CyclicWord] = set()
-
-    def neg_rev(ks: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(params.canonical_exponent(-k) for k in reversed(ks))
-
-    for before, middle in (((), ()), ((r,), (r,)), ((r,), ()), ((), (r,))):
-        rem = length - (r + 1) * (len(before) + len(middle))
+    half = length // 2
+    top = min(params.p - 1, 2 * half - 2)  # the bytes that weigh <= half
+    if top > len(WEIGHTS):
+        raise DomainError(f"g^k with |k| > 128 has no byte: p={params.p} needs length <= 259")
+    halves = [[b""]]  # halves[w]: the byte words of weight w
+    for w in range(1, half + 1):
+        halves.append([bytes((o,)) + rest for o in range(top) if WEIGHTS[o] <= w
+                       for rest in halves[w - WEIGHTS[o]]])
+    seen: set[bytes] = set()
+    for before, middle in ((0, 0), (1, 1), (1, 0), (0, 1)):
+        rem = length - (r + 1) * (before + middle)
         if rem >= 0 and rem % 2 == 0:
-            for ks in _block_words(rem // 2, params):
-                out.add(CyclicWord.from_blocks(params, before + ks + middle + neg_rev(ks)))
-    return out
+            g = encode((r,)) if before or middle else b""
+            for ks in halves[rem // 2]:
+                s = g * before + ks + g * middle + rev_neg(ks, params.r_byte)
+                seen.add(min(s[i:] + s[:i] for i in range(len(s))))
+    return {CyclicWord(params, s) for s in seen}

@@ -2,8 +2,9 @@
 
 The group is ``<i, g | i^2, g^p>``.  Elements are reduced alternating
 sequences of syllables ``i`` and ``g^k`` with canonical exponents in the
-integer interval ``(-p/2, p/2]``.  Conjugacy classes of infinite-order
-elements are represented by rotation-canonical cyclic words.
+integer interval ``(-p/2, p/2]``.  A conjugacy class of infinite-order
+elements is keyed by a ``CyclicWord``: the ``necklaces`` bytes of its
+blocks in their least rotation.
 
 Word length is the generator count of the reduced word: 1 per ``i`` and
 ``|k|`` per ``g^k``.  The norm on exponents is taken to be the absolute
@@ -11,7 +12,8 @@ value of the canonical representative; see README for the discussion of
 this convention.
 
 The syllable order ``g^1 < g^-1 < g^2 < g^-2 < ...`` is defined here
-(``exponent_ordinal``); class keys start at their least rotation in it.
+(``exponent_ordinal``); a block's byte is its position in it, so byte
+order is class-key order.
 ``GroupParams.exponent_range`` lists the exponents in this order, and
 ``GroupParams.block_weights`` counts them by block weight ``1 + |k|``:
 the block law that the census series, the class-count recurrence and its
@@ -21,17 +23,16 @@ A syllable is an int: ``IOTA = 0`` is ``i`` and a nonzero k is ``g^k``
 (a canonical exponent is never 0).  Two syllables of the same kind meet
 as their sum: ``i i`` gives 0 and cancels like ``g^a g^-a``.
 
-Products and cyclic reduction assume reduced operands and cost time
-linear in their length: a product only cancels or merges where its two
-factors meet, and cyclic reduction peels matching syllables off both ends
-at once.
+Products and the cyclic core that ``involution_type`` reads assume
+reduced operands and cost time linear in their length: a product only
+cancels or merges where its two factors meet, and the core is found by
+peeling matching syllables off both ends at once.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import cached_property
-from typing import Iterable, Sequence
 
 
 class DomainError(ValueError):
@@ -43,9 +44,10 @@ class UnsupportedParameterError(DomainError):
 
 
 class _Frozen:
-    """Fields set once, by ``__init__``, and named in ``_fields``, which
-    ``__repr__`` prints.  The instance dict also holds the values that
-    ``cached_property`` computes on first use.  Each subclass defines
+    """Fields named in ``_fields``, which ``__repr__`` prints, and set once:
+    by ``__init__``, or on first read for a ``cached_property``.  The
+    instance dict also holds what ``__init__`` stores besides the fields
+    and the values that ``cached_property`` computes.  Each subclass defines
     ``__eq__`` and ``__hash__`` on its field tuple itself, because a loop
     over ``_fields`` would slow the sets of class keys."""
 
@@ -163,29 +165,12 @@ class InvolutionType(enum.Enum):
     NOT_INVOLUTION = "none"
 
 
-def reduce_syllables(seq: Iterable[int], params: GroupParams) -> tuple[int, ...]:
-    """Fold a syllable sequence into the unique reduced form."""
-    stack: list[int] = []
-    for s in seq:
-        if s == IOTA:
-            if stack and stack[-1] == IOTA:
-                stack.pop()
-            else:
-                stack.append(IOTA)
-        elif k := params.canonical_exponent(s):
-            if stack and stack[-1] != IOTA:
-                k = params.canonical_exponent(stack.pop() + k)
-            if k:
-                stack.append(k)
-    return tuple(stack)
-
-
 class Word(_Frozen):
     """A reduced word; the empty sequence is the identity.
 
     ``syllables`` must already be reduced (alternating, canonical nonzero
-    exponents): products and cyclic reduction rely on it.  Build words
-    from arbitrary syllables with ``from_syllables`` or ``parse``.
+    exponents): products and the cyclic core rely on it.  The library
+    builds words only from class keys, their products and inverses.
     """
 
     _fields = ("params", "syllables")
@@ -204,47 +189,10 @@ class Word(_Frozen):
     def __hash__(self) -> int:
         return hash((self.params, self.syllables))
 
-    @staticmethod
-    def identity(params: GroupParams) -> "Word":
-        return Word(params, ())
-
-    @staticmethod
-    def from_syllables(params: GroupParams, seq: Iterable[int]) -> "Word":
-        return Word(params, reduce_syllables(seq, params))
-
-    @staticmethod
-    def parse(params: GroupParams, text: str) -> "Word":
-        """Parse the plain-text syntax: ``i``, ``g^k`` (k != 0), ``g``, ``1``."""
-        tokens = text.replace("*", " ").split()
-        syls: list[int] = []
-        for tok in tokens:
-            if tok == "1":
-                continue
-            if tok == "i":
-                syls.append(IOTA)
-            elif tok == "g":
-                syls.append(1)
-            else:
-                try:
-                    k = int(tok[2:]) if tok.startswith("g^") else 0
-                except ValueError:  # g^x, g^ and g^1.5
-                    k = 0
-                if not k:
-                    raise DomainError(f"unrecognized token {tok!r}")
-                syls.append(k)
-        return Word.from_syllables(params, syls)
-
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
         return " ".join("i" if s == IOTA else f"g^{s}" for s in self.syllables)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.syllables
-
-    def length(self) -> int:
-        return sum(abs(s) or 1 for s in self.syllables)  # i weighs 1
 
     def __mul__(self, other: "Word") -> "Word":
         if other.params.p != self.params.p:
@@ -265,9 +213,6 @@ class Word(_Frozen):
         syls = tuple(canonical(-s) if s != IOTA else IOTA for s in reversed(self.syllables))
         return Word(self.params, syls)
 
-    def conjugate_by(self, h: "Word") -> "Word":
-        return h * self * h.inverse()
-
     def _cyclic_core(self) -> tuple[list[int], int]:
         """The cyclically reduced core and the number of syllables peeled.
 
@@ -284,24 +229,6 @@ class Word(_Frozen):
                 syls.append(k)
         return syls[start:], start
 
-    def cyclic_reduce(self) -> tuple["CyclicWord", "Word"]:
-        """Return ``(c, h)`` with ``self = h * c * h^-1`` and c cyclically reduced."""
-        syls, peeled = self._cyclic_core()
-        conjugator = Word(self.params, self.syllables[:peeled])
-        if len(syls) <= 1:
-            return CyclicWord(self.params, None, tuple(syls)), conjugator
-        # start the cycle at an i, then at the least rotation; fold both into h
-        shift = int(syls[0] != IOTA)
-        blocks = tuple((syls[shift:] + syls[:shift])[1::2])
-        best = _least_rotation(blocks)
-        rotate = shift + 2 * best
-        if rotate:
-            conjugator = conjugator * Word(self.params, tuple(syls[:rotate]))
-        return CyclicWord(self.params, blocks[best:] + blocks[:best]), conjugator
-
-    def class_key(self) -> "CyclicWord":
-        return self.cyclic_reduce()[0]
-
     def involution_type(self) -> InvolutionType:
         syls = self._cyclic_core()[0]
         if len(syls) != 1:
@@ -313,88 +240,57 @@ class Word(_Frozen):
         return InvolutionType.NOT_INVOLUTION
 
 
+
+
 class CyclicWord(_Frozen):
-    """Rotation-canonical cyclically reduced word: a conjugacy-class key.
+    """Rotation-canonical cyclically reduced word: the key of an
+    infinite-order conjugacy class.
 
-    An infinite-order class is keyed by ``block_exponents``, the tuple
-    ``(k1, ..., kn)`` of its alternating form ``i g^k1 ... i g^kn`` in its
-    least rotation.  A torsion class has ``block_exponents`` None and
-    ``torsion`` its core: ``()`` for the identity, else one syllable.
-    Equality and hashing compare these fields; ``syllables``, ``code`` and
-    the word length are derived.
-
-    ``__init__`` sets the blocks, and ``code`` encodes them on first use.
-    The enumeration oracle builds its keys the other way round: it sets
-    only ``code``, and ``block_exponents`` decodes it on first read, so a
-    key that is only classified is never decoded.
+    A key stores its ``params`` and its byte ``code``: the ``necklaces``
+    bytes of the blocks ``(k1, ..., kn)`` of ``i g^k1 ... i g^kn``, in the
+    least rotation, which is the classifier's input.  ``block_exponents``
+    is decoded from ``code`` on first read, so a key that is only
+    classified is never decoded.  ``repr``, equality and hashing read
+    ``(params, block_exponents)``: a tuple of ints hashes alike in every
+    process, bytes do not, so set orders do not depend on
+    ``PYTHONHASHSEED``.  ``syllables`` and the word length are derived.
     """
 
-    _fields = ("params", "block_exponents", "torsion")
+    _fields = ("params", "block_exponents")
     params: GroupParams
-    torsion: tuple[int, ...]
+    code: bytes
 
-    def __init__(self, params: GroupParams, block_exponents: tuple[int, ...] | None,
-                 torsion: tuple[int, ...] = ()) -> None:
+    def __init__(self, params: GroupParams, code: bytes) -> None:
+        """``code`` must be a least rotation; the constructor does not rotate it."""
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "block_exponents", block_exponents)
-        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "code", code)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return ((self.params, self.block_exponents, self.torsion)
-                    == (other.params, other.block_exponents, other.torsion))
+            return (self.params, self.block_exponents) == (other.params, other.block_exponents)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.params, self.block_exponents, self.torsion))
-
-    @staticmethod
-    def from_blocks(params: GroupParams, blocks: Sequence[int]) -> "CyclicWord":
-        """Build the class key of ``i g^k1 i g^k2 ... i g^kn``."""
-        blocks = tuple(map(params.canonical_exponent, blocks))
-        if not blocks or 0 in blocks:
-            raise DomainError("block exponents must be nonzero")
-        best = _least_rotation(blocks)
-        if best:
-            blocks = blocks[best:] + blocks[:best]
-        return CyclicWord(params, blocks)
+        return hash((self.params, self.block_exponents))
 
     @cached_property
-    def block_exponents(self) -> tuple[int, ...] | None:
-        """An enumerated key's blocks, decoded from ``code`` on first read;
-        ``__init__`` sets them for every other key."""
+    def block_exponents(self) -> tuple[int, ...]:
         from .necklaces import decode  # necklaces builds its codec from this module
 
         return decode(self.code)
 
-    @cached_property
-    def code(self) -> bytes:
-        """The blocks as ``necklaces`` bytes, the classifier's input.  The
-        enumeration oracle sets it, and not the blocks, to the bytes it
-        generated the class from; any other key encodes its blocks on first
-        use."""
-        if self.block_exponents is None:
-            raise DomainError("only infinite-order classes have blocks to encode")
-        from .necklaces import encode
-
-        return encode(self.block_exponents)
-
     @property
     def syllables(self) -> tuple[int, ...]:
-        blocks = self.block_exponents
-        if blocks is None:
-            return self.torsion
-        return tuple(s for k in blocks for s in (IOTA, k))
+        return tuple(s for k in self.block_exponents for s in (IOTA, k))
 
     @cached_property
     def _length(self) -> int:
         """The word length.  The enumeration oracle fills it with the length
-        of the bucket it generated the class in; any other key computes it
-        on first use."""
-        blocks = self.block_exponents
-        if blocks is None:
-            return sum(abs(s) or 1 for s in self.torsion)
-        return len(blocks) + sum(map(abs, blocks))
+        of the bucket it generated the class in; any other key sums the
+        weights of its bytes on first use."""
+        from .necklaces import WEIGHTS
+
+        return sum([WEIGHTS[o] for o in self.code])
 
     def word_length(self) -> int:
         return self._length
@@ -402,32 +298,15 @@ class CyclicWord(_Frozen):
     def to_word(self) -> Word:
         return Word(self.params, self.syllables)
 
-    def is_torsion(self) -> bool:
-        return self.block_exponents is None
-
     def primitive_decomposition(self) -> tuple["CyclicWord", int]:
         """Minimal-period root ``c0`` and ``m`` with ``self = c0^m``.  A period
         of a least rotation is its own least rotation, so it keys the root."""
-        blocks = self.block_exponents
-        if blocks is None:
-            raise DomainError("primitive decomposition undefined for torsion classes")
-        n = len(blocks)
+        s = self.code
+        n = len(s)
         for d in range(1, n + 1):
-            if n % d == 0 and blocks == blocks[d:] + blocks[:d]:
-                return CyclicWord(self.params, blocks[:d]), n // d
+            if n % d == 0 and s == s[d:] + s[:d]:
+                return CyclicWord(self.params, s[:d]), n // d
         raise AssertionError("unreachable: period n always works")
 
     def __str__(self) -> str:
         return str(self.to_word())
-
-
-def _least_rotation(blocks: tuple[int, ...]) -> int:
-    """First start of the least rotation of nonzero canonical blocks in the
-    syllable order; only starts at a least block can win."""
-    ranks = list(map(exponent_ordinal, blocks))
-    least = min(ranks)
-    first = ranks.index(least)
-    if ranks.count(least) == 1:
-        return first
-    starts = [i for i in range(first, len(ranks)) if ranks[i] == least]
-    return min(starts, key=lambda i: ranks[i:] + ranks[:i])

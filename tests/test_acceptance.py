@@ -34,6 +34,7 @@ from hecke_census.spectral import (
 from hecke_census.words import IOTA, Word, make_params
 from composition_reference import compositions
 from ledger_queries import find_entries, ledger_ids
+from word_reference import cyclic_reduce, reduce
 
 
 class _Budget:
@@ -69,7 +70,7 @@ def _random_word(params, rng):
             syls.append(IOTA)
         else:
             syls.append(rng.choice(params.exponent_range(params.p)))
-    return Word.from_syllables(params, syls)
+    return reduce(params, syls)
 
 
 def test_criterion_1_group_laws():
@@ -83,11 +84,11 @@ def test_criterion_1_group_laws():
                 a, b, c = pool[i], pool[i + 1], pool[i + 2]
                 assert (a * b) * c == a * (b * c)
             for a in pool[::5]:
-                assert (a * a.inverse()).is_identity
-                assert Word.from_syllables(params, a.syllables) == a
+                assert a * a.inverse() == Word(params)
+                assert reduce(params, a.syllables) == a
             for i in range(0, len(pool) - 1, 20):
                 a, h = pool[i], pool[i + 1]
-                assert a.conjugate_by(h).class_key() == a.class_key()
+                assert cyclic_reduce(h * a * h.inverse())[0] == cyclic_reduce(a)[0]
 
 
 def test_criterion_2_census_fixtures():

@@ -20,17 +20,17 @@ from hecke_census.census import (
     table_to_json,
 )
 from hecke_census.necklaces import decode, encode
-from hecke_census.reciprocal import classify, is_reciprocal, reciprocator_witnesses
-from hecke_census.spectral import build_growth_poly, dominant_root
-from hecke_census.words import (
-    CyclicWord,
-    DomainError,
-    InvolutionType,
-    make_params,
+from hecke_census.reciprocal import (
+    classify,
+    is_reciprocal,
+    normal_form_generate,
+    reciprocator_witnesses,
 )
+from hecke_census.spectral import build_growth_poly, dominant_root
+from hecke_census.words import DomainError, InvolutionType, make_params
 from composition_reference import block_powers
 from necklace_reference import is_minimal_rotation
-from word_reference import all_reduced_words, inverse_key
+from word_reference import all_reduced_words, cyclic_reduce, inverse_key, key
 
 
 P4 = make_params(4)
@@ -102,17 +102,16 @@ def test_enumerate_length4_p4():
 
 
 def test_enumerate_sorted_and_unique():
-    """Strictly increasing (word length, key bytes), and every key is what
-    ``from_blocks`` builds, so the plain constructor only ever receives
-    least rotations."""
+    """Strictly increasing (word length, key bytes), and every key is the
+    one that the reference ``key`` builds: the least rotation of its bytes."""
     for params in (P4, P5, P6):
         seen = list(enumerate_classes(params, 12))
         assert len(seen) == len(set(seen))
         order = [(c.word_length(), encode(c.block_exponents)) for c in seen]
         assert all(a < b for a, b in zip(order, order[1:]))
         for c in seen:
-            key = CyclicWord.from_blocks(params, c.block_exponents)
-            assert (key.syllables, key.block_exponents) == (c.syllables, c.block_exponents)
+            built = key(params, c.block_exponents)
+            assert (built.code, built.syllables) == (c.code, c.syllables)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 8, 258])
@@ -120,19 +119,19 @@ def test_enumerated_keys_decode_their_blocks_only_when_read(p):
     """An enumerated key holds its byte code and not its blocks, and a
     classification without witnesses leaves it so.  Once read, its blocks
     are ``decode`` of its code, and it equals, hashes, prints, measures and
-    decomposes as the key that ``from_blocks`` builds from them."""
+    decomposes as the key that the reference ``key`` builds from them."""
     params = make_params(p)
     keys = list(enumerate_classes(params, 12 if p < 258 else 9))
     assert all("block_exponents" not in vars(c) for c in keys)
     for c in keys:
         classify(c, with_witnesses=False)
         assert "block_exponents" not in vars(c), c
-        key = CyclicWord.from_blocks(params, decode(c.code))
-        assert hash(c) == hash(key) and c == key, c
-        assert repr(c) == repr(key), c
-        assert c.block_exponents == key.block_exponents == decode(c.code), c
-        assert c.word_length() == key.word_length(), c
-        assert c.primitive_decomposition() == key.primitive_decomposition(), c
+        built = key(params, decode(c.code))
+        assert hash(c) == hash(built) and c == built, c
+        assert repr(c) == repr(built), c
+        assert c.block_exponents == built.block_exponents == decode(c.code), c
+        assert c.word_length() == built.word_length(), c
+        assert c.primitive_decomposition() == built.primitive_decomposition(), c
 
 
 def test_enumeration_leaves_no_garbage_cycle():
@@ -202,10 +201,12 @@ def test_exactly_once_vs_reference_dedup(params, budget):
     reference: dict[int, set] = {}
     for length in range(2, budget + 1):
         for word in all_reduced_words(params, length):
-            key = word.class_key()
-            if key.is_torsion() or key.word_length() != length:
+            core, _ = cyclic_reduce(word)
+            if len(core) < 2:  # a torsion class
                 continue
-            reference.setdefault(length, set()).add(key)
+            c = key(params, core[1::2])
+            if c.word_length() == length:
+                reference.setdefault(length, set()).add(c)
     enumerated: dict[int, set] = {}
     for c in enumerate_classes(params, budget):
         enumerated.setdefault(c.word_length(), set()).add(c)
@@ -387,8 +388,10 @@ def test_blocks_beyond_one_byte_are_a_domain_error():
         list(enumerate_classes(params, 130))
     with pytest.raises(DomainError, match=r"\|k\| > 128"):
         list(enumerate_classes(make_params(258), 130))  # g^129 is its own negative
+    with pytest.raises(DomainError, match=r"\|k\| > 128"):
+        normal_form_generate(make_params(258), 260)
     with pytest.raises(DomainError, match=r"g\^129 has no byte"):
-        classify(CyclicWord.from_blocks(params, (1, 129)))
+        key(params, (1, 129))
     for p in (257, 258, 300):
         params = make_params(p)
         counted = sum(row.all_classes for row in census(params, 4).rows.values())

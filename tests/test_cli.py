@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 import hecke_census
-from hecke_census import cli
+from hecke_census import cli, reciprocal
 from hecke_census.census import census, table_to_csv
 from hecke_census.cli import _build_parser, main
-from hecke_census.words import CyclicWord, make_params
+from hecke_census.necklaces import Category
+from hecke_census.words import make_params
+from word_reference import key
 
 
 def run(capsys, *argv):
@@ -165,10 +167,23 @@ def test_verify_names_the_first_non_reciprocal_normal_form(capsys, monkeypatch):
     generate = cli.normal_form_generate
 
     def unsound(params, length):
-        return generate(params, length) | {CyclicWord.from_blocks(params, (1,))}
+        return generate(params, length) | {key(params, (1,))}
 
     monkeypatch.setattr(cli, "normal_form_generate", unsound)
     verify_fails(capsys, "normal-form soundness", "non-reciprocal normal form i g^1 (p=4)")
+
+
+def test_verify_checks_normal_forms_to_the_cross_check_length(capsys, monkeypatch):
+    # the classifier calls one reciprocal class of length 14 non-reciprocal:
+    # i g^1 i g^1 i g^-1 i g^-1 i g^2 i g^-2 of p = 6, which is a normal form
+    category = reciprocal.reflection_category
+
+    def blind(r, s):
+        return Category.NOT_RECIPROCAL if s == bytes.fromhex("000001010203") else category(r, s)
+
+    monkeypatch.setattr(reciprocal, "reflection_category", blind)
+    verify_fails(capsys, "normal-form soundness",
+                 "non-reciprocal normal form i g^1 i g^1 i g^-1 i g^-1 i g^2 i g^-2 (p=6)")
 
 
 def test_verify_names_the_first_wrong_census_length(capsys, monkeypatch):
@@ -187,7 +202,7 @@ def test_verify_names_the_first_wrong_census_length(capsys, monkeypatch):
 
 def test_verify_names_the_first_classification_disagreement(capsys, monkeypatch):
     # the witness search loses the involution of the symmetric class i g^1 i g^-1
-    classify, dropped = cli.classify, CyclicWord.from_blocks(make_params(4), (1, -1))
+    classify, dropped = cli.classify, key(make_params(4), (1, -1))
 
     def lossy(c, with_witnesses=True):
         info = classify(c, with_witnesses)
@@ -235,7 +250,7 @@ def test_poly_large_r_is_a_result_or_one_line_error(capsys, r):
 
 def test_large_p_census_and_claims(capsys):
     # the census needs no byte encoding, and the ledger's normal-form probe
-    # only encodes blocks with |k| <= 11
+    # only builds blocks with |k| <= 11
     for p in ("257", "258"):
         _one_line_outcome(capsys, ["census", "--p", p, "--max-len", "6"], (0,))
     _one_line_outcome(capsys, ["claims", "--p", "82", "--max-len", "10"], (0,))

@@ -1,6 +1,5 @@
 """Reciprocity classification: reflection method vs explicit witnesses."""
 
-import itertools
 import random
 
 import pytest
@@ -22,20 +21,15 @@ from hecke_census.words import (
     IOTA,
     CyclicWord,
     DomainError,
-    GroupParams,
     InvolutionType,
-    Word,
     make_params,
 )
-from word_reference import inverse_key
+from word_reference import class_key, cyclic_reduce, inverse_key, reduce
+from word_reference import key as cls
 
 
 P4 = make_params(4)
 P6 = make_params(6)
-
-
-def cls(params, blocks):
-    return CyclicWord.from_blocks(params, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -77,15 +71,6 @@ def test_non_reciprocal():
     assert not info.is_reciprocal
     assert info.category is Category.NOT_RECIPROCAL
     assert info.witnesses == ()
-
-
-def test_torsion_rejected():
-    for text in ("1", "i", "g^2"):
-        c, _ = Word.parse(P6, text).cyclic_reduce()
-        with pytest.raises(DomainError, match="infinite-order"):
-            classify(c)
-        with pytest.raises(DomainError, match="infinite-order"):
-            is_reciprocal(c)
 
 
 _IOTA, _TILDE = InvolutionType.IOTA_TYPE, InvolutionType.TILDE_GAMMA_TYPE
@@ -142,7 +127,7 @@ def test_power_exponent_from_bytes_matches_the_block_reference(p):
             found.append(c)
     if params.r_code:
         top = max_len // (params.r + 1)
-        assert found == [CyclicWord(params, (params.r,) * m) for m in range(1, top + 1)]
+        assert found == [cls(params, (params.r,) * m) for m in range(1, top + 1)]
     else:
         assert found == [] and (p % 2 or params.r_byte > 255)
 
@@ -152,7 +137,7 @@ def test_power_exponent_at_the_last_byte():
     params = make_params(256)
     assert params.r_code == b"\xfe" and make_params(258).r_code == b""
     for blocks, power in (((128,), 1), ((128,) * 3, 3), ((128, 1), None), ((127,), None)):
-        info = classify(CyclicWord.from_blocks(params, blocks), with_witnesses=False)
+        info = classify(cls(params, blocks), with_witnesses=False)
         assert info.power_exponent == power, blocks
 
 
@@ -162,12 +147,12 @@ def test_power_exponent_at_the_last_byte():
 
 def _random_word(params, rng, size):
     syllables = [IOTA] + params.exponent_range(params.p)
-    return Word.from_syllables(params, rng.choices(syllables, k=size))
+    return reduce(params, rng.choices(syllables, k=size))
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 8])
 def test_one_class_one_key_four_ways(p):
-    """from_blocks of a shifted rotation, cyclic_reduce of a conjugate,
+    """The key of a shifted rotation, the key of a conjugate,
     enumerate_classes and normal_form_generate give equal, equally hashed
     keys."""
     params = make_params(p)
@@ -179,8 +164,8 @@ def test_one_class_one_key_four_ways(p):
         shifted = [k + p * rng.randint(-2, 2) for k in blocks[d:] + blocks[:d]]
         h = _random_word(params, rng, rng.randint(0, 6))
         for key in (
-            CyclicWord.from_blocks(params, shifted),
-            (h * c.to_word() * h.inverse()).cyclic_reduce()[0],
+            cls(params, shifted),
+            class_key(h * c.to_word() * h.inverse()),
         ):
             assert key == c and hash(key) == hash(c), (key, c)
     if params.even:
@@ -188,21 +173,6 @@ def test_one_class_one_key_four_ways(p):
             for key in normal_form_generate(params, length):
                 c = enumerated[key]
                 assert key == c and hash(key) == hash(c), (key, c)
-
-
-@pytest.mark.parametrize("p", [3, 4, 6, 7])
-def test_torsion_keys_are_distinct(p):
-    """The keys of 1, i and every g^k differ from each other and from every
-    block key."""
-    params = make_params(p)
-    texts = ["1", "i"] + [f"g^{k}" for k in params.exponent_range(params.p)]
-    torsion = [Word.parse(params, text).class_key() for text in texts]
-    assert all(key.is_torsion() for key in torsion)
-    assert [str(key) for key in torsion] == texts
-    for a, b in itertools.combinations(torsion, 2):
-        assert a != b
-    assert len(set(torsion)) == len(torsion)
-    assert not set(torsion) & set(enumerate_classes(params, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +224,7 @@ def test_classification_agrees_with_witness_search(p, budget):
 @pytest.mark.parametrize("p", [4, 6])
 def test_normal_forms_are_reciprocal(p):
     params = make_params(p)
-    for length in range(2, 13):
+    for length in range(2, 15):
         for c in normal_form_generate(params, length):
             assert c.word_length() == length
             assert is_reciprocal(c), c
@@ -263,25 +233,25 @@ def test_normal_forms_are_reciprocal(p):
 @pytest.mark.parametrize("p", [4, 6, 8, 10, 12])
 def test_normal_forms_match_oracle_at_small_lengths(p):
     params = make_params(p)
-    oracle: dict[int, set] = {length: set() for length in range(2, 13)}
-    for c in enumerate_classes(params, 12):
+    oracle: dict[int, set] = {length: set() for length in range(2, 15)}
+    for c in enumerate_classes(params, 14):
         if is_reciprocal(c):
             oracle[c.word_length()].add(c)
-    for length in range(2, 13):
+    for length in range(2, 15):
         assert normal_form_generate(params, length) == oracle[length]
 
 
 def test_normal_form_probe_cost_does_not_grow_with_p(monkeypatch):
     # up to length 12 no g^r block fits when r >= 16, so p = 32 and p = 16384
-    # have the same normal forms and must do the same exponent work
-    canonical = GroupParams.canonical_exponent
+    # have the same normal forms and must try the same bytes
     calls = []
 
-    def counted(self, k):
-        calls.append(k)
-        return canonical(self, k)
+    class Counted(tuple):
+        def __getitem__(self, o):
+            calls.append(o)
+            return tuple.__getitem__(self, o)
 
-    monkeypatch.setattr(GroupParams, "canonical_exponent", counted)
+    monkeypatch.setattr(reciprocal_module, "WEIGHTS", Counted(necklaces.WEIGHTS))
     found = {}
     for p in (32, 16384):
         params = make_params(p)
@@ -313,9 +283,10 @@ def test_normal_form_power_classes():
 
 @pytest.mark.parametrize("p,max_len", [(4, 14), (5, 12)])
 def test_enumeration_is_not_re_encoded(monkeypatch, p, max_len):
-    """A classify sweep over the enumeration reads the bytes that ``_scan``
+    """A sweep over the enumeration reads the bytes that ``_scan``
     generated: with every ``encode`` in the package raising, each verdict
-    still equals the reference classifier's on those bytes."""
+    still equals the reference classifier's on those bytes, and each key
+    decodes, measures and decomposes."""
 
     def no_encode(blocks):
         raise AssertionError(f"re-encoded {blocks}")
@@ -323,12 +294,15 @@ def test_enumeration_is_not_re_encoded(monkeypatch, p, max_len):
     for module in (census_module, necklaces, reciprocal_module, words):
         if hasattr(module, "encode"):
             monkeypatch.setattr(module, "encode", no_encode)
-    params = make_params(p)
     with pytest.raises(AssertionError, match="re-encoded"):  # the patch is live
-        classify(CyclicWord.from_blocks(params, (1, 2)), with_witnesses=False)
+        normal_form_generate(P4, 3)  # which encodes the byte of g^2
+    params = make_params(p)
     for c in enumerate_classes(params, max_len):
         category = necklace_reference.reflection_category(params.r_byte, c.code)
         assert classify(c, with_witnesses=False).category == category, c
+        root, m = c.primitive_decomposition()
+        assert root.block_exponents * m == c.block_exponents, c
+        assert c.word_length() == len(c.code) + sum(map(abs, c.block_exponents)), c
 
 
 @pytest.mark.parametrize("p", range(3, 13))
@@ -343,24 +317,23 @@ def test_enumerated_code_is_the_encoded_key(p):
         assert names <= vars(c).keys(), c
         assert c.code == encode(blocks), c
         assert c.word_length() == len(blocks) + sum(map(abs, blocks)), c
-        assert repr(c) == repr(CyclicWord(params, blocks)), c
-        key = CyclicWord.from_blocks(params, blocks)
-        assert key == c and hash(key) == hash(c), c
+        assert repr(c) == repr(CyclicWord(params, encode(blocks))), c
+        built = cls(params, blocks)
+        assert built == c and hash(built) == hash(c), c
 
 
 @pytest.mark.parametrize("p", [3, 4, 5, 6, 8])
 def test_keys_built_elsewhere_classify_by_their_encoded_blocks(monkeypatch, p):
-    """Keys from ``from_blocks``, ``cyclic_reduce`` and
-    ``normal_form_generate`` encode their own blocks once, on first use, and
-    classify as the reflection classifier reads those bytes."""
+    """Keys from the reference constructor, a cyclic reduction and
+    ``normal_form_generate`` hold their bytes: none encodes its blocks, and
+    each classifies as the reflection classifier reads their encoding."""
     params = make_params(p)
     rng = random.Random(p)
-    keys = [CyclicWord.from_blocks(params, c.block_exponents[::-1])
-            for c in enumerate_classes(params, 10)]
+    keys = [cls(params, c.block_exponents[::-1]) for c in enumerate_classes(params, 10)]
     while len(keys) < 400:
-        key = _random_word(params, rng, rng.randint(2, 12)).cyclic_reduce()[0]
-        if not key.is_torsion():
-            keys.append(key)
+        word = _random_word(params, rng, rng.randint(2, 12))
+        if len(cyclic_reduce(word)[0]) > 1:  # infinite order
+            keys.append(class_key(word))
     if params.even:
         keys += [c for length in range(2, 11) for c in normal_form_generate(params, length)]
     expected = [reflection_category(params.r_byte, encode(key.block_exponents)) for key in keys]
@@ -370,23 +343,26 @@ def test_keys_built_elsewhere_classify_by_their_encoded_blocks(monkeypatch, p):
         encoded.append(blocks)
         return encode(blocks)
 
-    monkeypatch.setattr(necklaces, "encode", counted)
+    for module in (census_module, necklaces, reciprocal_module, words):
+        if hasattr(module, "encode"):
+            monkeypatch.setattr(module, "encode", counted)
     for key, category in zip(keys, expected):
         for _ in range(2):
             assert classify(key, with_witnesses=False).category is category, key
         assert key.code == encode(key.block_exponents), key
-    assert encoded == [key.block_exponents for key in keys]
+        assert key.primitive_decomposition()[0].word_length() <= key.word_length(), key
+    assert encoded == []
 
 
 def test_code_stays_out_of_repr_and_equality():
-    """The byte code and the cached word length are derived: in no field,
-    ``repr``, equality or hash."""
+    """A key's byte code and its cached word length are in no field,
+    ``repr``, equality or hash: those read the blocks."""
     c = next(c for c in enumerate_classes(P6, 6) if c.block_exponents == (1, 2))
-    fresh = CyclicWord(P6, (1, 2))
-    for name in ("code", "_length"):  # filled by the enumeration
-        assert name in vars(c) and name not in vars(fresh)
+    fresh = CyclicWord(P6, encode((1, 2)))
+    assert "_length" in vars(c) and "_length" not in vars(fresh)  # filled by the enumeration
     assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
-    forged = CyclicWord(P6, (1, 2))
+    forged = CyclicWord(P6, encode((1, 2)))
+    assert forged.block_exponents == (1, 2)  # decoded, then the bytes are forged
     vars(forged).update(code=b"\xff", _length=99)
     assert forged == c and hash(forged) == hash(c) and repr(forged) == repr(c)
     assert "code" not in repr(c) and repr(c.code) not in repr(c)

@@ -11,7 +11,8 @@ from hecke_census.census import CensusRow, census
 from hecke_census.formulas import ClaimEntry
 from hecke_census.reciprocal import classify
 from hecke_census.spectral import GrowthReport, IntPoly, build_growth_poly
-from hecke_census.words import CyclicWord, GroupParams, Word, make_params
+from hecke_census.words import GroupParams, make_params
+from word_reference import key, parse
 
 P6 = make_params(6)
 _W = "Word(params=GroupParams(p=6), syllables=({}))"
@@ -26,23 +27,16 @@ def _report(s):
 RECORDS = {
     "GroupParams": (lambda: GroupParams(6), lambda: GroupParams(8), ("p",),
                     "GroupParams(p=6)"),
-    "Word": (lambda: Word.parse(P6, "i g^2 i g^-1"), lambda: Word.parse(P6, "i g^2 i g^1"),
+    "Word": (lambda: parse(P6, "i g^2 i g^-1"), lambda: parse(P6, "i g^2 i g^1"),
              ("params", "syllables"), _W.format("0, 2, 0, -1")),
-    "CyclicWord": (lambda: CyclicWord.from_blocks(P6, (2, 1)),
-                   lambda: CyclicWord.from_blocks(make_params(8), (2, 1)),
-                   ("params", "block_exponents", "torsion"),
-                   "CyclicWord(params=GroupParams(p=6), block_exponents=(1, 2), torsion=())"),
-    "CyclicWord torsion": (lambda: Word.parse(P6, "g^3").class_key(),
-                           lambda: Word.parse(P6, "g^2").class_key(),
-                           ("params", "block_exponents", "torsion"),
-                           "CyclicWord(params=GroupParams(p=6), block_exponents=None, "
-                           "torsion=(3,))"),
+    "CyclicWord": (lambda: key(P6, (2, 1)), lambda: key(make_params(8), (2, 1)),
+                   ("params", "block_exponents"),
+                   "CyclicWord(params=GroupParams(p=6), block_exponents=(1, 2))"),
     "CensusRow": (lambda: census(P6, 8).rows[8], lambda: CensusRow(2, 0, 3, 0, 19),
                   ("symmetric", "p_reciprocal", "symmetric_p", "power", "all_classes"),
                   "CensusRow(symmetric=2, p_reciprocal=0, symmetric_p=3, power=1, "
                   "all_classes=19)"),
-    "ReciprocalInfo": (lambda: classify(CyclicWord.from_blocks(P6, (3, 3))),
-                       lambda: classify(CyclicWord.from_blocks(P6, (3, 3, 3))),
+    "ReciprocalInfo": (lambda: classify(key(P6, (3, 3))), lambda: classify(key(P6, (3, 3, 3))),
                        ("category", "power_exponent", "witnesses"),
                        "ReciprocalInfo(category=<Category.SYMMETRIC_P_RECIPROCAL: 3>, "
                        f"power_exponent=2, witnesses=({_W.format('0,')}, {_W.format('3,')}))"),

@@ -1,9 +1,93 @@
-"""Reference word helpers for the tests, written over the public API."""
+"""Reference word helpers for the tests, written over the public API and
+``Word._cyclic_core``, which ``test_words`` holds to a quadratic reference.
+
+The library builds words only from class keys; these helpers parse and
+reduce arbitrary syllables, cyclically reduce a word and key a block
+tuple.  Torsion lives only here: a class key is of infinite order, and
+``element_order`` reads the core that ``cyclic_reduce`` returns.
+"""
 
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from hecke_census.words import IOTA, GroupParams, Word
+from hecke_census.necklaces import encode
+from hecke_census.words import IOTA, CyclicWord, DomainError, GroupParams, Word
+
+
+def reduce(params: GroupParams, seq: Iterable[int]) -> Word:
+    """The reduced word of a syllable sequence."""
+    stack: list[int] = []
+    for s in seq:
+        if s == IOTA:
+            if stack and stack[-1] == IOTA:
+                stack.pop()
+            else:
+                stack.append(IOTA)
+        elif k := params.canonical_exponent(s):
+            if stack and stack[-1] != IOTA:
+                k = params.canonical_exponent(stack.pop() + k)
+            if k:
+                stack.append(k)
+    return Word(params, tuple(stack))
+
+
+def parse(params: GroupParams, text: str) -> Word:
+    """Parse the plain-text syntax: ``i``, ``g^k`` (k != 0), ``g``, ``1``."""
+    syls: list[int] = []
+    for tok in text.replace("*", " ").split():
+        if tok == "1":
+            continue
+        if tok == "i":
+            syls.append(IOTA)
+        elif tok == "g":
+            syls.append(1)
+        else:
+            try:
+                k = int(tok[2:]) if tok.startswith("g^") else 0
+            except ValueError:  # g^x, g^ and g^1.5
+                k = 0
+            if not k:
+                raise DomainError(f"unrecognized token {tok!r}")
+            syls.append(k)
+    return reduce(params, syls)
+
+
+def length(word: Word) -> int:
+    return sum(abs(s) or 1 for s in word.syllables)  # i weighs 1
+
+
+def key(params: GroupParams, blocks: Iterable[int]) -> CyclicWord:
+    """The class key of ``i g^k1 i g^k2 ... i g^kn``: the least rotation of
+    the bytes of the canonical blocks."""
+    s = encode(tuple(map(params.canonical_exponent, blocks)))  # g^0 has no byte
+    if not s:
+        raise DomainError("a class key needs at least one block")
+    return CyclicWord(params, min(s[i:] + s[:i] for i in range(len(s))))
+
+
+def cyclic_reduce(word: Word) -> tuple[tuple[int, ...], Word]:
+    """``(core, h)`` with ``word = h * core * h^-1`` and the syllables
+    ``core`` cyclically reduced.  A core of two or more syllables starts at
+    an ``i`` and at the least rotation of its blocks, so that it is the
+    syllables of its class key; a shorter one is the identity or a
+    syllable, a torsion class."""
+    params = word.params
+    syls, peeled = word._cyclic_core()
+    h = Word(params, word.syllables[:peeled])
+    if len(syls) > 1:
+        shift = int(syls[0] != IOTA)  # start the cycle at an i
+        blocks = tuple((syls[shift:] + syls[:shift])[1::2])
+        least = key(params, blocks).block_exponents
+        rotate = shift + 2 * next(d for d in range(len(blocks)) if blocks[d:] + blocks[:d] == least)
+        h = h * Word(params, tuple(syls[:rotate]))
+        syls = syls[rotate:] + syls[:rotate]
+    return tuple(syls), h
+
+
+def class_key(word: Word) -> CyclicWord:
+    """The class key of a word of infinite order."""
+    core, _ = cyclic_reduce(word)
+    return key(word.params, core[1::2])
 
 
 def all_reduced_words(params: GroupParams, length: int) -> Iterator[Word]:
@@ -31,18 +115,17 @@ def all_reduced_words(params: GroupParams, length: int) -> Iterator[Word]:
 def element_order(word: Word) -> int | None:
     """Order of the element; ``None`` means infinite.  A conjugate of a
     syllable has that syllable's order."""
-    key = word.class_key()
-    if not key.is_torsion():
+    core, _ = cyclic_reduce(word)
+    if len(core) > 1:
         return None
-    if not key.torsion:
+    if not core:
         return 1
-    (syl,) = key.torsion
-    if syl == IOTA:
+    if core[0] == IOTA:
         return 2
     p = word.params.p
-    return p // gcd(syl % p, p)
+    return p // gcd(core[0] % p, p)
 
 
-def inverse_key(c):
+def inverse_key(c: CyclicWord) -> CyclicWord:
     """Class key of the inverse class of the class key ``c``."""
-    return c.to_word().inverse().class_key()
+    return class_key(c.to_word().inverse())
