@@ -9,7 +9,7 @@ from .words import (
     Word,
     make_params,
 )
-from .reciprocal import Category, ReciprocalInfo, classify, is_reciprocal
+from .reciprocal import Category, ReciprocalInfo, classify
 from .census import CensusRow, CensusTable, census, enumerate_classes
 from .formulas import ClaimLedger, claims_check, recurrence_extend
 from .spectral import GrowthReport, IntPoly, analyze_growth, build_growth_poly
@@ -34,7 +34,6 @@ __all__ = [
     "claims_check",
     "classify",
     "enumerate_classes",
-    "is_reciprocal",
     "make_params",
     "recurrence_extend",
 ]

@@ -31,7 +31,8 @@ Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)``, from
 Every division is exact or raises.  ``enumeration_census`` is the
 enumeration oracle: ``_scan``, an iterative prenecklace walk, returns the
 bytes of every necklace once, as its least rotation, in one bucket per
-word length, and ``enumeration_census`` counts the buckets.  A key of
+word length, and ``tally`` counts buckets by category, those of
+``reciprocal.normal_form_generate`` (the reciprocal classes) too.  A key of
 ``enumerate_classes`` holds its bytes, as every class key does
 (``CyclicWord.code``, the classifier's input), and its bucket, as its
 length; its blocks are decoded from the bytes only if they are read.
@@ -200,19 +201,25 @@ def census(params: GroupParams, max_len: int) -> CensusTable:
     return CensusTable(params, max_len, rows)
 
 
-def enumeration_census(params: GroupParams, max_len: int) -> CensusTable:
-    """The census table by enumeration: each necklace that ``_scan`` lists
-    counts where ``classify`` would put it, read from its bytes alone,
-    with no class key."""
+def tally(params: GroupParams, buckets: list[list[bytes]]) -> CensusTable:
+    """The census table of classes given as least rotations in buckets by
+    word length, as ``_scan`` and ``reciprocal.normal_form_generate``
+    return them: each counts where ``classify`` would put it, read from its
+    bytes alone, with no class key, and ``all_classes`` is its bucket's size."""
     r, r_code = params.r_byte, params.r_code
     rows = {}
-    for length, bucket in enumerate(_scan(params, max_len)[2:], 2):
+    for length, bucket in enumerate(buckets[2:], 2):
         n = [0] * 5  # indexed by Category, then the powers of i g^r
         for s in bucket:
             n[reflection_category(r, s)] += 1
             n[4] += s == r_code * len(s)
         rows[length] = CensusRow(*n[1:], len(bucket))
-    return CensusTable(params, max_len, rows)
+    return CensusTable(params, len(buckets) - 1, rows)
+
+
+def enumeration_census(params: GroupParams, max_len: int) -> CensusTable:
+    """The census table by enumeration: the tally of every necklace."""
+    return tally(params, _scan(params, max_len))
 
 
 def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]:

@@ -32,7 +32,7 @@ from .spectral import (
     growth_estimate,
     squarefree_multiplicity,
 )
-from .words import DomainError, GroupParams, make_params
+from .words import CyclicWord, DomainError, GroupParams, make_params
 
 
 @cache  # it holds no per-call state, and building it costs most of a small run
@@ -184,8 +184,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     unsound = next((
         f"non-reciprocal normal form {c} (p={params.p})"
         for params in (p4, p6)
-        for length in range(2, _CROSS_CHECK_LEN + 1)
-        for c in normal_form_generate(params, length)
+        for bucket in normal_form_generate(params, _CROSS_CHECK_LEN)
+        for c in (CyclicWord(params, s) for s in bucket)
         if not classify(c, with_witnesses=False).is_reciprocal
     ), "")
     check("normal-form soundness", not unsound, unsound)

@@ -32,7 +32,8 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .census import FIXTURES, CensusTable, block_series
+from .census import FIXTURES, CensusTable, _scan, block_series
+from .necklaces import reflection_category
 from .spectral import (
     build_growth_poly,
     dominant_root,
@@ -459,25 +460,19 @@ def _fixture_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable
 
 def _normal_form_claims(ledger: ClaimLedger, params: GroupParams, max_len: int) -> None:
     """Normal-form completeness probe: the generated reciprocal normal
-    forms vs the oracle's reciprocal classes, per length.  Asymmetric
-    differences are findings, never silent."""
-    from .census import enumerate_classes
-    from .reciprocal import is_reciprocal, normal_form_generate
+    forms vs the enumeration's reciprocal classes, per length, as least
+    rotations.  Asymmetric differences are findings, never silent."""
+    from .reciprocal import normal_form_generate  # read per call, as wrappers see it
 
-    by_length: dict[int, set] = {length: set() for length in range(2, max_len + 1)}
-    for c in enumerate_classes(params, max_len):
-        if is_reciprocal(c):
-            by_length[c.word_length()].add(c)
+    forms, scanned = normal_form_generate(params, max_len), _scan(params, max_len)
     for length in range(2, max_len + 1):
-        nf = normal_form_generate(params, length)
-        oracle = by_length[length]
-        extra = len(nf - oracle)
-        missing = len(oracle - nf)
+        nf = set(forms[length])
+        oracle = {s for s in scanned[length] if reflection_category(params.r_byte, s)}
         ledger.compare(
             "L3.2-NF",
             {"p": params.p, "word_length": length},
             "0 extra, 0 missing",
-            f"{extra} extra, {missing} missing",
+            f"{len(nf - oracle)} extra, {len(oracle - nf)} missing",
             "normal-form generation vs oracle, set equality per length",
         )
 

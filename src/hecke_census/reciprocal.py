@@ -12,8 +12,8 @@ Two independent classification routes are provided: the reflection
 fixed-point method (primary, ``necklaces.reflection_category``) and an
 explicit involution search in the reciprocator coset (oracle).  They must
 always agree.  A verdict (``ReciprocalInfo``) stores three fields and
-derives the rest from them.  ``normal_form_generate`` builds the
-reciprocal classes of one length from the Lemma 3.2 shapes, as bytes.
+derives the rest from them.  ``normal_form_generate`` buckets the
+reciprocal classes as ``census._scan`` does, from the Lemma 3.2 shapes.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class ReciprocalInfo(NamedTuple):
 
 # the verdict without witnesses of each Category, for classes not a power of i g^r
 _VERDICTS = tuple(map(ReciprocalInfo, Category))
-
-
-def is_reciprocal(c: CyclicWord) -> bool:
-    return reflection_category(c.params.r_byte, c.code) is not Category.NOT_RECIPROCAL
 
 
 def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
@@ -119,36 +115,38 @@ def reciprocator_witnesses(c: CyclicWord) -> list[Word]:
     return [witnesses[t] for t in sorted(witnesses, key=lambda t: t.value)]
 
 
-def normal_form_generate(params: GroupParams, length: int) -> set[CyclicWord]:
-    """Class keys of all reciprocal normal-form words of the given length.
+def normal_form_generate(params: GroupParams, max_len: int) -> list[list[bytes]]:
+    """The reciprocal classes of word length <= max_len, bucketed like
+    ``census._scan``: bucket L holds the least rotations of the Lemma 3.2
+    normal forms of word length L, once each, in byte order.
 
-    Each normal form is ``before + ks + middle + rev_neg(ks)`` with
-    ``(before, middle)`` one of four shapes: a plain palindrome, a
-    g^r-bracketed palindrome and the two single-g^r forms.  ``ks`` is any
-    block word of half the weight the fixed g^r blocks leave; the powers of
-    ``i g^r`` are the forms with ``ks`` a power of g^r.  The forms are built
-    as ``necklaces`` bytes, and the half-words come from a table per weight
-    that holds only bytes within it, as ``census._scan`` does, so the cost
-    does not depend on p.  A form's key is its least byte rotation; every
-    emitted class is reciprocal by construction.
+    A form is ``before + ks + middle + rev_neg(ks)``, with ``ks`` a block
+    word of half the weight its g^r blocks leave.  Three shapes give every
+    form: ``ks rev_neg(ks)``, ``g^r ks rev_neg(ks)`` and
+    ``g^r ks g^r rev_neg(ks)``.  The paper's fourth, ``ks g^r rev_neg(ks)``,
+    is the second's rotation for the half-word ``rev_neg(ks)``; odd p has
+    no g^r.  The half-words come from one table by weight, of the bytes
+    within budget as in ``_scan``, so the cost does not depend on p.
     """
-    r = params.require_even()
-    if length < 2:
-        raise DomainError("length must be >= 2")
-    half = length // 2
+    if max_len < 2:
+        raise DomainError("max_len must be >= 2")
+    half = max_len // 2
     top = min(params.p - 1, 2 * half - 2)  # the bytes that weigh <= half
     if top > len(WEIGHTS):
-        raise DomainError(f"g^k with |k| > 128 has no byte: p={params.p} needs length <= 259")
+        raise DomainError(f"g^k with |k| > 128 has no byte: p={params.p} needs max_len <= 259")
+    shapes = [(b"", b"", 0)]  # before, middle and the word length of their g^r blocks
+    if params.even and params.r < max_len:  # a g^r shape fits
+        g = encode((params.r,))
+        shapes += [(g, b"", params.r + 1), (g, g, 2 * params.r + 2)]
     halves = [[b""]]  # halves[w]: the byte words of weight w
     for w in range(1, half + 1):
         halves.append([bytes((o,)) + rest for o in range(top) if WEIGHTS[o] <= w
                        for rest in halves[w - WEIGHTS[o]]])
-    seen: set[bytes] = set()
-    for before, middle in ((0, 0), (1, 1), (1, 0), (0, 1)):
-        rem = length - (r + 1) * (before + middle)
-        if rem >= 0 and rem % 2 == 0:
-            g = encode((r,)) if before or middle else b""
-            for ks in halves[rem // 2]:
-                s = g * before + ks + g * middle + rev_neg(ks, params.r_byte)
-                seen.add(min(s[i:] + s[:i] for i in range(len(s))))
-    return {CyclicWord(params, s) for s in seen}
+    buckets: list[set[bytes]] = [set() for _ in range(max_len + 1)]
+    for before, middle, fixed in shapes:
+        for w in range(0 if fixed else 1, (max_len - fixed) // 2 + 1):  # no empty form
+            bucket = buckets[fixed + 2 * w]
+            for ks in halves[w]:
+                s = before + ks + middle + rev_neg(ks, params.r_byte)
+                bucket.add(min(s[i:] + s[:i] for i in range(len(s))))
+    return [sorted(bucket) for bucket in buckets]

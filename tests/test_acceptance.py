@@ -31,7 +31,7 @@ from hecke_census.spectral import (
     sqrt2_sign,
     squarefree_multiplicity,
 )
-from hecke_census.words import IOTA, Word, make_params
+from hecke_census.words import IOTA, CyclicWord, Word, make_params
 from composition_reference import compositions
 from ledger_queries import find_entries, ledger_ids
 from word_reference import cyclic_reduce, reduce
@@ -229,10 +229,10 @@ def test_criterion_9_normal_form_soundness():
     with _Budget("9 (normal-form soundness)", 30.0):
         for p in (4, 6):
             params = make_params(p)
-            for length in range(2, 15):
-                for c in normal_form_generate(params, length):
-                    info = classify(c, with_witnesses=False)
-                    assert info.category is not Category.NOT_RECIPROCAL, (p, c)
+            for bucket in normal_form_generate(params, 14):
+                for s in bucket:
+                    info = classify(CyclicWord(params, s), with_witnesses=False)
+                    assert info.category is not Category.NOT_RECIPROCAL, (p, s)
         # completeness differences surface as ledger entries, exit stays 0
         code = main(["claims", "--p", "6", "--max-len", "12", "--out", "/dev/null"])
         assert code == 0

@@ -17,15 +17,11 @@ from hecke_census.census import (
     enumerate_classes,
     enumeration_census,
     table_to_csv,
+    tally,
     table_to_json,
 )
 from hecke_census.necklaces import decode, encode
-from hecke_census.reciprocal import (
-    classify,
-    is_reciprocal,
-    normal_form_generate,
-    reciprocator_witnesses,
-)
+from hecke_census.reciprocal import classify, normal_form_generate, reciprocator_witnesses
 from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import DomainError, InvolutionType, make_params
 from composition_reference import block_powers
@@ -226,7 +222,7 @@ def test_reciprocal_total_matches_classifier():
     t = census(P6, 10)
     by_len: dict[int, int] = {}
     for c in enumerate_classes(P6, 10):
-        if is_reciprocal(c):
+        if classify(c, with_witnesses=False).is_reciprocal:
             by_len[c.word_length()] = by_len.get(c.word_length(), 0) + 1
     for length in range(2, 11):
         assert t.rows[length].reciprocal_total == by_len.get(length, 0)
@@ -265,6 +261,19 @@ def test_engine_matches_enumeration_at_every_budget(p):
     for max_len in range(2, 21):  # at 2 and 3 only the first block weights fit
         expected = {length: oracle[length] for length in range(2, max_len + 1)}
         assert census(params, max_len).rows == expected, max_len
+
+
+@pytest.mark.parametrize("p,max_len", [(4, 22), (6, 20), (5, 20)])
+def test_tally_of_normal_forms_is_the_reciprocal_census(p, max_len):
+    """The normal forms, tallied like the enumeration, fill every census
+    column but ``all_classes``, which counts only the reciprocal classes."""
+    params = make_params(p)
+    forms = tally(params, normal_form_generate(params, max_len))
+    assert forms.max_len == max_len
+    assert forms.rows == {
+        length: row._replace(all_classes=row.reciprocal_total)
+        for length, row in census(params, max_len).rows.items()
+    }
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,6 +399,8 @@ def test_blocks_beyond_one_byte_are_a_domain_error():
         list(enumerate_classes(make_params(258), 130))  # g^129 is its own negative
     with pytest.raises(DomainError, match=r"\|k\| > 128"):
         normal_form_generate(make_params(258), 260)
+    with pytest.raises(DomainError, match=r"g\^129 has no byte"):
+        normal_form_generate(make_params(258), 130)  # a g^r shape fits
     with pytest.raises(DomainError, match=r"g\^129 has no byte"):
         key(params, (1, 129))
     for p in (257, 258, 300):

@@ -162,12 +162,12 @@ def verify_fails(capsys, check, detail):
 
 
 def test_verify_names_the_first_non_reciprocal_normal_form(capsys, monkeypatch):
-    # i g^1 is not reciprocal; added at every length for p = 4 and p = 6,
+    # i g^1 is not reciprocal; added to every bucket for p = 4 and p = 6,
     # the check must name the first one it meets, at p = 4
     generate = cli.normal_form_generate
 
-    def unsound(params, length):
-        return generate(params, length) | {key(params, (1,))}
+    def unsound(params, max_len):
+        return [bucket + [key(params, (1,)).code] for bucket in generate(params, max_len)]
 
     monkeypatch.setattr(cli, "normal_form_generate", unsound)
     verify_fails(capsys, "normal-form soundness", "non-reciprocal normal form i g^1 (p=4)")

@@ -8,12 +8,11 @@ import necklace_reference
 from hecke_census import census as census_module
 from hecke_census import necklaces, words
 from hecke_census import reciprocal as reciprocal_module
-from hecke_census.census import enumerate_classes
+from hecke_census.census import _scan, enumerate_classes
 from hecke_census.necklaces import encode, reflection_category
 from hecke_census.reciprocal import (
     Category,
     classify,
-    is_reciprocal,
     normal_form_generate,
     reciprocator_witnesses,
 )
@@ -168,11 +167,11 @@ def test_one_class_one_key_four_ways(p):
             class_key(h * c.to_word() * h.inverse()),
         ):
             assert key == c and hash(key) == hash(c), (key, c)
-    if params.even:
-        for length in range(2, 11):
-            for key in normal_form_generate(params, length):
-                c = enumerated[key]
-                assert key == c and hash(key) == hash(c), (key, c)
+    for bucket in normal_form_generate(params, 10):
+        for s in bucket:
+            key = CyclicWord(params, s)
+            c = enumerated[key]
+            assert key == c and hash(key) == hash(c), (key, c)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def test_one_class_one_key_four_ways(p):
 
 def test_inverse_class_closure():
     for c in enumerate_classes(P6, 10):
-        if is_reciprocal(c):
+        if classify(c, with_witnesses=False).is_reciprocal:
             assert inverse_key(c) == c
 
 
@@ -221,24 +220,38 @@ def test_classification_agrees_with_witness_search(p, budget):
 # normal forms
 
 
-@pytest.mark.parametrize("p", [4, 6])
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 300])
+def test_normal_form_buckets_hold_least_rotations_once_in_order(p):
+    """Bucket L of the normal forms is sorted, repeats nothing, and holds
+    least rotations of word length L, like the buckets of ``_scan``."""
+    params = make_params(p)
+    buckets = normal_form_generate(params, 16)
+    assert len(buckets) == 17 and buckets[0] == buckets[1] == []
+    for length, bucket in enumerate(buckets):
+        assert bucket == sorted(set(bucket)), length
+        for s in bucket:
+            assert s == min(s[i:] + s[:i] for i in range(len(s))), (length, s)
+            assert CyclicWord(params, s).word_length() == length, (length, s)
+
+
+@pytest.mark.parametrize("p", [3, 4, 5, 6])
 def test_normal_forms_are_reciprocal(p):
     params = make_params(p)
-    for length in range(2, 15):
-        for c in normal_form_generate(params, length):
-            assert c.word_length() == length
-            assert is_reciprocal(c), c
+    for bucket in normal_form_generate(params, 14):
+        for s in bucket:
+            c = CyclicWord(params, s)
+            assert classify(c, with_witnesses=False).is_reciprocal, c
 
 
-@pytest.mark.parametrize("p", [4, 6, 8, 10, 12])
+@pytest.mark.parametrize("p", [3, 4, 5, 6, 7, 8, 9, 10, 12])
 def test_normal_forms_match_oracle_at_small_lengths(p):
+    """Each bucket of normal forms is the reciprocal part of the
+    enumeration's bucket of the same word length."""
     params = make_params(p)
-    oracle: dict[int, set] = {length: set() for length in range(2, 15)}
-    for c in enumerate_classes(params, 14):
-        if is_reciprocal(c):
-            oracle[c.word_length()].add(c)
+    forms, scanned = normal_form_generate(params, 14), _scan(params, 14)
     for length in range(2, 15):
-        assert normal_form_generate(params, length) == oracle[length]
+        oracle = [s for s in scanned[length] if reflection_category(params.r_byte, s)]
+        assert forms[length] == oracle, length
 
 
 def test_normal_form_probe_cost_does_not_grow_with_p(monkeypatch):
@@ -254,27 +267,23 @@ def test_normal_form_probe_cost_does_not_grow_with_p(monkeypatch):
     monkeypatch.setattr(reciprocal_module, "WEIGHTS", Counted(necklaces.WEIGHTS))
     found = {}
     for p in (32, 16384):
-        params = make_params(p)
         calls.clear()
-        blocks = [
-            {c.block_exponents for c in normal_form_generate(params, length)}
-            for length in range(2, 13)
-        ]
-        found[p] = blocks, len(calls)
+        found[p] = normal_form_generate(make_params(p), 12), len(calls)
     assert found[32] == found[16384]
 
 
 def test_normal_form_power_classes():
-    assert cls(P4, (2,)) in normal_form_generate(P4, 3)
-    assert cls(P4, (2, 2)) in normal_form_generate(P4, 6)
-    assert cls(P6, (3,)) in normal_form_generate(P6, 4)
+    assert cls(P4, (2,)).code in normal_form_generate(P4, 3)[3]
+    assert cls(P4, (2, 2)).code in normal_form_generate(P4, 6)[6]
+    assert cls(P6, (3,)).code in normal_form_generate(P6, 4)[4]
     # every power (i g^r)^m comes from the shapes, odd m from a single g^r
     # and even m from the bracketed palindrome
     for p in (4, 6, 8):
         params = make_params(p)
         r = params.r
+        buckets = normal_form_generate(params, 4 * (r + 1))
         for m in range(1, 5):
-            assert cls(params, (r,) * m) in normal_form_generate(params, m * (r + 1)), (p, m)
+            assert cls(params, (r,) * m).code in buckets[m * (r + 1)], (p, m)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +343,7 @@ def test_keys_built_elsewhere_classify_by_their_encoded_blocks(monkeypatch, p):
         word = _random_word(params, rng, rng.randint(2, 12))
         if len(cyclic_reduce(word)[0]) > 1:  # infinite order
             keys.append(class_key(word))
-    if params.even:
-        keys += [c for length in range(2, 11) for c in normal_form_generate(params, length)]
+    keys += [CyclicWord(params, s) for bucket in normal_form_generate(params, 10) for s in bucket]
     expected = [reflection_category(params.r_byte, encode(key.block_exponents)) for key in keys]
     encoded = []
 
