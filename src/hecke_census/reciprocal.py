@@ -11,7 +11,8 @@ two possible conjugacy families of involutions that invert ``g``.
 Two independent classification routes are provided: the reflection
 fixed-point method (primary, ``necklaces.reflection_category``) and an
 explicit involution search in the reciprocator coset (oracle).  They must
-always agree.  A verdict (``ReciprocalInfo``) stores three fields and
+agree on every class: ``classify`` with witnesses runs both, whatever the
+first one says.  A verdict (``ReciprocalInfo``) stores three fields and
 derives the rest from them.  ``normal_form_generate`` buckets the
 reciprocal classes as ``census._scan`` does, from the Lemma 3.2 shapes.
 """
@@ -64,44 +65,43 @@ _VERDICTS = tuple(map(ReciprocalInfo, Category))
 def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
     """Full reciprocity verdict for an infinite-order class.
 
-    The verdict is frozen and may be shared between classes: only a power
-    of ``i g^r`` or a call with witnesses gets an instance of its own.
-    Without witnesses it reads only the class's byte code, so an
-    enumerated key is never decoded.
+    With witnesses, ``witnesses`` is the search's answer for every class,
+    empty when it finds the class not reciprocal, so it checks the
+    category rather than follows it.  The verdict is frozen and may be
+    shared between classes: only a power of ``i g^r`` or a call with
+    witnesses gets an instance of its own.  Without witnesses it reads
+    only the class's byte code, so an enumerated key is never decoded.
     """
     params, s = c.params, c.code
     info = _VERDICTS[reflection_category(params.r_byte, s)]
     if s == params.r_code * len(s):  # never, if r_code is empty
         info = info._replace(power_exponent=len(s))
-    if with_witnesses and info.is_reciprocal:
+    if with_witnesses:
         info = info._replace(witnesses=tuple(reciprocator_witnesses(c)))
     return info
 
 
 def reciprocator_witnesses(c: CyclicWord) -> list[Word]:
-    """Involution witnesses ``h`` with ``h c h^-1 = c^-1``, one per family.
+    """Involution witnesses ``h`` with ``h c h^-1 = c^-1``, one per family;
+    ``[]`` when the class is not reciprocal.
 
     Independent of the reflection method: builds a conjugator from a
     syllable rotation aligning ``c^-1`` with ``c`` and searches its coset
     by the primitive root for involutions.
     """
     w = c.to_word()
+    g_inv = w.inverse()
     syls = w.syllables
-    inv_syls = w.inverse().syllables
-    m = len(syls)
-    h0: Word | None = None
-    for d in range(m):
-        if syls[d:] + syls[:d] == inv_syls:
-            h0 = Word(c.params, syls[:d]).inverse()
+    for d in range(len(syls)):
+        if syls[d:] + syls[:d] == g_inv.syllables:
             break
-    if h0 is None:
-        raise DomainError("class is not reciprocal")
+    else:
+        return []
 
     root, _ = c.primitive_decomposition()
     c0 = root.to_word()
     witnesses: dict[InvolutionType, Word] = {}
-    g_inv = w.inverse()
-    cand = h0
+    cand = Word(c.params, syls[:d]).inverse()
     for _ in range(2 * len(c.code) + 1):
         typ = cand.involution_type()
         if typ is not InvolutionType.NOT_INVOLUTION and typ not in witnesses:

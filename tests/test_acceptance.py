@@ -106,8 +106,6 @@ def test_criterion_3_classification_cross_validation():
             params = make_params(p)
             for c in enumerate_classes(params, 20):
                 info = classify(c, with_witnesses=True)
-                if not info.is_reciprocal:
-                    continue
                 witness_types = frozenset(
                     h.involution_type() for h in info.witnesses
                 )

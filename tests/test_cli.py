@@ -175,15 +175,29 @@ def test_verify_names_the_first_non_reciprocal_normal_form(capsys, monkeypatch):
 
 def test_verify_checks_normal_forms_to_the_cross_check_length(capsys, monkeypatch):
     # the classifier calls one reciprocal class of length 14 non-reciprocal:
-    # i g^1 i g^1 i g^-1 i g^-1 i g^2 i g^-2 of p = 6, which is a normal form
+    # i g^1 i g^1 i g^-1 i g^-1 i g^2 i g^-2 of p = 6, which is a normal form;
+    # the witness search, run on every normal form, finds its involutions
     category = reciprocal.reflection_category
 
     def blind(r, s):
         return Category.NOT_RECIPROCAL if s == bytes.fromhex("000001010203") else category(r, s)
 
     monkeypatch.setattr(reciprocal, "reflection_category", blind)
-    verify_fails(capsys, "normal-form soundness",
-                 "non-reciprocal normal form i g^1 i g^1 i g^-1 i g^-1 i g^2 i g^-2 (p=6)")
+    verify_fails(capsys, "classification cross-validation",
+                 "disagreement at i g^1 i g^1 i g^-1 i g^-1 i g^2 i g^-2 (p=6)")
+
+
+def test_verify_catches_a_false_positive_off_the_normal_forms(capsys, monkeypatch):
+    # the classifier calls i g^1, which is no normal form, symmetric; the
+    # normal-form checks never see it, but the enumeration counts it
+    census_module = sys.modules["hecke_census.census"]  # the package's census is the function
+    category, code = census_module.reflection_category, key(make_params(4), (1,)).code
+
+    def loose(r, s):
+        return Category.SYMMETRIC if s == code else category(r, s)
+
+    monkeypatch.setattr(census_module, "reflection_category", loose)
+    verify_fails(capsys, "census engine == enumeration", "p=4 len 2")
 
 
 def test_verify_names_the_first_wrong_census_length(capsys, monkeypatch):
