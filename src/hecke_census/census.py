@@ -29,13 +29,17 @@ Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)``, from
 - The power column is the one class ``(g^r ... g^r)``: ``[(r+1) | L]``.
 
 Every division is exact or raises.  ``enumeration_census`` is the
-enumeration oracle: ``_scan``, an iterative prenecklace walk, returns the
+enumeration oracle: ``_scan``, a recursive prenecklace walk, returns the
 bytes of every necklace once, as its least rotation, in one bucket per
-word length, and ``tally`` counts buckets by category, those of
-``reciprocal.normal_form_generate`` (the reciprocal classes) too.  A key of
-``enumerate_classes`` holds its bytes, as every class key does
-(``CyclicWord.code``, the classifier's input), and its bucket, as its
-length; its blocks are decoded from the bytes only if they are read.
+word length.  Every child of a prenecklace but its first is a Lyndon
+word, and block weights do not decrease with the byte, so once one of
+those cannot extend within budget, no later one can: the walk appends
+that run of leaves without visiting them.  ``tally`` counts buckets by
+category, those of ``reciprocal.normal_form_generate`` (the reciprocal
+classes) too.  A key of ``enumerate_classes`` holds its bytes, as every
+class key does (``CyclicWord.code``, the classifier's input), and its
+bucket, as its length; its blocks are decoded from the bytes only if they
+are read.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from typing import Iterator, NamedTuple
 
 from .necklaces import WEIGHTS, reflection_category
 from .words import CyclicWord, DomainError, GroupParams
+
+_ONE_BYTE = [bytes((o,)) for o in range(len(WEIGHTS))]  # a child of pre is pre + _ONE_BYTE[o]
 
 CSV_HEADER = "len,symmetric,p_reciprocal,symmetric_p,power,reciprocal_total,all_classes"
 
@@ -87,51 +93,62 @@ def _scan(params: GroupParams, max_len: int) -> list[list[bytes]]:
     rotation: bucket L lists those of word length L in lexicographic order.
 
     This is the FKM prenecklace generator (Cattell, Ruskey, Sawada, Serra
-    and Miers, J. Algorithms 37, 2000), walked depth first without
-    recursion.  A prenecklace whose longest Lyndon prefix has length q
-    extends only by a byte >= the byte q places back, and it is a necklace
-    exactly when q divides its length.  Every prefix of a necklace is a
-    prenecklace of no larger weight, and block weights do not decrease with
-    the byte, so each extension range stops at the budget.
+    and Miers, J. Algorithms 37, 2000), walked depth first by
+    ``_children``, one level per byte: a block weighs >= 2, so at most
+    max_len // 2 deep.  Every prefix of a necklace is a prenecklace of no
+    larger weight, and block weights do not decrease with the byte, so each
+    extension range stops at the budget, and the children that cannot
+    extend come as one run of leaves (see ``_children``).
     """
     if max_len < 2:
         raise DomainError("max_len must be >= 2")
-    # Z_p has p - 1 bytes, and the 2b - 2 bytes of g^+-1 .. g^+-(b-1) weigh <= b
-    fits = [min(params.p - 1, 2 * b - 2) for b in range(max_len + 1)]
-    if fits[max_len] > len(WEIGHTS):
+    # room[w]: the bytes that fit after weight w.  Z_p has p - 1 bytes, and
+    # the 2b - 2 bytes of g^+-1 .. g^+-(b-1) weigh <= b
+    room = [min(params.p - 1, 2 * (max_len - w) - 2) for w in range(max_len + 1)]
+    if room[0] > len(WEIGHTS):
         raise DomainError(f"g^k with |k| > 128 has no byte: p={params.p} needs max_len <= 129")
     buckets: list[list[bytes]] = [[] for _ in range(max_len + 1)]
-    # One frame per prefix length t (a block weighs >= 2): the next byte to
-    # try after buf[:t] and the end of its range, the weight of buf[:t], and
-    # the Lyndon prefix length that byte gives, which is buf[:t]'s own for
-    # the first byte (it repeats the byte q places back) and t + 1 after it.
-    depth = max_len // 2 + 1
-    nxt, end, used, lyn = ([0] * depth for _ in range(4))
-    end[0], lyn[0] = fits[max_len], 1  # after the empty prefix, each byte is a Lyndon word
-    buf = bytearray()
-    t = 0
-    while True:
-        o = nxt[t]
-        if o == end[t]:
-            if not t:
-                return buckets
-            t -= 1
-            buf.pop()
-            continue
-        nxt[t] = o + 1
-        q = lyn[t]
-        lyn[t] = t + 1
-        w = used[t] + WEIGHTS[o]
-        buf.append(o)
-        t += 1
-        if t % q == 0:
-            buckets[w].append(bytes(buf))
-        back, stop = buf[t - q], fits[max_len - w]
-        if back < stop:
-            nxt[t], end[t], used[t], lyn[t] = back, stop, w, q
-        else:  # no byte extends buf within budget
-            t -= 1
-            buf.pop()
+    for o in range(room[0]):  # each byte is a Lyndon word
+        w = WEIGHTS[o]
+        buckets[w].append(_ONE_BYTE[o])
+        if o < room[w]:
+            _children(_ONE_BYTE[o], w, 1, room, buckets)
+    return buckets
+
+
+def _children(pre: bytes, u: int, q: int, room: list[int], buckets: list[list[bytes]]) -> None:
+    """Append to ``buckets`` every necklace that extends the prenecklace
+    ``pre`` of weight u, whose longest Lyndon prefix has length q, given
+    that some byte does.
+
+    ``pre`` extends by the bytes o in ``[back, room[u])``, back the byte q
+    places back, and ``pre + o`` is a necklace exactly when its own Lyndon
+    prefix length divides its length.  o = back keeps q.  Every o > back
+    makes a Lyndon word, so a necklace, whose own range starts at
+    ``pre[0]``: it extends only if ``pre[0] < room[u + WEIGHTS[o]]``, a test
+    that can only turn false as o grows.  From the first o that fails it,
+    the rest of the range is a run of leaves, appended without a visit.
+    """
+    t = len(pre)
+    back, stop = pre[t - q], room[u]
+    w = u + WEIGHTS[back]
+    child = pre + _ONE_BYTE[back]
+    if (t + 1) % q == 0:
+        buckets[w].append(child)
+    if child[t + 1 - q] < room[w]:
+        _children(child, w, q, room, buckets)
+    first = pre[0]
+    for o in range(back + 1, stop):
+        w = u + WEIGHTS[o]
+        if first >= room[w]:
+            break
+        child = pre + _ONE_BYTE[o]
+        buckets[w].append(child)
+        _children(child, w, t + 1, room, buckets)
+    else:
+        return
+    for o in range(o, stop):
+        buckets[u + WEIGHTS[o]].append(pre + _ONE_BYTE[o])
 
 
 def block_series(weights: dict[int, int], terms: list, n: int) -> list:

@@ -85,9 +85,13 @@ def reciprocator_witnesses(c: CyclicWord) -> list[Word]:
     """Involution witnesses ``h`` with ``h c h^-1 = c^-1``, one per family;
     ``[]`` when the class is not reciprocal.
 
-    Independent of the reflection method: builds a conjugator from a
+    Independent of the reflection method: builds a conjugator ``h`` from a
     syllable rotation aligning ``c^-1`` with ``c`` and searches its coset
-    by the primitive root for involutions.
+    ``h c0^k`` by the primitive root ``c0`` for involutions.  Only k = 0
+    and k = 1 can find a new one.  ``h`` inverts ``c = c0^m``, so it
+    inverts ``c0``, roots being unique in a free product.  Hence
+    ``c0 (h c0^k) c0^-1 = h c0^(k-2)``: every later candidate is conjugate
+    to one of the first two and is of the same family, or of none.
     """
     w = c.to_word()
     g_inv = w.inverse()
@@ -99,15 +103,13 @@ def reciprocator_witnesses(c: CyclicWord) -> list[Word]:
         return []
 
     root, _ = c.primitive_decomposition()
-    c0 = root.to_word()
+    h = Word(c.params, syls[:d]).inverse()
     witnesses: dict[InvolutionType, Word] = {}
-    cand = Word(c.params, syls[:d]).inverse()
-    for _ in range(2 * len(c.code) + 1):
+    for cand in (h, h * root.to_word()):
         typ = cand.involution_type()
         if typ is not InvolutionType.NOT_INVOLUTION and typ not in witnesses:
             if (cand * w * cand.inverse()) == g_inv:
                 witnesses[typ] = cand
-        cand = cand * c0
     if not witnesses:
         raise ConsistencyError(
             f"no involution found in the reciprocator coset of {c}"
@@ -148,5 +150,6 @@ def normal_form_generate(params: GroupParams, max_len: int) -> list[list[bytes]]
             bucket = buckets[fixed + 2 * w]
             for ks in halves[w]:
                 s = before + ks + middle + rev_neg(ks, params.r_byte)
-                bucket.add(min(s[i:] + s[:i] for i in range(len(s))))
+                m = min(s)  # the least rotation starts at a least byte
+                bucket.add(min([s[i:] + s[:i] for i, o in enumerate(s) if o == m]))
     return [sorted(bucket) for bucket in buckets]

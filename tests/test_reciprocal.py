@@ -12,6 +12,7 @@ from hecke_census.census import _scan, enumerate_classes
 from hecke_census.necklaces import encode, reflection_category
 from hecke_census.reciprocal import (
     Category,
+    ConsistencyError,
     classify,
     normal_form_generate,
     reciprocator_witnesses,
@@ -20,9 +21,10 @@ from hecke_census.words import (
     IOTA,
     CyclicWord,
     InvolutionType,
+    Word,
     make_params,
 )
-from word_reference import class_key, cyclic_reduce, inverse_key, reduce
+from word_reference import class_key, coset_witnesses, cyclic_reduce, inverse_key, reduce
 from word_reference import key as cls
 
 
@@ -197,6 +199,45 @@ def test_witnesses_invert_the_class():
 
 
 def test_witnesses_are_empty_for_non_reciprocal():
+    assert reciprocator_witnesses(cls(P4, (1,))) == []
+
+
+def _witness_classes():
+    """Every class of p in {3, 4, 5, 6, 8} to L = 14, then the normal forms
+    of (4, 20) and (6, 18), where the coset is longest."""
+    for p in (3, 4, 5, 6, 8):
+        yield from enumerate_classes(make_params(p), 14)
+    for p, max_len in ((4, 20), (6, 18)):
+        params = make_params(p)
+        for bucket in normal_form_generate(params, max_len):
+            yield from (CyclicWord(params, s) for s in bucket)
+
+
+def test_witnesses_match_the_whole_coset():
+    """The two candidates find the words that the whole coset walk finds."""
+    for c in _witness_classes():
+        assert reciprocator_witnesses(c) == coset_witnesses(c), c
+
+
+def test_witness_search_tries_two_candidates(monkeypatch):
+    calls = []
+    involution_type = Word.involution_type
+
+    def counted(self):
+        calls.append(self)
+        return involution_type(self)
+
+    monkeypatch.setattr(Word, "involution_type", counted)
+    for c in _witness_classes():
+        calls.clear()
+        reciprocator_witnesses(c)
+        assert len(calls) <= 2, c
+
+
+def test_witness_search_without_an_involution_is_an_error(monkeypatch):
+    monkeypatch.setattr(Word, "involution_type", lambda self: InvolutionType.NOT_INVOLUTION)
+    with pytest.raises(ConsistencyError, match="no involution found"):
+        reciprocator_witnesses(cls(P4, (1, -1)))
     assert reciprocator_witnesses(cls(P4, (1,))) == []
 
 

@@ -3,7 +3,8 @@
 
 The library builds words only from class keys; these helpers parse and
 reduce arbitrary syllables, cyclically reduce a word and key a block
-tuple.  Torsion lives only here: a class key is of infinite order, and
+tuple, and ``coset_witnesses`` walks the witness search's whole coset.
+Torsion lives only here: a class key is of infinite order, and
 ``element_order`` reads the core that ``cyclic_reduce`` returns.
 """
 
@@ -11,7 +12,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from hecke_census.necklaces import encode
-from hecke_census.words import IOTA, CyclicWord, DomainError, GroupParams, Word
+from hecke_census.words import IOTA, CyclicWord, DomainError, GroupParams, InvolutionType, Word
 
 
 def reduce(params: GroupParams, seq: Iterable[int]) -> Word:
@@ -129,3 +130,27 @@ def element_order(word: Word) -> int | None:
 def inverse_key(c: CyclicWord) -> CyclicWord:
     """Class key of the inverse class of the class key ``c``."""
     return class_key(c.to_word().inverse())
+
+
+def coset_witnesses(c: CyclicWord) -> list[Word]:
+    """``reciprocal.reciprocator_witnesses`` over 2n + 1 candidates of the
+    coset ``h c0^k``, n the block count of ``c``, where the library tries
+    k = 0 and k = 1: the first involution of each family, and its check."""
+    w = c.to_word()
+    g_inv = w.inverse()
+    syls = w.syllables
+    for d in range(len(syls)):
+        if syls[d:] + syls[:d] == g_inv.syllables:
+            break
+    else:
+        return []
+    c0 = c.primitive_decomposition()[0].to_word()
+    witnesses: dict[InvolutionType, Word] = {}
+    cand = Word(c.params, syls[:d]).inverse()
+    for _ in range(2 * len(c.code) + 1):
+        typ = cand.involution_type()
+        if typ is not InvolutionType.NOT_INVOLUTION and typ not in witnesses:
+            if (cand * w * cand.inverse()) == g_inv:
+                witnesses[typ] = cand
+        cand = cand * c0
+    return [witnesses[t] for t in sorted(witnesses, key=lambda t: t.value)]
