@@ -228,8 +228,10 @@ def tally(params: GroupParams, buckets: list[list[bytes]]) -> CensusTable:
     for length, bucket in enumerate(buckets[2:], 2):
         n = [0] * 5  # indexed by Category, then the powers of i g^r
         for s in bucket:
-            n[reflection_category(r, s)] += 1
-            n[4] += s == r_code * len(s)
+            category = reflection_category(r, s)
+            n[category] += 1
+            if category == 3:  # only (i g^r)^m can be a power, and it is symmetric_p
+                n[4] += s == r_code * len(s)
         rows[length] = CensusRow(*n[1:], len(bucket))
     return CensusTable(params, len(buckets) - 1, rows)
 

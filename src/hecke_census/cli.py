@@ -22,7 +22,7 @@ from .formulas import (
     recurrence_extend,
     signed_syllable_count,
 )
-from .reciprocal import classify, normal_form_generate
+from .reciprocal import ConsistencyError, classify, normal_form_generate
 from .spectral import (
     analyze_growth,
     build_growth_poly,
@@ -219,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ArithmeticError) as exc:
+    except (OSError, ArithmeticError, ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -40,6 +40,7 @@ class Category(enum.IntEnum):
 
 
 _CATEGORIES = tuple(Category)  # indexed by the bit set, without an enum call
+_NOT_RECIPROCAL = Category.NOT_RECIPROCAL  # a global: an enum attribute read is slow
 
 _BYTE = {k: exponent_ordinal(k) for a in range(1, 129) for k in (a, -a)}
 EXPONENTS = tuple(sorted(_BYTE, key=_BYTE.__getitem__))  # EXPONENTS[o] has byte o
@@ -80,11 +81,23 @@ def reflection_category(r: int | None, s: bytes) -> Category:
     it p-reciprocal.  For odd n the two fixed syllables have opposite
     parity, so one reversal gives both families.  The offsets are the
     matches of s in the doubled inverse, found by ``bytes.find``.
+
+    Most classes are rejected before that by one byte count.  If
+    ``rev_neg(s)`` is a rotation of s, negation maps the byte multiset of s
+    onto itself.  Under negation the only preimage of a byte o other than
+    r and r + 1 is ``o ^ 1``, and byte r + 1, the non-canonical g^-r, has
+    none: negation sends both r and r + 1 to r.  So a reciprocal class has
+    ``s.count(o) == s.count(o ^ 1)`` for every such o, and no byte r + 1.
+    The test on o = s[0] != r is therefore sound for any byte string, not
+    only least rotations: it rejects no reciprocal class, and when s[0] is
+    r + 1 there is none to reject.  That one test decides most classes.
     """
+    if s and (o := s[0]) != r and s.count(o) != s.count(o ^ 1):
+        return _NOT_RECIPROCAL
     u2 = rev_neg(s, r) * 2
     t = u2.find(s)
-    if t < 0:  # most classes
-        return Category.NOT_RECIPROCAL
+    if t < 0:  # the other classes that are not reciprocal
+        return _NOT_RECIPROCAL
     n = len(s)
     iota_t = gamma_t = False
     odd_n = n % 2 == 1

@@ -73,8 +73,10 @@ def classify(c: CyclicWord, with_witnesses: bool = True) -> ReciprocalInfo:
     only the class's byte code, so an enumerated key is never decoded.
     """
     params, s = c.params, c.code
-    info = _VERDICTS[reflection_category(params.r_byte, s)]
-    if s == params.r_code * len(s):  # never, if r_code is empty
+    category = reflection_category(params.r_byte, s)
+    info = _VERDICTS[category]
+    # (i g^r)^m is symmetric_p, 3; never a power if r_code is empty
+    if category == 3 and s == params.r_code * len(s):
         info = info._replace(power_exponent=len(s))
     if with_witnesses:
         info = info._replace(witnesses=tuple(reciprocator_witnesses(c)))

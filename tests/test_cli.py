@@ -15,7 +15,7 @@ from hecke_census import cli, reciprocal
 from hecke_census.census import census, table_to_csv
 from hecke_census.cli import _build_parser, main
 from hecke_census.necklaces import Category
-from hecke_census.words import make_params
+from hecke_census.words import InvolutionType, Word, make_params
 from word_reference import key
 
 
@@ -232,6 +232,17 @@ def test_verify_runs_no_root_iteration(capsys, monkeypatch):
 
     monkeypatch.setattr("hecke_census.spectral.all_roots", refuse)
     assert run(capsys, "verify") == (0, VERIFY_OUT)
+
+
+def test_consistency_failure_is_one_line_error(capsys, monkeypatch):
+    # a witness search that finds no involution is a hard invariant failure:
+    # exit 1 with one error line, not a traceback
+    monkeypatch.setattr(Word, "involution_type", lambda self: InvolutionType.NOT_INVOLUTION)
+    code = main(["verify"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: no involution found in the reciprocator coset of i g^2\n"
 
 
 def test_root_finder_failure_is_one_line_error(capsys):

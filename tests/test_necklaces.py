@@ -16,6 +16,7 @@ from hecke_census.necklaces import (
     reflection_category,
     rev_neg,
 )
+from hecke_census.reciprocal import normal_form_generate
 from hecke_census.words import DomainError, make_params
 from necklace_reference import is_minimal_rotation, minimal_rotation
 from word_reference import inverse_key, key
@@ -150,3 +151,52 @@ def test_reflection_category_matches_reference_on_random_bytes(p, raw, repeat):
         assert reflection_category(r_ord, s) == necklace_reference.reflection_category(
             r_ord, s
         ), s
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    p=st.one_of(st.integers(3, 40), st.integers(250, 300)),
+    raw=st.binary(max_size=12),
+    r_plus_one=st.integers(-1, 12),
+    repeat=st.integers(1, 3),
+)
+@example(p=4, raw=b"", r_plus_one=-1, repeat=1)
+@example(p=6, raw=b"\x05", r_plus_one=-1, repeat=1)  # g^-3 of Z_6, non-canonical
+@example(p=6, raw=b"\x05\x04", r_plus_one=-1, repeat=1)  # as many g^-3 as g^3
+@example(p=258, raw=b"\x00\xff", r_plus_one=-1, repeat=2)  # g^r has no byte
+def test_reflection_category_matches_reference_on_every_byte(p, raw, r_plus_one, repeat):
+    """Strings over all 256 bytes, so also those that hold byte r + 1 (the
+    non-canonical g^-r) or lie outside Z_p, and from p = 258 on, where g^r
+    has no byte; then reciprocal ones built from them: x + rev_neg(x), the
+    same with g^r blocks between, and powers of each.  Both exits of the
+    byte-count test are reached, and the full check behind it."""
+    params = make_params(p)
+    r_ord = params.r_byte
+    x = raw
+    if params.r_code and 0 <= r_plus_one <= len(x):  # put byte r + 1 in x
+        x = x[:r_plus_one] + bytes((r_ord + 1,)) + x[r_plus_one:]
+    y = rev_neg(x, r_ord)
+    candidates = [x, x + y]
+    if params.r_code:
+        r = params.r_code
+        candidates += [x + r + y, r + x + r + y]
+    for s in candidates:
+        s *= repeat
+        assert reflection_category(r_ord, s) is necklace_reference.reflection_category(
+            r_ord, s
+        ), s
+
+
+@pytest.mark.parametrize("p,max_len", [(3, 30), (4, 24), (6, 22), (8, 20), (300, 16)])
+def test_reciprocal_classes_hold_each_byte_as_often_as_its_negative(p, max_len):
+    """The lemma behind the classifier's early exit.  Negation maps the bytes
+    of a reciprocal class onto themselves, so each byte o other than r and
+    r + 1 occurs as often as o ^ 1, and r + 1 (the non-canonical g^-r, which
+    negation sends to r) never occurs."""
+    params = make_params(p)
+    r = params.r_byte
+    others = [o for o in range(256) if r is None or o not in (r, r + 1)]
+    for bucket in normal_form_generate(params, max_len):
+        for s in bucket:
+            assert all(s.count(o) == s.count(o ^ 1) for o in others), s
+            assert r is None or r > 254 or s.count(r + 1) == 0, s
