@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 from math import comb
@@ -37,9 +36,11 @@ from .necklaces import reflection_category
 from .spectral import (
     build_growth_poly,
     dominant_root,
-    eisenstein_check,
+    eisenstein_reason,
     eval_at_sqrt2,
     growth_estimate,
+    json_block,
+    json_text,
     sqrt2_sign,
 )
 from .words import DomainError, GroupParams, make_params
@@ -68,7 +69,12 @@ def bounded_compositions(n: int, r: int, x: int) -> int:
     return total
 
 
-_psi = bounded_compositions  # Psi as the double sums call it; see claims_check
+# The names that ``claims_check`` binds to memoized copies of themselves for
+# the length of one call, each the plain function otherwise: Psi, which the
+# double sums ask for many times over, and the double sums of L3.3, L3.4
+# and L3.5, which P3.6 adds up at the same l.
+_MEMOIZED = ("_psi", "_lemma26", "_p_reciprocal_sum")
+_psi = bounded_compositions
 
 
 def signed_syllable_count(x: int, r: int) -> int:
@@ -111,6 +117,9 @@ def lemma26_sum(x: int, r: int, corrected: bool = False) -> int:
     )
 
 
+_lemma26 = lemma26_sum
+
+
 def _as_int_or_fraction(v: Fraction):
     return int(v) if v.denominator == 1 else v
 
@@ -120,13 +129,12 @@ def symmetric_count(l: int, params: GroupParams):
     r = params.require_even()
     if l < 2:
         raise DomainError("l must be >= 2")
-    return _as_int_or_fraction(Fraction(lemma26_sum(l, r), 2))
+    return _as_int_or_fraction(Fraction(_lemma26(l, r), 2))
 
 
-def p_reciprocal_count(l: int, params: GroupParams):
-    """Published count of p-reciprocal classes of word length 2l."""
-    r = params.require_even()
-    total = _double_sum(
+def p_reciprocal_sum(l: int, r: int) -> int:
+    """The published double sum of the p-reciprocal count at index l."""
+    return _double_sum(
         r,
         _ceil_div(l, r + 1) - 2,
         False,
@@ -134,7 +142,15 @@ def p_reciprocal_count(l: int, params: GroupParams):
         n_hi=lambda q: (l - 1 - (r + 1) * q - r) // 2,
         arg=lambda n, q: l - (n + 1) - (q + 1) * r,
     )
-    return _as_int_or_fraction(Fraction(total, 2))
+
+
+_p_reciprocal_sum = p_reciprocal_sum
+
+
+def p_reciprocal_count(l: int, params: GroupParams):
+    """Published count of p-reciprocal classes of word length 2l."""
+    r = params.require_even()
+    return _as_int_or_fraction(Fraction(_p_reciprocal_sum(l, r), 2))
 
 
 def symmetric_p_word_length(l: int, params: GroupParams) -> int:
@@ -153,7 +169,7 @@ def symmetric_p_count(l: int, params: GroupParams):
     r = params.require_even()
     x = l - params.u
     word_length = symmetric_p_word_length(l, params)
-    total = lemma26_sum(x, r) if x >= 2 else 0  # the printed sum is empty at x = 0, 1
+    total = _lemma26(x, r) if x >= 2 else 0  # the printed sum is empty at x = 0, 1
     if word_length % (r + 1) == 0 and word_length >= r + 1:
         total += 2  # the power class, counted once after halving
     return _as_int_or_fraction(Fraction(total, 2))
@@ -166,8 +182,11 @@ def _sixth(l: int) -> Fraction:
 
 def _piecewise_family(l: int, params: GroupParams, shift: int):
     """Term l of the published piecewise family: (2^k + 2(-1)^k)/6 at k = l - shift
-    up to k = r, a u-correction at k = r + 1, then the recurrence."""
+    up to k = r, a u-correction at k = r + 1, then the recurrence.  Only the
+    recurrence reads the terms before l."""
     r = params.r
+    if l - shift <= r:
+        return _as_int_or_fraction(_sixth(l - shift))
     seed = [_sixth(k) for k in range(1 - shift, r + 1)]
     seed.append(_sixth(r + 1) + _sixth(params.u + 1) - 1)
     return _as_int_or_fraction(recurrence_extend(seed, r, l - len(seed))[l - 1])
@@ -223,15 +242,20 @@ class ClaimEntry(NamedTuple):
     status: str  # PASS | MISMATCH | NOT-APPLICABLE
     paper_ref: str
 
-    def to_doc(self) -> dict:
-        return {
-            "id": self.claim_id,
-            "params": {k: _jsonable(v) for k, v in self.params.items()},
-            "expected": _jsonable(self.expected),
-            "observed": _jsonable(self.observed),
-            "status": self.status,
-            "paper_ref": self.paper_ref,
-        }
+    def to_json(self, pad: str) -> str:
+        """The entry as ``json.dumps(..., indent=2)`` writes it at the indent
+        ``pad``, every value through ``_jsonable``."""
+        inner = pad + "  "
+        params = json_block([f"{json_text(k)}: {json_text(_jsonable(v), inner + '  ')}"
+                             for k, v in self.params.items()], inner, "{}")
+        return json_block([
+            f'"id": {json_text(self.claim_id)}',
+            f'"params": {params}',
+            f'"expected": {json_text(_jsonable(self.expected), inner)}',
+            f'"observed": {json_text(_jsonable(self.observed), inner)}',
+            f'"status": {json_text(self.status)}',
+            f'"paper_ref": {json_text(self.paper_ref)}',
+        ], pad, "{}")
 
 
 def _jsonable(v):
@@ -260,7 +284,11 @@ class ClaimLedger:
         self.add(claim_id, params, expected, observed, status, paper_ref)
 
     def to_json(self) -> str:
-        return json.dumps({"claims": [e.to_doc() for e in self.entries]}, indent=2) + "\n"
+        """The ledger as ``json.dumps({"claims": [...]}, indent=2)`` writes it,
+        plus a newline: each entry's params, expected and observed values
+        through ``_jsonable``."""
+        claims = json_block([e.to_json("    ") for e in self.entries], "  ")
+        return f'{{\n  "claims": {claims}\n}}\n'
 
 
 def _even(l: int, params: GroupParams) -> int:
@@ -401,16 +429,18 @@ def _census_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable,
 def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
     """One ledger entry per applicable claim instance for this census.
 
-    The printed double sums ask for the same values of Psi many times over,
-    so Psi is memoized for the length of this call and no longer: no state
-    outlives it."""
-    global _psi
+    The claims ask for the same values many times over, so each function
+    named in ``_MEMOIZED`` is memoized for the length of this call and no
+    longer: the names are bound back when it returns or raises, and no
+    state outlives it."""
     params.require_even()
-    _psi = functools.cache(bounded_compositions)
+    hooks = globals()
+    plain = {name: hooks[name] for name in _MEMOIZED}
+    hooks.update({name: functools.cache(f) for name, f in plain.items()})
     try:
         return _claims_ledger(params, table)
     finally:
-        _psi = bounded_compositions
+        hooks.update(plain)
 
 
 def _claims_ledger(params: GroupParams, table: CensusTable) -> ClaimLedger:
@@ -418,12 +448,14 @@ def _claims_ledger(params: GroupParams, table: CensusTable) -> ClaimLedger:
 
     # solution-count double sum, verbatim vs the census series h
     for rr in (2, 3, 4, 5):
+        # the census series h of p = 2rr, once: h[x] is signed_syllable_count(x, rr)
+        h = block_series(make_params(2 * rr).block_weights(14), [1], 14)
         for x in range(2, 15):
             ledger.compare(
                 "L2.6",
                 {"x": x, "r": rr},
-                lemma26_sum(x, rr, corrected=False),
-                signed_syllable_count(x, rr),
+                _lemma26(x, rr),
+                h[x],
                 "signed-syllable solution count, double-sum form",
             )
 
@@ -494,12 +526,12 @@ def _spectral_claims(ledger, params: GroupParams, table: CensusTable) -> None:
         "PASS" if bracket_ok else "MISMATCH",
         "sign bracket for the dominant root",
     )
-    ei = eisenstein_check(poly)
+    reason = eisenstein_reason(poly)
     ledger.compare(
         "EISEN",
-        {"r": r, "prime": ei["prime"]},
+        {"r": r, "prime": 2},
         "satisfied",
-        "satisfied" if ei["satisfied"] else f"not_satisfied ({ei['reason']})",
+        "satisfied" if reason is None else f"not_satisfied ({reason})",
         "Eisenstein criterion at 2 after the x -> x+1 shift",
     )
     # headline growth claim: census seed extended by the recurrence

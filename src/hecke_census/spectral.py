@@ -5,8 +5,9 @@ The polynomial is ``p(x) = x^(r+1) - 2*(x^(r-1) + ... + x) - 1``, built as
 (``GroupParams.block_weights``).  So the dominant root rho is the
 reciprocal of the dominant zero of ``1 - B``, and the class-count
 recurrence is that of the census series ``h = 1/(1 - B)``, which
-``census.block_series`` runs.  The dominant root is isolated by dyadic
-bisection with exact integer sign evaluation; the full root set comes
+``census.block_series`` runs.  The dominant root is the midpoint of the
+cell of width 2^-40 where the polynomial changes sign, found from a float
+Newton estimate and confirmed by exact integer signs; the full root set comes
 from a deterministic Aberth-Ehrlich iteration, whose real zeros are then
 correctly rounded by exact integer signs; the maximum root multiplicity s
 comes from primitive pseudo-remainder gcds over Z.  The sign probes at
@@ -95,28 +96,82 @@ def _dyadic_sign(poly: IntPoly, m: int, k: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def dominant_root(poly: IntPoly) -> float:
-    """Unique positive real root, by exact bisection on [1, 2] to a bracket
-    of width 1e-12.
+def _root_estimate(poly: IntPoly) -> float:
+    """A float estimate of the root in [1, 2] that ``dominant_root`` isolates.
 
-    The bracket is [lo/2^k, hi/2^k] with hi - lo = 1, so the width falls
-    below 1e-12 after k = 40 halvings."""
+    Newton's method from y = 1/2 on y^d p(1/y), the polynomial of the
+    reversed coefficients, whose terms stay bounded for y in [1/2, 1] at any
+    degree.  On growth polynomials it is 1 - B(y), concave and decreasing,
+    so the iterates fall monotonically to its zero after the first step.  A
+    run that leaves [1/2, 1] or overflows gives 1.5: the exact search
+    corrects any estimate."""
+    try:
+        coeffs = [float(c) for c in poly.coefficients]
+    except OverflowError:
+        return 1.5
+    y = 0.5
+    for _ in range(64):
+        q = dq = 0.0
+        for c in coeffs:
+            dq = dq * y + q
+            q = q * y + c
+        if not dq:
+            break
+        step = q / dq
+        y -= step
+        if not 0.5 <= y <= 1.0:  # also NaN
+            return 1.5
+        if abs(step) <= 1e-16 * y:
+            break
+    return 1.0 / y
+
+
+def dominant_root(poly: IntPoly) -> float:
+    """Unique positive real root: the midpoint of the cell [lo, lo + 1] / 2^40
+    of [1, 2] with p(lo / 2^40) < 0 <= p((lo + 1) / 2^40), the cell where
+    exact bisection of [1, 2] ends after 40 halvings.
+
+    The cell is found from a float estimate (``_root_estimate``), and every
+    sign is exact.  Where the estimate is right, the two ends of its cell
+    are the only signs taken.  Otherwise the bracket widens outward from it
+    by 1, 16 and 4096 cells, and bisection finishes inside: at most
+    1 + 3 + 40 signs, and one more at an end of [1, 2], whose sign
+    bisection takes on trust until the final check; 45 whatever the
+    estimate."""
     a2, b2 = eval_at_sqrt2(poly)
     if sqrt2_sign(a2, b2) >= 0 or poly(2) <= 0:
         raise DomainError("no sign change on [sqrt2, 2]")
-    lo, hi = 1, 2
-    for k in range(1, 41):
-        lo, hi = 2 * lo, 2 * hi
-        mid = lo + 1
-        if _dyadic_sign(poly, mid, k) < 0:
-            lo = mid
-        else:
-            hi = mid
+    k = 40
+    lo, hi = 1 << k, 2 << k  # bisection's bracket [1, 2], its end signs taken as < 0 and >= 0
+    signs: dict[int, int] = {}
+
+    def sign(m: int) -> int:
+        if m not in signs:
+            signs[m] = _dyadic_sign(poly, m, k)
+        return signs[m]
+
+    def below(m: int) -> bool:
+        """Whether the sign change lies above m; narrows the bracket to it."""
+        nonlocal lo, hi
+        if sign(m) < 0:
+            lo = m
+            return True
+        hi = m
+        return False
+
+    m = min(max(int(math.ldexp(_root_estimate(poly), k)), lo + 1), hi - 1)
+    up = below(m)
+    for d in (1, 16, 4096):  # gallop outward from the estimate
+        x = m + d if up else m - d
+        if not lo < x < hi or below(x) != up:
+            break
+    while hi - lo > 1:
+        below((lo + hi) // 2)
     # the root is bracketed strictly.  A rational root of a monic integer
-    # polynomial is an integer, so bisection never meets a root of the
+    # polynomial is an integer, so the search never meets a root of the
     # polynomials built here; a dyadic root of any other input becomes hi,
     # and this check raises
-    if not _dyadic_sign(poly, lo, k) < 0 < _dyadic_sign(poly, hi, k):
+    if not sign(lo) < 0 < sign(hi):
         raise ArithmeticError(
             f"bisection lost the sign change on [{lo / 2**k}, {hi / 2**k}]"
         )
@@ -264,21 +319,79 @@ def squarefree_multiplicity(poly: IntPoly) -> int:
     return s
 
 
+def eisenstein_reason(poly: IntPoly) -> str | None:
+    """Why the Eisenstein criterion at 2 fails for p(x+1), or None when it
+    holds, without computing p(x+1).
+
+    Its coefficient at degree i is sum_j c_j C(j, i), and by Lucas's theorem
+    C(j, i) is odd exactly when the bits of i are among those of j; so the
+    odd c_j locate the first odd coefficient below the leading one, and only
+    that one is computed.  The constant term is p(1)."""
+    coeffs = poly.coefficients
+    odd = [j for j, c in enumerate(coeffs) if c & 1]
+    first = next((i for i in range(poly.degree) if sum(j & i == i for j in odd) & 1), None)
+    if first is not None:
+        value, binom = 0, 1  # C(j, first), from j = first up
+        for j in range(first, len(coeffs)):
+            value += coeffs[j] * binom
+            binom = binom * (j + 1) // (j + 1 - first)
+        return f"coefficient {value} at degree {first} not divisible by 2"
+    if poly(1) % 4 == 0:
+        return f"constant term {poly(1)} divisible by 2^2"
+    return None
+
+
 def eisenstein_check(poly: IntPoly) -> dict:
     """Eisenstein criterion for p(x+1) at the prime 2, as the record
     ``{satisfied, prime, shifted_coefficients, reason}``; ``reason`` is None
     exactly when the criterion holds."""
-    prime = 2
-    coeffs = poly.shift().coefficients
-    odd = next((i for i, c in enumerate(coeffs[:-1]) if c % prime), None)
-    if odd is not None:
-        reason = f"coefficient {coeffs[odd]} at degree {odd} not divisible by {prime}"
-    elif coeffs[0] % (prime * prime) == 0:
-        reason = f"constant term {coeffs[0]} divisible by {prime}^2"
-    else:
-        reason = None
-    return {"satisfied": reason is None, "prime": prime,
-            "shifted_coefficients": list(coeffs), "reason": reason}
+    reason = eisenstein_reason(poly)
+    return {"satisfied": reason is None, "prime": 2,
+            "shifted_coefficients": list(poly.shift().coefficients), "reason": reason}
+
+
+def json_block(members: list[str], pad: str, brackets: str = "[]") -> str:
+    """Encoded members as the JSON array, or object with ``brackets="{}"``,
+    that ``json.dumps(..., indent=2)`` writes at the indent ``pad``.
+
+    The report writers write their fixed shapes through it and
+    ``json_text`` in place of ``json.dumps``: with ``indent`` set, that
+    falls back to its pure-Python encoder.  Their output is byte for byte
+    that of ``json.dumps(doc, indent=2)``."""
+    if not members:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(members) + "\n" + pad + brackets[1]
+
+
+def json_text(value, pad: str = "") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at the indent
+    ``pad``, strings through the escaper that ``json.dumps`` uses itself.
+    Scalars, lists, tuples and dicts with string keys are written here; any
+    other value goes to ``json.dumps``."""
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        return json_block([json_text(v, inner) for v in value], pad)
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        return json_block([f"{json_text(k)}: {json_text(v, inner)}" for k, v in value.items()],
+                          pad, "{}")
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
 class GrowthReport(NamedTuple):
@@ -295,17 +408,20 @@ class GrowthReport(NamedTuple):
         return self.s == 1
 
     def to_json(self) -> str:
-        doc = {
-            "r": self.r,
-            "coefficients": list(self.poly.coefficients),
-            "rho": repr(self.rho),
-            "s": self.s,
-            "squarefree": self.squarefree,
-            "eisenstein": self.eisenstein,
-            "roots": [[z.real, z.imag] for z in self.roots],
-            "ratio_trace": [[i, repr(v)] for i, v in self.ratio_trace],
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        """The report as ``json.dumps(doc, indent=2)`` writes it, plus a newline."""
+        roots = [json_block([json_text(z.real), json_text(z.imag)], "    ") for z in self.roots]
+        trace = [json_block([json_text(i), json_text(repr(v))], "    ")
+                 for i, v in self.ratio_trace]
+        return json_block([
+            f'"r": {json_text(self.r)}',
+            f'"coefficients": {json_text(self.poly.coefficients, "  ")}',
+            f'"rho": {json_text(repr(self.rho))}',
+            f'"s": {json_text(self.s)}',
+            f'"squarefree": {json_text(self.squarefree)}',
+            f'"eisenstein": {json_text(self.eisenstein, "  ")}',
+            f'"roots": {json_block(roots, "  ")}',
+            f'"ratio_trace": {json_block(trace, "  ")}',
+        ], "", "{}") + "\n"
 
 
 def analyze_growth(r: int) -> GrowthReport:

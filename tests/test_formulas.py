@@ -13,6 +13,7 @@ from hecke_census.cli import main
 from hecke_census.formulas import (
     ClaimLedger,
     NotApplicable,
+    _jsonable,
     bounded_compositions,
     claims_check,
     lemma26_sum,
@@ -26,7 +27,7 @@ from hecke_census.formulas import (
     total_count_even,
     total_count_odd,
 )
-from hecke_census.spectral import build_growth_poly, dominant_root
+from hecke_census.spectral import IntPoly, build_growth_poly, dominant_root, eisenstein_check
 from hecke_census.words import DomainError, make_params
 from composition_reference import block_powers, bounded_compositions_dp, compositions
 from ledger_queries import find_entries, ledger_ids
@@ -443,6 +444,87 @@ def test_claims_check_memoizes_psi_for_one_call_only(monkeypatch):
     with pytest.raises(RuntimeError, match="stop"):
         claims_check(params, table)
     assert formulas._psi is counted
+
+
+def test_claims_check_memoizes_every_hook_for_one_call_only(monkeypatch):
+    """Inside ``claims_check`` each function named in ``_MEMOIZED`` computes
+    each of its values once: P3.6 reads the double sums that L3.3, L3.4 and
+    L3.5 evaluated, and the piecewise claims read one family.  Every name is
+    bound back when the call returns or raises."""
+    from hecke_census import formulas
+
+    calls = {name: [] for name in formulas._MEMOIZED}
+
+    def counting(name, plain):
+        def counted(*args):
+            calls[name].append(args)
+            return plain(*args)
+        return counted
+
+    for name in formulas._MEMOIZED:
+        monkeypatch.setattr(formulas, name, counting(name, getattr(formulas, name)))
+    hooks = {name: getattr(formulas, name) for name in formulas._MEMOIZED}
+    params = make_params(6)
+    table = census(params, 30)
+    first, second = (claims_check(params, table).to_json() for _ in range(2))
+    assert first == second
+    for name, args in calls.items():
+        assert args and len(args) == 2 * len(set(args)), name
+    assert all(getattr(formulas, name) is hook for name, hook in hooks.items())
+
+    def fail(*args):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(formulas, "_spectral_claims", fail)
+    with pytest.raises(RuntimeError, match="stop"):
+        claims_check(params, table)
+    assert all(getattr(formulas, name) is hook for name, hook in hooks.items())
+
+
+def test_ledgers_in_one_process_keep_their_bytes(capsys):
+    # no memo outlives a call: p = 6 after p = 8 writes the bytes it wrote first
+    for p in (6, 8, 6):
+        assert main(["claims", "--p", str(p), "--max-len", "18"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == LEDGER_SHA256[(p, 18)], p
+
+
+def test_ledger_needs_no_shifted_polynomial(monkeypatch):
+    # EISEN reads its verdict without the coefficients of p(x + 1)
+    want = eisenstein_check(build_growth_poly(4))["reason"]
+    monkeypatch.setattr(IntPoly, "shift", None)
+    params = make_params(8)
+    [eisen] = find_entries(claims_check(params, census(params, 12)), "EISEN")
+    assert eisen.observed == f"not_satisfied ({want})"
+    assert want == "coefficient -7 at degree 1 not divisible by 2"
+
+
+def ledger_doc(ledger: ClaimLedger) -> dict:
+    """The document that ``ClaimLedger.to_json`` writes, for ``json.dumps``."""
+    return {"claims": [
+        {
+            "id": e.claim_id,
+            "params": {k: _jsonable(v) for k, v in e.params.items()},
+            "expected": _jsonable(e.expected),
+            "observed": _jsonable(e.observed),
+            "status": e.status,
+            "paper_ref": e.paper_ref,
+        }
+        for e in ledger.entries
+    ]}
+
+
+def test_ledger_json_is_that_of_json_dumps():
+    odd = ClaimLedger()
+    odd.add("X", {}, Fraction(-3, 4), None, "MISMATCH",
+            'say "q" \\ \n\t\x00\x1f\x7f é ∞ 𝔽')
+    odd.add("L4.1.1", {"p": 6, "l": 2, "fixture": True}, 5, Fraction(10, 2), "PASS", "")
+    odd.add("F", {"x": -0.0, "y": 5e-324, "z": 1e300}, 1e300, float("nan"), "PASS", "é")
+    odd.add("nested", {"list": [1, "a"], "d": {"k": None}}, [], {}, "PASS", "passed through")
+    params = make_params(6)
+    full = claims_check(params, census(params, 18))
+    for ledger in (ClaimLedger(), odd, full):
+        assert ledger.to_json() == json.dumps(ledger_doc(ledger), indent=2) + "\n"
 
 
 # params keys, in order, of the census-reading entries that are not fixtures

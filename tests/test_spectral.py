@@ -8,16 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecke_census import spectral
 from hecke_census.spectral import (
     GrowthReport,
     IntPoly,
+    _dyadic_sign,
+    _root_estimate,
     all_roots,
     analyze_growth,
     build_growth_poly,
     dominant_root,
     eisenstein_check,
+    eisenstein_reason,
     eval_at_sqrt2,
     growth_estimate,
+    json_text,
     sqrt2_sign,
     squarefree_multiplicity,
 )
@@ -42,6 +47,57 @@ def fraction_dominant_root(poly: IntPoly) -> float:
             hi = mid
     assert poly(lo) < 0 < poly(hi)
     return float((lo + hi) / 2)
+
+
+def bisection_dominant_root(poly: IntPoly) -> float:
+    """The 41-step integer bisection of [1, 2] that ``dominant_root`` replaced:
+    40 halvings of the bracket [lo, hi] / 2^k, a strict-bracket check, and
+    the midpoint of the last cell."""
+    a2, b2 = eval_at_sqrt2(poly)
+    if sqrt2_sign(a2, b2) >= 0 or poly(2) <= 0:
+        raise DomainError("no sign change on [sqrt2, 2]")
+    lo, hi = 1, 2
+    for k in range(1, 41):
+        lo, hi = 2 * lo, 2 * hi
+        mid = lo + 1
+        if _dyadic_sign(poly, mid, k) < 0:
+            lo = mid
+        else:
+            hi = mid
+    if not _dyadic_sign(poly, lo, k) < 0 < _dyadic_sign(poly, hi, k):
+        raise ArithmeticError(
+            f"bisection lost the sign change on [{lo / 2**k}, {hi / 2**k}]"
+        )
+    return (lo + hi) / 2 ** (k + 1)
+
+
+def shift_eisenstein_record(poly: IntPoly) -> dict:
+    """The Eisenstein record read off the coefficients of p(x + 1), as
+    ``eisenstein_check`` wrote it before it found the reason without them."""
+    coeffs = poly.shift().coefficients
+    odd = next((i for i, c in enumerate(coeffs[:-1]) if c % 2), None)
+    if odd is not None:
+        reason = f"coefficient {coeffs[odd]} at degree {odd} not divisible by 2"
+    elif coeffs[0] % 4 == 0:
+        reason = f"constant term {coeffs[0]} divisible by 2^2"
+    else:
+        reason = None
+    return {"satisfied": reason is None, "prime": 2,
+            "shifted_coefficients": list(coeffs), "reason": reason}
+
+
+def report_doc(report: GrowthReport) -> dict:
+    """The document that ``GrowthReport.to_json`` writes, for ``json.dumps``."""
+    return {
+        "r": report.r,
+        "coefficients": list(report.poly.coefficients),
+        "rho": repr(report.rho),
+        "s": report.s,
+        "squarefree": report.squarefree,
+        "eisenstein": report.eisenstein,
+        "roots": [[z.real, z.imag] for z in report.roots],
+        "ratio_trace": [[i, repr(v)] for i, v in report.ratio_trace],
+    }
 
 
 def _strip(p):
@@ -164,6 +220,65 @@ def test_dominant_root_rejects_a_dyadic_root():
 
 def test_dominant_root_of_a_non_monic_quadratic():
     assert abs(dominant_root(IntPoly((-5, 0, 2))) - math.sqrt(5 / 2)) < 1e-12
+
+
+GROWTH_POLYS = [build_growth_poly(r) for r in [*range(2, 301), 1024, 2048]]
+
+
+def test_dominant_root_matches_bisection_reference():
+    for poly in [*GROWTH_POLYS, IntPoly((-5, 0, 2)), IntPoly((-5 * 10**400, 0, 2 * 10**400))]:
+        assert dominant_root(poly) == bisection_dominant_root(poly), poly.degree
+
+
+def test_dominant_root_raises_on_a_dyadic_root_as_bisection_does():
+    poly = IntPoly((-3, 2))
+    with pytest.raises(ArithmeticError) as want:
+        bisection_dominant_root(poly)
+    with pytest.raises(ArithmeticError) as got:
+        dominant_root(poly)
+    assert str(got.value) == str(want.value)
+
+
+def _count_signs(monkeypatch) -> list:
+    calls = []
+
+    def counted(poly, m, k):
+        calls.append(m)
+        return _dyadic_sign(poly, m, k)
+
+    monkeypatch.setattr(spectral, "_dyadic_sign", counted)
+    return calls
+
+
+def test_dominant_root_takes_two_signs_where_the_estimate_hits(monkeypatch):
+    calls = _count_signs(monkeypatch)
+    for poly in GROWTH_POLYS:
+        del calls[:]
+        dominant_root(poly)
+        assert len(calls) == 2, poly.degree
+
+
+@pytest.mark.parametrize("estimate", [
+    0.5, 1.0, 1.0 + 2**-40, 1.2, 1.5, 1.618, 1.9, 2.0 - 2**-40, 2.0, 3.0,
+])
+def test_dominant_root_sign_count_is_capped(monkeypatch, estimate):
+    # whatever the estimate, the same cell from at most 45 exact signs
+    polys = [build_growth_poly(r) for r in (2, 3, 7, 40, 300)] + [IntPoly((-5, 0, 2))]
+    want = [bisection_dominant_root(poly) for poly in polys]
+    calls = _count_signs(monkeypatch)
+    monkeypatch.setattr(spectral, "_root_estimate", lambda poly: estimate)
+    for poly, rho in zip(polys, want):
+        del calls[:]
+        assert dominant_root(poly) == rho, poly.degree
+        assert len(calls) <= 45, (poly.degree, len(calls))
+
+
+def test_root_estimate_is_overflow_safe():
+    # x^2001 overflows a double at x = 2; the reversed polynomial does not,
+    # and a coefficient past the double range falls back to the midpoint
+    poly = build_growth_poly(2000)
+    assert abs(_root_estimate(poly) - dominant_root(poly)) < 1e-12
+    assert _root_estimate(IntPoly((-5 * 10**400, 0, 2 * 10**400))) == 1.5
 
 
 def test_dominant_root_is_a_root():
@@ -307,6 +422,26 @@ def test_eisenstein_positive_case():
     assert report["satisfied"]
 
 
+def test_eisenstein_matches_the_shifted_coefficients():
+    for r in range(2, 301):
+        poly = build_growth_poly(r)
+        assert eisenstein_check(poly) == shift_eisenstein_record(poly), r
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=12))
+def test_eisenstein_reason_matches_the_shift_on_any_polynomial(coefficients):
+    poly = IntPoly(tuple(coefficients))
+    assert eisenstein_reason(poly) == shift_eisenstein_record(poly)["reason"]
+
+
+def test_eisenstein_reason_needs_no_shift(monkeypatch):
+    # r + 1 = 3 * 2^11 puts the first odd shifted coefficient at degree 2^11
+    poly = build_growth_poly(6143)
+    monkeypatch.setattr(IntPoly, "shift", None)
+    assert eisenstein_reason(poly).endswith(" at degree 2048 not divisible by 2")
+
+
 @pytest.mark.parametrize("coefficients", [
     (1, 0, 1),  # satisfied
     (-1, -2, 0, 1),  # r = 2: an odd shifted coefficient
@@ -335,6 +470,48 @@ def test_analyze_growth_report_fields():
     doc = json.loads(report.to_json())
     assert doc["coefficients"] == [-1, -2, -2, 0, 1]
     assert float(doc["rho"]) == report.rho
+
+
+def test_growth_report_json_is_that_of_json_dumps():
+    report = analyze_growth(3)  # an empty ratio_trace
+    nan_roots = all_roots(IntPoly((0, -10**300, 10**300, 1)), tol=math.inf)
+    assert any(math.isnan(z.real) for z in nan_roots)
+    cases = [
+        report,
+        report._replace(ratio_trace=((1, 1.5), (2, -0.0), (3, 5e-324), (4, 1e300))),
+        report._replace(roots=tuple(nan_roots)),
+        report._replace(roots=(complex(-0.0, 5e-324), complex(1e300, -1e300),
+                               complex(math.inf, -math.inf))),
+        report._replace(eisenstein=eisenstein_check(IntPoly((1, 0, 1)))),  # a None reason
+        report._replace(eisenstein={"reason": 'say "q" \\ \t\x00\x1f\x7f é ∞ 𝔽',
+                                    "empty": [], "nested": {"": {}}}),
+        analyze_growth(40)._replace(ratio_trace=((7, 1.25),)),
+    ]
+    for case in cases:
+        assert case.to_json() == json.dumps(report_doc(case), indent=2) + "\n"
+    assert "NaN" in cases[2].to_json() and "-Infinity" in cases[3].to_json()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=_JSON_VALUES, pad=st.sampled_from(["", "  ", "      "]))
+def test_json_text_is_that_of_json_dumps(value, pad):
+    want = json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    assert json_text(value, pad) == want
+
+
+def test_json_text_hands_other_values_to_json_dumps():
+    value = {1: [2.5, None], "k": {True: "v"}}  # keys that json.dumps converts
+    assert json_text(value, "  ") == json.dumps(value, indent=2).replace("\n", "\n  ")
+    with pytest.raises(TypeError):
+        json_text({1, 2})
 
 
 def test_growth_estimate_geometric():
