@@ -55,7 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("growth", help="growth report seeded by a census run")
     common(sp)
-    sp.add_argument("--extend-to", type=int, default=80, help="recurrence extension index")
+    sp.add_argument("--extend-to", type=int, default=None,
+                    help="recurrence extension index, at least the family seed's length "
+                         "(default: the larger of 80 and that length)")
 
     sp = sub.add_parser("poly", help="characteristic polynomial report")
     sp.add_argument("--r", type=int, required=True, help="recurrence order parameter r >= 2")
@@ -112,7 +114,10 @@ def _cmd_growth(args: argparse.Namespace) -> int:
             f"--max-len {args.max_len} yields only {len(seed)} family terms; "
             f"need at least r+1 = {r + 1}"
         )
-    extended = recurrence_extend(seed, r, args.extend_to - len(seed))
+    extend_to = max(80, len(seed)) if args.extend_to is None else args.extend_to
+    if extend_to < len(seed):
+        raise DomainError(f"--extend-to {extend_to} is below the {len(seed)} family terms")
+    extended = recurrence_extend(seed, r, extend_to - len(seed))
     report = analyze_growth(r)._replace(ratio_trace=growth_estimate(extended))
     _emit(report.to_json(), args.out)
     return 0

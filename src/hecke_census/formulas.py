@@ -54,6 +54,7 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+@functools.cache
 def bounded_compositions(n: int, r: int, x: int) -> int:
     """Psi: compositions of x into n parts, each in [1, r], by
     inclusion-exclusion over the parts that exceed r."""
@@ -67,14 +68,6 @@ def bounded_compositions(n: int, r: int, x: int) -> int:
             break
         total += (-1) ** j * comb(n, j) * comb(x - j * r - 1, n - 1)
     return total
-
-
-# The names that ``claims_check`` binds to memoized copies of themselves for
-# the length of one call, each the plain function otherwise: Psi, which the
-# double sums ask for many times over, and the double sums of L3.3, L3.4
-# and L3.5, which P3.6 adds up at the same l.
-_MEMOIZED = ("_psi", "_lemma26", "_p_reciprocal_sum")
-_psi = bounded_compositions
 
 
 def signed_syllable_count(x: int, r: int) -> int:
@@ -95,13 +88,14 @@ def _double_sum(r: int, q_max: int, corrected: bool, n_lo, n_hi, arg) -> int:
         for n in range(lo, hi + 1):
             sub = n - q if corrected else n
             total += (
-                _psi(sub, r - 1, arg(n, q))
+                bounded_compositions(sub, r - 1, arg(n, q))
                 * 2 ** (n - q)
                 * comb(n, q)
             )
     return total
 
 
+@functools.cache
 def lemma26_sum(x: int, r: int, corrected: bool = False) -> int:
     """The published double sum for ``signed_syllable_count``."""
     if r < 2 or x < 2:
@@ -117,9 +111,6 @@ def lemma26_sum(x: int, r: int, corrected: bool = False) -> int:
     )
 
 
-_lemma26 = lemma26_sum
-
-
 def _as_int_or_fraction(v: Fraction):
     return int(v) if v.denominator == 1 else v
 
@@ -129,9 +120,10 @@ def symmetric_count(l: int, params: GroupParams):
     r = params.require_even()
     if l < 2:
         raise DomainError("l must be >= 2")
-    return _as_int_or_fraction(Fraction(_lemma26(l, r), 2))
+    return _as_int_or_fraction(Fraction(lemma26_sum(l, r), 2))
 
 
+@functools.cache
 def p_reciprocal_sum(l: int, r: int) -> int:
     """The published double sum of the p-reciprocal count at index l."""
     return _double_sum(
@@ -144,13 +136,10 @@ def p_reciprocal_sum(l: int, r: int) -> int:
     )
 
 
-_p_reciprocal_sum = p_reciprocal_sum
-
-
 def p_reciprocal_count(l: int, params: GroupParams):
     """Published count of p-reciprocal classes of word length 2l."""
     r = params.require_even()
-    return _as_int_or_fraction(Fraction(_p_reciprocal_sum(l, r), 2))
+    return _as_int_or_fraction(Fraction(p_reciprocal_sum(l, r), 2))
 
 
 def symmetric_p_word_length(l: int, params: GroupParams) -> int:
@@ -169,7 +158,7 @@ def symmetric_p_count(l: int, params: GroupParams):
     r = params.require_even()
     x = l - params.u
     word_length = symmetric_p_word_length(l, params)
-    total = _lemma26(x, r) if x >= 2 else 0  # the printed sum is empty at x = 0, 1
+    total = lemma26_sum(x, r) if x >= 2 else 0  # the printed sum is empty at x = 0, 1
     if word_length % (r + 1) == 0 and word_length >= r + 1:
         total += 2  # the power class, counted once after halving
     return _as_int_or_fraction(Fraction(total, 2))
@@ -429,18 +418,16 @@ def _census_claims(ledger: ClaimLedger, params: GroupParams, table: CensusTable,
 def claims_check(params: GroupParams, table: CensusTable) -> ClaimLedger:
     """One ledger entry per applicable claim instance for this census.
 
-    The claims ask for the same values many times over, so each function
-    named in ``_MEMOIZED`` is memoized for the length of this call and no
-    longer: the names are bound back when it returns or raises, and no
-    state outlives it."""
+    The claims ask for the same values many times over, and the cached
+    formulas (Psi and the printed double sums) compute each once; their
+    caches are emptied when this call returns or raises, so no value
+    outlives it."""
     params.require_even()
-    hooks = globals()
-    plain = {name: hooks[name] for name in _MEMOIZED}
-    hooks.update({name: functools.cache(f) for name, f in plain.items()})
     try:
         return _claims_ledger(params, table)
     finally:
-        hooks.update(plain)
+        for formula in (bounded_compositions, lemma26_sum, p_reciprocal_sum):
+            formula.cache_clear()
 
 
 def _claims_ledger(params: GroupParams, table: CensusTable) -> ClaimLedger:
@@ -454,7 +441,7 @@ def _claims_ledger(params: GroupParams, table: CensusTable) -> ClaimLedger:
             ledger.compare(
                 "L2.6",
                 {"x": x, "r": rr},
-                _lemma26(x, rr),
+                lemma26_sum(x, rr),
                 h[x],
                 "signed-syllable solution count, double-sum form",
             )

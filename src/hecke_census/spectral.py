@@ -223,7 +223,7 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
     it.  Each iterate that is real to 1e-9 of its modulus then moves to the
     double nearest the real zero beside it (``_round_real_zero``).  The
     residual check is absolute: every |p(z)| of the monic polynomial must be
-    at most ``tol``.
+    at most ``tol``, a NaN residual (an overflow) counting as infinite.
     """
     deg = poly.degree
     if deg < 1:
@@ -264,8 +264,10 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
             x = _round_real_zero(poly, z.real)
             if x is not None:
                 zs[i] = complex(x, 0.0)
-    worst = max(abs(peval(z)) for z in zs)
-    if not worst <= tol:  # also a NaN residual: the iteration overflowed
+    residuals = [abs(peval(z)) for z in zs]
+    # max() skips a NaN after the first residual: a NaN (an overflow) counts as infinite
+    worst = math.inf if any(map(math.isnan, residuals)) else max(residuals)
+    if worst > tol:
         raise ArithmeticError(
             f"root iteration residual {worst:.3e} exceeds tolerance {tol:.3e}"
         )

@@ -129,6 +129,28 @@ def test_growth_short_seed_is_reported_before_the_root_iteration(capsys):
     )
 
 
+@pytest.mark.parametrize("extend_to", ["5", "-3", "9"])
+def test_growth_extension_below_the_seed_is_a_usage_error(capsys, extend_to):
+    # max-len 20 gives p = 6 a seed of 10 family terms; an index below it extends nothing
+    code = main(["growth", "--p", "6", "--max-len", "20", "--extend-to", extend_to])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --extend-to {extend_to} is below the 10 family terms\n"
+    )
+
+
+def test_growth_extension_to_the_seed_and_the_default_past_it(capsys):
+    # an index equal to the seed's length is the seed's own trace, which is
+    # also what the default writes once the seed is longer than 80 terms
+    code, out = run(capsys, "growth", "--p", "6", "--max-len", "20", "--extend-to", "10")
+    assert code == 0 and len(json.loads(out)["ratio_trace"]) == 8
+    code, out = run(capsys, "growth", "--p", "6", "--max-len", "200")
+    assert code == 0
+    assert out == run(capsys, "growth", "--p", "6", "--max-len", "200", "--extend-to", "100")[1]
+
+
 VERIFY_OUT = """\
 [PASS] fixture: p=4 reciprocal len 3
 [PASS] fixture: p=4 reciprocal len 4

@@ -19,6 +19,7 @@ from hecke_census.formulas import (
     lemma26_sum,
     marmolejo_word_count,
     p_reciprocal_count,
+    p_reciprocal_sum,
     recurrence_extend,
     signed_syllable_count,
     symmetric_count,
@@ -412,30 +413,39 @@ def test_ledger_bytes_pinned(capsys, p, max_len):
     assert digest == LEDGER_SHA256[(p, max_len)]
 
 
-def test_claims_check_memoizes_psi_for_one_call_only(monkeypatch):
-    """Inside ``claims_check`` each value of Psi is computed once; the memo
-    is dropped when the call returns or raises, so a second run in the same
-    process starts afresh and writes the same ledger, and no other caller
-    sees the memo."""
+# the formulas that cache their values, each emptied by claims_check
+CACHED = (bounded_compositions, lemma26_sum, p_reciprocal_sum)
+
+
+def _cache_sizes():
+    return [f.cache_info().currsize for f in CACHED]
+
+
+def test_claims_check_empties_the_formula_caches(monkeypatch):
+    """Inside ``claims_check`` each cached formula computes each of its
+    values once (one miss per entry) and reads some again: P3.6 reads the
+    double sums that L3.3, L3.4 and L3.5 evaluated.  Every cache is empty
+    once the call returns or raises."""
     from hecke_census import formulas
 
-    calls = []
+    seen = {}
+    spectral_claims = formulas._spectral_claims
 
-    def counted(n, r, x):
-        calls.append((n, r, x))
-        return bounded_compositions(n, r, x)
+    def probe(*args):
+        seen.update((f.__name__, f.cache_info()) for f in CACHED)
+        spectral_claims(*args)
 
-    monkeypatch.setattr(formulas, "bounded_compositions", counted)
-    monkeypatch.setattr(formulas, "_psi", counted)
+    monkeypatch.setattr(formulas, "_spectral_claims", probe)
     params = make_params(6)
     table = census(params, 30)
-    first, second = (claims_check(params, table).entries for _ in range(2))
-    assert first == second
-    assert len(calls) == 2 * len(set(calls)) > 0
-    assert formulas._psi is counted
-    del calls[:]
-    assert lemma26_sum(14, 3) == lemma26_sum(14, 3)
-    assert len(calls) == 2 * len(set(calls)) > 0  # not memoized outside claims_check
+    for f in CACHED:
+        f.cache_clear()
+    first = claims_check(params, table).to_json()
+    assert len(seen) == len(CACHED)
+    for name, info in seen.items():
+        assert info.misses == info.currsize > 0 and info.hits > 0, (name, info)
+    assert _cache_sizes() == [0, 0, 0]
+    assert claims_check(params, table).to_json() == first
 
     def fail(*args):
         raise RuntimeError("stop")
@@ -443,42 +453,53 @@ def test_claims_check_memoizes_psi_for_one_call_only(monkeypatch):
     monkeypatch.setattr(formulas, "_spectral_claims", fail)
     with pytest.raises(RuntimeError, match="stop"):
         claims_check(params, table)
-    assert formulas._psi is counted
+    assert _cache_sizes() == [0, 0, 0]
 
 
-def test_claims_check_memoizes_every_hook_for_one_call_only(monkeypatch):
-    """Inside ``claims_check`` each function named in ``_MEMOIZED`` computes
-    each of its values once: P3.6 reads the double sums that L3.3, L3.4 and
-    L3.5 evaluated, and the piecewise claims read one family.  Every name is
-    bound back when the call returns or raises."""
+def test_claims_check_rebinds_no_module_name(monkeypatch):
     from hecke_census import formulas
 
-    calls = {name: [] for name in formulas._MEMOIZED}
+    inside = []
+    spectral_claims = formulas._spectral_claims
 
-    def counting(name, plain):
-        def counted(*args):
-            calls[name].append(args)
-            return plain(*args)
-        return counted
+    def probe(*args):
+        inside.append(dict(vars(formulas)))
+        spectral_claims(*args)
 
-    for name in formulas._MEMOIZED:
-        monkeypatch.setattr(formulas, name, counting(name, getattr(formulas, name)))
-    hooks = {name: getattr(formulas, name) for name in formulas._MEMOIZED}
+    monkeypatch.setattr(formulas, "_spectral_claims", probe)
+    outside = dict(vars(formulas))
     params = make_params(6)
-    table = census(params, 30)
-    first, second = (claims_check(params, table).to_json() for _ in range(2))
-    assert first == second
-    for name, args in calls.items():
-        assert args and len(args) == 2 * len(set(args)), name
-    assert all(getattr(formulas, name) is hook for name, hook in hooks.items())
+    claims_check(params, census(params, 12))
+    assert inside == [outside]
+    assert dict(vars(formulas)) == outside
 
-    def fail(*args):
-        raise RuntimeError("stop")
 
-    monkeypatch.setattr(formulas, "_spectral_claims", fail)
-    with pytest.raises(RuntimeError, match="stop"):
-        claims_check(params, table)
-    assert all(getattr(formulas, name) is hook for name, hook in hooks.items())
+def test_overlapping_ledgers_leave_the_formulas_as_they_were():
+    # two claims_check calls in threads whose runs overlap
+    import threading
+
+    from hecke_census import formulas
+
+    outside = dict(vars(formulas))
+    want = {}
+    jobs = ((8, 60), (6, 120))
+    for p, max_len in jobs:
+        params = make_params(p)
+        want[p] = claims_check(params, census(params, max_len)).to_json()
+    got = {}
+
+    def ledger(p, max_len):
+        params = make_params(p)
+        got[p] = claims_check(params, census(params, max_len)).to_json()
+
+    threads = [threading.Thread(target=ledger, args=job) for job in jobs]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert got == want
+    assert dict(vars(formulas)) == outside
+    assert _cache_sizes() == [0, 0, 0]
 
 
 def test_ledgers_in_one_process_keep_their_bytes(capsys):

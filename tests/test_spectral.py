@@ -350,6 +350,12 @@ def test_all_roots_failure_residuals_are_finite():
             assert math.isfinite(residual), (r, str(exc))
 
 
+def test_all_roots_rejects_a_nan_residual_wherever_it_is():
+    # the root at 1 comes first with a finite residual; the three others overflow
+    with pytest.raises(ArithmeticError, match="residual inf exceeds"):
+        all_roots(IntPoly((-10**300, 10**300, 0, 0, 1)))
+
+
 def test_all_roots_within_dominant_modulus():
     for r in range(2, 7):
         poly = build_growth_poly(r)
