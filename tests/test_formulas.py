@@ -421,18 +421,17 @@ def _cache_sizes():
     return [f.cache_info().currsize for f in CACHED]
 
 
-def test_claims_check_empties_the_formula_caches(monkeypatch):
-    """Inside ``claims_check`` each cached formula computes each of its
-    values once (one miss per entry) and reads some again: P3.6 reads the
-    double sums that L3.3, L3.4 and L3.5 evaluated.  Every cache is empty
-    once the call returns or raises."""
+def _check_one_call_memo(monkeypatch, cached):
+    """Run ``claims_check`` twice and once more to a raise; return the
+    cache statistics of ``cached`` seen inside the first call and check
+    that every cache is empty after each call and the ledger repeats."""
     from hecke_census import formulas
 
     seen = {}
     spectral_claims = formulas._spectral_claims
 
     def probe(*args):
-        seen.update((f.__name__, f.cache_info()) for f in CACHED)
+        seen.update((f.__name__, f.cache_info()) for f in cached)
         spectral_claims(*args)
 
     monkeypatch.setattr(formulas, "_spectral_claims", probe)
@@ -441,9 +440,7 @@ def test_claims_check_empties_the_formula_caches(monkeypatch):
     for f in CACHED:
         f.cache_clear()
     first = claims_check(params, table).to_json()
-    assert len(seen) == len(CACHED)
-    for name, info in seen.items():
-        assert info.misses == info.currsize > 0 and info.hits > 0, (name, info)
+    assert len(seen) == len(cached)
     assert _cache_sizes() == [0, 0, 0]
     assert claims_check(params, table).to_json() == first
 
@@ -454,6 +451,27 @@ def test_claims_check_empties_the_formula_caches(monkeypatch):
     with pytest.raises(RuntimeError, match="stop"):
         claims_check(params, table)
     assert _cache_sizes() == [0, 0, 0]
+    return seen
+
+
+def test_claims_check_memoizes_psi_for_one_call_only(monkeypatch):
+    """Inside ``claims_check`` each value of Psi is computed once (one miss
+    per entry) and read again by the double sums; the cache is emptied
+    when the call returns or raises, so a second run in the same process
+    starts afresh and writes the same ledger."""
+    info = _check_one_call_memo(monkeypatch, (bounded_compositions,))
+    info = info["bounded_compositions"]
+    assert info.misses == info.currsize > 0 and info.hits > 0
+
+
+def test_claims_check_memoizes_every_hook_for_one_call_only(monkeypatch):
+    """Inside ``claims_check`` each cached formula computes each of its
+    values once (one miss per entry) and reads some again: P3.6 reads the
+    double sums that L3.3, L3.4 and L3.5 evaluated.  Every cache is empty
+    once the call returns or raises."""
+    seen = _check_one_call_memo(monkeypatch, CACHED)
+    for name, info in seen.items():
+        assert info.misses == info.currsize > 0 and info.hits > 0, (name, info)
 
 
 def test_claims_check_rebinds_no_module_name(monkeypatch):
