@@ -44,7 +44,6 @@ are read.
 
 from __future__ import annotations
 
-import json
 from typing import Iterator, NamedTuple
 
 from .necklaces import WEIGHTS, reflection_category
@@ -277,6 +276,8 @@ def table_to_csv(table: CensusTable) -> str:
 
 
 def table_to_json(table: CensusTable) -> str:
+    import json  # imported here, so that the CSV and the other commands never load it
+
     doc = {
         "p": table.params.p,
         "max_len": table.max_len,

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
@@ -111,8 +110,14 @@ def lemma26_sum(x: int, r: int, corrected: bool = False) -> int:
     )
 
 
-def _as_int_or_fraction(v: Fraction):
-    return int(v) if v.denominator == 1 else v
+def _quotient(num: int, den: int):
+    """num / den exactly: an int where den divides num, else a Fraction."""
+    q, rem = divmod(num, den)
+    if not rem:
+        return q
+    from fractions import Fraction  # imported here: most printed values are integers
+
+    return Fraction(num, den)
 
 
 def symmetric_count(l: int, params: GroupParams):
@@ -120,7 +125,7 @@ def symmetric_count(l: int, params: GroupParams):
     r = params.require_even()
     if l < 2:
         raise DomainError("l must be >= 2")
-    return _as_int_or_fraction(Fraction(lemma26_sum(l, r), 2))
+    return _quotient(lemma26_sum(l, r), 2)
 
 
 @functools.cache
@@ -139,7 +144,7 @@ def p_reciprocal_sum(l: int, r: int) -> int:
 def p_reciprocal_count(l: int, params: GroupParams):
     """Published count of p-reciprocal classes of word length 2l."""
     r = params.require_even()
-    return _as_int_or_fraction(Fraction(p_reciprocal_sum(l, r), 2))
+    return _quotient(p_reciprocal_sum(l, r), 2)
 
 
 def symmetric_p_word_length(l: int, params: GroupParams) -> int:
@@ -161,24 +166,29 @@ def symmetric_p_count(l: int, params: GroupParams):
     total = lemma26_sum(x, r) if x >= 2 else 0  # the printed sum is empty at x = 0, 1
     if word_length % (r + 1) == 0 and word_length >= r + 1:
         total += 2  # the power class, counted once after halving
-    return _as_int_or_fraction(Fraction(total, 2))
+    return _quotient(total, 2)
 
 
-def _sixth(l: int) -> Fraction:
-    # exact for every integer l: the odd-length family reaches l < 0 when p >= 8
-    return (Fraction(2) ** l + (2 if l % 2 == 0 else -2)) / 6
+def _sixth(k: int, m: int) -> int:
+    """(2^k + 2(-1)^k)/6 times 6 * 2^m, an integer for k >= -m."""
+    return (1 << (k + m)) + ((2 if k % 2 == 0 else -2) << m)
 
 
 def _piecewise_family(l: int, params: GroupParams, shift: int):
     """Term l of the published piecewise family: (2^k + 2(-1)^k)/6 at k = l - shift
     up to k = r, a u-correction at k = r + 1, then the recurrence.  Only the
-    recurrence reads the terms before l."""
+    recurrence reads the terms before l.  The seed starts at k = 1 - shift,
+    below 0 in the odd-length family, and its terms times 6 * 2^m are
+    integers; the recurrence is linear, so it runs on those, and 6 * 2^m is
+    divided out of term l alone."""
     r = params.r
     if l - shift <= r:
-        return _as_int_or_fraction(_sixth(l - shift))
-    seed = [_sixth(k) for k in range(1 - shift, r + 1)]
-    seed.append(_sixth(r + 1) + _sixth(params.u + 1) - 1)
-    return _as_int_or_fraction(recurrence_extend(seed, r, l - len(seed))[l - 1])
+        m = max(shift - l, 0)
+        return _quotient(_sixth(l - shift, m), 6 << m)
+    m = max(shift - 1, 0)
+    seed = [_sixth(k, m) for k in range(1 - shift, r + 1)]
+    seed.append(_sixth(r + 1, m) + _sixth(params.u + 1, m) - (6 << m))
+    return _quotient(recurrence_extend(seed, r, l - len(seed))[l - 1], 6 << m)
 
 
 def total_count_even(l: int, params: GroupParams):
@@ -201,11 +211,12 @@ def total_count_odd(l: int, params: GroupParams):
     return _piecewise_family(l, params, params.u + 1)
 
 
-def marmolejo_word_count(l: int) -> Fraction:
-    """Quoted count of cyclically reduced reciprocal words at length 2l."""
+def marmolejo_word_count(l: int) -> int:
+    """Quoted count of cyclically reduced reciprocal words at length 2l:
+    (2^l + 2(-1)^l)/3, an integer for l >= 1."""
     if l < 1:
         raise DomainError("l must be >= 1")
-    return 2 * _sixth(l)
+    return _sixth(l, 0) // 3
 
 
 def recurrence_extend(seed: list[int], r: int, count: int) -> list[int]:
@@ -252,10 +263,10 @@ def _jsonable(v):
         return v
     if isinstance(v, int):
         return str(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
         return repr(v)
+    if hasattr(v, "denominator"):  # a Fraction: ints were written above, floats have none
+        return f"{v.numerator}/{v.denominator}"
     return v
 
 
@@ -379,7 +390,7 @@ CLAIMS: tuple[tuple[Claim, ...], ...] = (
 QUOTED_CLAIMS: tuple[tuple[Claim, ...], ...] = (
     (Claim("MA-5.3.2", "quoted reciprocal word count / 2 at word length 2l (l <= r)",
            "reciprocal_total", _even, lambda r, u: range(1, r + 1),
-           _closed(lambda l, params: _as_int_or_fraction(marmolejo_word_count(l) / 2))),),
+           _closed(lambda l, params: _quotient(marmolejo_word_count(l), 2))),),
 )
 
 

@@ -20,10 +20,13 @@ the ``growth_estimate`` trace is the growth estimate.
 
 from __future__ import annotations
 
-import cmath
-import json
 import math
 from typing import NamedTuple, Sequence
+
+try:  # the C string escaper of json.dumps, which loads without the json package
+    from _json import encode_basestring_ascii
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from .words import DomainError, make_params
 
@@ -73,9 +76,9 @@ def eval_at_sqrt2(poly: IntPoly) -> tuple[int, int]:
     a = b = 0
     for i, c in enumerate(poly.coefficients):
         if i % 2 == 0:
-            a += c * 2 ** (i // 2)
+            a += c << (i // 2)
         else:
-            b += c * 2 ** (i // 2)
+            b += c << (i // 2)
     return a, b
 
 
@@ -225,6 +228,8 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
     residual check is absolute: every |p(z)| of the monic polynomial must be
     at most ``tol``, a NaN residual (an overflow) counting as infinite.
     """
+    import cmath  # imported here, so that a command without roots never loads it
+
     deg = poly.degree
     if deg < 1:
         raise DomainError("degree must be >= 1")
@@ -370,9 +375,10 @@ def json_text(value, pad: str = "") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it at the indent
     ``pad``, strings through the escaper that ``json.dumps`` uses itself.
     Scalars, lists, tuples and dicts with string keys are written here; any
-    other value goes to ``json.dumps``."""
+    other value goes to ``json.dumps``.  No command's report holds such a
+    value, so writing one never imports ``json``."""
     if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
+        return encode_basestring_ascii(value)
     if value is None:
         return "null"
     if value is True:
@@ -393,6 +399,8 @@ def json_text(value, pad: str = "") -> str:
     if isinstance(value, dict) and all(isinstance(k, str) for k in value):
         return json_block([f"{json_text(k)}: {json_text(v, inner)}" for k, v in value.items()],
                           pad, "{}")
+    import json
+
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 

@@ -1,5 +1,6 @@
 """CLI: subcommand output, determinism, schemas, exit codes."""
 
+import builtins
 import hashlib
 import importlib.resources as resources
 import json
@@ -440,13 +441,21 @@ def test_odd_p_claims_rejected(capsys):
 
 def test_one_parser_per_process_prints_what_a_fresh_process_prints(capsys, monkeypatch):
     # the parser is built once and reused: a usage error, then --format csv,
-    # then the JSON default must each print what a new process prints
+    # then the JSON default must each print what a new process prints.  The
+    # fresh processes are the first to load json (census), fractions (claims
+    # at p = 4, whose ledger has a value of 1/2) and cmath (poly, growth)
+    # where the command uses them
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(hecke_census.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     calls = (
         ["census", "--p", "6"],
         ["census", "--p", "6", "--max-len", "8", "--format", "csv"],
+        ["claims", "--p", "6", "--max-len", "12"],
+        ["claims", "--p", "4", "--max-len", "12"],
+        ["poly", "--r", "3"],
+        ["growth", "--p", "6", "--max-len", "20", "--extend-to", "400"],
+        ["verify"],
         ["census", "--p", "6", "--max-len", "8"],
     )
     for argv in calls:
@@ -460,3 +469,40 @@ def test_one_parser_per_process_prints_what_a_fresh_process_prints(capsys, monke
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert code == 0 and out.startswith("{")
     assert _build_parser() is _build_parser()
+
+
+def _import_statements(capsys, monkeypatch, argv):
+    """The modules named by the import statements that ``main(argv)`` runs,
+    in order, after a first run has loaded every module it needs."""
+    assert main(argv) == 0
+    names = []
+    real = builtins.__import__
+
+    def counting(name, *args, **kwargs):
+        names.append(name)
+        return real(name, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "__import__", counting)
+        code = main(argv)
+    capsys.readouterr()
+    assert code == 0
+    return names
+
+
+def test_commands_run_a_fixed_number_of_import_statements(capsys, monkeypatch):
+    # json, fractions and cmath are imported where a command uses them, never
+    # once per value: a larger run runs no more import statements
+    claims = [_import_statements(capsys, monkeypatch, ["claims", "--p", "6", "--max-len", n])
+              for n in ("12", "40")]
+    assert claims[0] == claims[1] and len(claims[0]) == 1
+    for small, large in (
+        (["census", "--p", "6", "--max-len", "8"], ["census", "--p", "6", "--max-len", "60"]),
+        (["census", "--p", "6", "--max-len", "8", "--format", "csv"],
+         ["census", "--p", "6", "--max-len", "60", "--format", "csv"]),
+        (["poly", "--r", "3"], ["poly", "--r", "19"]),
+        (["growth", "--p", "6", "--max-len", "20", "--extend-to", "80"],
+         ["growth", "--p", "6", "--max-len", "40", "--extend-to", "400"]),
+    ):
+        names = _import_statements(capsys, monkeypatch, small)
+        assert names == _import_statements(capsys, monkeypatch, large) and len(names) <= 1, small

@@ -100,12 +100,14 @@ def test_records_compare_by_value(name):
     assert sum(getattr(x, n) != getattr(z, n) for n in names) == 1
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """Each CLI run is a fresh process, and these two modules cost about
-    as much to import as the whole package."""
+def test_cli_import_loads_no_module_that_a_command_can_skip():
+    """Each CLI run is a fresh process.  dataclasses and inspect cost about
+    as much to import as the whole package; json, fractions (with decimal
+    and numbers) and cmath are imported only by the code that uses them."""
+    skippable = ["dataclasses", "inspect", "json", "fractions", "decimal", "numbers", "cmath"]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import hecke_census.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+            f"print(sorted(set({skippable!r}) & (set(sys.modules) - before)))")
     src = str(Path(hecke_census.__file__).parents[1])
     done = subprocess.run([sys.executable, "-I", "-c", code, src],
                           capture_output=True, text=True, check=True)

@@ -193,6 +193,22 @@ def test_negative_at_sqrt2(r):
     assert sqrt2_sign(a, b) < 0
 
 
+def _horner_at_sqrt2(coefficients):
+    """p(sqrt2) in Z[sqrt2] by Horner: (a + b*sqrt2)*sqrt2 + c = (2b + c) + a*sqrt2."""
+    a = b = 0
+    for c in reversed(coefficients):
+        a, b = 2 * b + c, a
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficients=st.integers(0, 400).flatmap(
+    lambda degree: st.lists(st.integers(-(2**70), 2**70), min_size=degree + 1,
+                            max_size=degree + 1)))
+def test_eval_at_sqrt2_is_horner_in_z_sqrt2(coefficients):
+    assert eval_at_sqrt2(IntPoly(tuple(coefficients))) == _horner_at_sqrt2(coefficients)
+
+
 def test_sqrt2_sign_cases():
     assert sqrt2_sign(0, 0) == 0
     assert sqrt2_sign(3, -2) > 0  # 3 > 2*sqrt2 = 2.828...
