@@ -46,8 +46,8 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
-from .necklaces import WEIGHTS, reflection_category
-from .words import CyclicWord, DomainError, GroupParams
+from .necklaces import reflection_category
+from .words import WEIGHTS, CyclicWord, DomainError, GroupParams
 
 _ONE_BYTE = [bytes((o,)) for o in range(len(WEIGHTS))]  # a child of pre is pre + _ONE_BYTE[o]
 

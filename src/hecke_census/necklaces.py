@@ -1,33 +1,23 @@
-"""Byte-encoded block necklaces for the enumeration oracle and the classifier.
+"""The reflection classifier on the byte codes of block necklaces.
 
 A cyclically reduced word with 2n syllables is the alternating form
 ``i g^k1 ... i g^kn``; its conjugacy class is the rotation class of the
-block tuple ``(k1, ..., kn)``.  Each block is one byte, the position of
-its exponent in the syllable order of ``words`` (g^1 < g^-1 < g^2 < ...).
-That order does not depend on p, so one table serves every Z_p: byte o
-names the same exponent wherever that exponent is canonical, Z_p uses
-exactly the bytes 0..p-2, and a byte holds any |k| <= 128.  Lexicographic
-comparison of the byte strings matches the class-key order, a class key is
-the least rotation of its bytes, and reversal/negation is a C-speed
-``translate``: negation flips the low bit, except that g^r (p = 2r) is its
-own negative.  Block weights do not decrease with the byte, which lets the
-enumeration oracle stop at the weight budget.
+block tuple ``(k1, ..., kn)``, keyed by the least rotation of its bytes
+(``words.encode``: a block's byte is its position in the syllable order
+g^1 < g^-1 < g^2 < ...).  Reversal/negation is a C-speed ``translate``:
+negation flips the low bit, except that g^r (p = 2r) is its own negative.
 
 ``reflection_category`` is the reflection classifier behind
 ``reciprocal.classify``; ``Category`` is the package's category type.
 ``classify`` hands it a class key's byte code (``CyclicWord.code``), which
 every key is built from: the bytes that ``census._scan`` or
 ``reciprocal.normal_form_generate`` generated, so no key is encoded, nor
-decoded unless its blocks are read.  This module is the package's one
-codec; ``words`` imports it only when a key first needs its blocks or its
-length, since this module builds its table from ``words``.
+decoded unless its blocks are read.
 """
 
 from __future__ import annotations
 
 import enum
-
-from .words import DomainError, exponent_ordinal
 
 
 class Category(enum.IntEnum):
@@ -42,24 +32,9 @@ class Category(enum.IntEnum):
 _CATEGORIES = tuple(Category)  # indexed by the bit set, without an enum call
 _NOT_RECIPROCAL = Category.NOT_RECIPROCAL  # a global: an enum attribute read is slow
 
-_BYTE = {k: exponent_ordinal(k) for a in range(1, 129) for k in (a, -a)}
-EXPONENTS = tuple(sorted(_BYTE, key=_BYTE.__getitem__))  # EXPONENTS[o] has byte o
-WEIGHTS = tuple(1 + abs(k) for k in EXPONENTS)             # 1 + |k|, aligned with EXPONENTS
-
 _FLIP = bytes(o ^ 1 for o in range(256))  # g^k <-> g^-k
 # byte of g^r -> negation table of Z_2r, which keeps g^r
 _NEGATE = {o: _FLIP[:o] + bytes((o,)) + _FLIP[o + 1 :] for o in range(0, 256, 2)}
-
-
-def encode(blocks: tuple[int, ...]) -> bytes:
-    try:
-        return bytes([_BYTE[k] for k in blocks])
-    except KeyError as exc:
-        raise DomainError(f"block g^{exc.args[0]} has no byte: blocks need |k| <= 128") from None
-
-
-def decode(s: bytes) -> tuple[int, ...]:
-    return tuple([EXPONENTS[o] for o in s])
 
 
 def rev_neg(s: bytes, r: int | None) -> bytes:

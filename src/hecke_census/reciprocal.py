@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .necklaces import WEIGHTS, Category, encode, reflection_category, rev_neg
-from .words import CyclicWord, DomainError, GroupParams, InvolutionType, Word
+from .necklaces import Category, reflection_category, rev_neg
+from .words import WEIGHTS, CyclicWord, DomainError, GroupParams, InvolutionType, Word, encode
 
 
 class ConsistencyError(RuntimeError):

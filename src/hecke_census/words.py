@@ -3,8 +3,8 @@
 The group is ``<i, g | i^2, g^p>``.  Elements are reduced alternating
 sequences of syllables ``i`` and ``g^k`` with canonical exponents in the
 integer interval ``(-p/2, p/2]``.  A conjugacy class of infinite-order
-elements is keyed by a ``CyclicWord``: the ``necklaces`` bytes of its
-blocks in their least rotation.
+elements is keyed by a ``CyclicWord``: the bytes of its blocks in their
+least rotation.
 
 Word length is the generator count of the reduced word: 1 per ``i`` and
 ``|k|`` per ``g^k``.  The norm on exponents is taken to be the absolute
@@ -12,12 +12,17 @@ value of the canonical representative; see README for the discussion of
 this convention.
 
 The syllable order ``g^1 < g^-1 < g^2 < g^-2 < ...`` is defined here
-(``exponent_ordinal``); a block's byte is its position in it, so byte
-order is class-key order.
-``GroupParams.exponent_range`` lists the exponents in this order, and
-``GroupParams.block_weights`` counts them by block weight ``1 + |k|``:
-the block law that the census series, the class-count recurrence and its
-characteristic polynomial read.
+(``exponent_ordinal``), and with it the block alphabet: a block's byte is
+its position in that order (``encode``, ``decode``, with the tables
+``EXPONENTS`` and ``WEIGHTS``).  The order does not depend on p, so one
+alphabet serves every Z_p: byte o names the same exponent wherever that
+exponent is canonical, Z_p uses exactly the bytes 0..p-2, and a byte
+holds any |k| <= 128.  Byte order is class-key order, and block weights do
+not decrease with the byte, which lets the enumeration oracle stop at the
+weight budget.  ``GroupParams.exponent_range`` lists the exponents in this
+order, and ``GroupParams.block_weights`` counts them by block weight
+``1 + |k|``: the block law that the census series, the class-count
+recurrence and its characteristic polynomial read.
 
 A syllable is an int: ``IOTA = 0`` is ``i`` and a nonzero k is ``g^k``
 (a canonical exponent is never 0).  Two syllables of the same kind meet
@@ -102,9 +107,9 @@ class GroupParams(_Frozen):
 
     @cached_property
     def r_byte(self) -> int | None:
-        """Byte of g^r in ``necklaces`` (its ``exponent_ordinal``), the one
-        block that is its own negative; None for odd p.  From p = 258 on it
-        exceeds 255, so it is in no byte string."""
+        """Byte of g^r (its ``exponent_ordinal``), the one block that is its
+        own negative; None for odd p.  From p = 258 on it exceeds 255, so it
+        is in no byte string."""
         return exponent_ordinal(self.r) if self.even else None
 
     @cached_property
@@ -138,10 +143,12 @@ class GroupParams(_Frozen):
     def block_weights(self, max_weight: int) -> dict[int, int]:
         """The block law: ``{1 + |k|: number of such k}`` over the exponents
         of ``exponent_range``, for weights up to ``max_weight``.  These are
-        the coefficients of ``B(x) = sum_k x^(1+|k|)``."""
-        weights: dict[int, int] = {}
-        for k in self.exponent_range(max_weight - 1):
-            weights[1 + abs(k)] = weights.get(1 + abs(k), 0) + 1
+        the coefficients of ``B(x) = sum_k x^(1+|k|)``: 2 for each weight,
+        from k and -k, but 1 for the weight ``1 + p/2`` of even p."""
+        top = min(self.p // 2, max_weight - 1)
+        weights = dict.fromkeys(range(2, top + 2), 2)
+        if 2 * top == self.p:
+            weights[top + 1] = 1  # -p/2 is not canonical
         return weights
 
 
@@ -154,6 +161,21 @@ def exponent_ordinal(k: int) -> int:
     """Position of g^k in the syllable order g^1 < g^-1 < g^2 < g^-2 < ...,
     0-based; ``exponent_range`` lists the exponents in this order."""
     return 2 * k - 2 if k > 0 else -2 * k - 1
+
+
+EXPONENTS = tuple(k for a in range(1, 129) for k in (a, -a))  # EXPONENTS[o] has byte o
+WEIGHTS = tuple(1 + abs(k) for k in EXPONENTS)                # 1 + |k|, aligned with EXPONENTS
+
+
+def encode(blocks: tuple[int, ...]) -> bytes:
+    for k in blocks:
+        if not 0 < abs(k) <= 128:
+            raise DomainError(f"block g^{k} has no byte: blocks need |k| <= 128")
+    return bytes([exponent_ordinal(k) for k in blocks])
+
+
+def decode(s: bytes) -> tuple[int, ...]:
+    return tuple([EXPONENTS[o] for o in s])
 
 
 IOTA = 0  # the syllable i; a nonzero int k is the syllable g^k
@@ -246,9 +268,9 @@ class CyclicWord(_Frozen):
     """Rotation-canonical cyclically reduced word: the key of an
     infinite-order conjugacy class.
 
-    A key stores its ``params`` and its byte ``code``: the ``necklaces``
-    bytes of the blocks ``(k1, ..., kn)`` of ``i g^k1 ... i g^kn``, in the
-    least rotation, which is the classifier's input.  ``block_exponents``
+    A key stores its ``params`` and its byte ``code``: the bytes (``encode``)
+    of the blocks ``(k1, ..., kn)`` of ``i g^k1 ... i g^kn``, in the least
+    rotation, which is the classifier's input.  ``block_exponents``
     is decoded from ``code`` on first read, so a key that is only
     classified is never decoded.  ``repr``, equality and hashing read
     ``(params, block_exponents)``: a tuple of ints hashes alike in every
@@ -275,8 +297,6 @@ class CyclicWord(_Frozen):
 
     @cached_property
     def block_exponents(self) -> tuple[int, ...]:
-        from .necklaces import decode  # necklaces builds its codec from this module
-
         return decode(self.code)
 
     @property
@@ -288,8 +308,6 @@ class CyclicWord(_Frozen):
         """The word length.  The enumeration oracle fills it with the length
         of the bucket it generated the class in; any other key sums the
         weights of its bytes on first use."""
-        from .necklaces import WEIGHTS
-
         return sum([WEIGHTS[o] for o in self.code])
 
     def word_length(self) -> int:

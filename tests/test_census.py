@@ -20,10 +20,9 @@ from hecke_census.census import (
     tally,
     table_to_json,
 )
-from hecke_census.necklaces import decode, encode
 from hecke_census.reciprocal import classify, normal_form_generate, reciprocator_witnesses
 from hecke_census.spectral import build_growth_poly, dominant_root
-from hecke_census.words import DomainError, InvolutionType, make_params
+from hecke_census.words import DomainError, InvolutionType, decode, encode, make_params
 from composition_reference import block_powers
 from necklace_reference import is_minimal_rotation
 from word_reference import all_reduced_words, cyclic_reduce, inverse_key, key

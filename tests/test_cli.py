@@ -506,3 +506,6 @@ def test_commands_run_a_fixed_number_of_import_statements(capsys, monkeypatch):
     ):
         names = _import_statements(capsys, monkeypatch, small)
         assert names == _import_statements(capsys, monkeypatch, large) and len(names) <= 1, small
+    # a class key reads its codec from its own module: a warm verify, which
+    # decodes and measures every normal form it keys, imports nothing
+    assert _import_statements(capsys, monkeypatch, ["verify"]) == []

@@ -6,18 +6,17 @@ from hypothesis import strategies as st
 
 import necklace_reference
 from hecke_census.census import _scan
-from hecke_census.necklaces import (
+from hecke_census.necklaces import Category, reflection_category, rev_neg
+from hecke_census.reciprocal import normal_form_generate
+from hecke_census.words import (
     EXPONENTS,
-    Category,
     WEIGHTS,
+    DomainError,
     decode,
     encode,
     exponent_ordinal,
-    reflection_category,
-    rev_neg,
+    make_params,
 )
-from hecke_census.reciprocal import normal_form_generate
-from hecke_census.words import DomainError, make_params
 from necklace_reference import is_minimal_rotation, minimal_rotation
 from word_reference import inverse_key, key
 
@@ -54,7 +53,7 @@ def test_encode_decode_round_trip():
 
 
 def test_blocks_beyond_one_byte_are_a_domain_error():
-    for blocks in [(129,), (1, -129), (150, 1)]:
+    for blocks in [(129,), (1, -129), (150, 1), (0,), (2, 0)]:
         with pytest.raises(DomainError, match=r"\|k\| <= 128"):
             encode(blocks)
 

@@ -9,7 +9,7 @@ from hecke_census import census as census_module
 from hecke_census import necklaces, words
 from hecke_census import reciprocal as reciprocal_module
 from hecke_census.census import _scan, enumerate_classes
-from hecke_census.necklaces import encode, reflection_category
+from hecke_census.necklaces import reflection_category
 from hecke_census.reciprocal import (
     Category,
     ConsistencyError,
@@ -22,6 +22,7 @@ from hecke_census.words import (
     CyclicWord,
     InvolutionType,
     Word,
+    encode,
     make_params,
 )
 from word_reference import class_key, coset_witnesses, cyclic_reduce, inverse_key, reduce
@@ -301,7 +302,7 @@ def test_normal_form_probe_cost_does_not_grow_with_p(monkeypatch):
             calls.append(o)
             return tuple.__getitem__(self, o)
 
-    monkeypatch.setattr(reciprocal_module, "WEIGHTS", Counted(necklaces.WEIGHTS))
+    monkeypatch.setattr(reciprocal_module, "WEIGHTS", Counted(words.WEIGHTS))
     found = {}
     for p in (32, 16384):
         calls.clear()

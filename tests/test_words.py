@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke_census.necklaces import encode
 from hecke_census.words import (
     IOTA,
     DomainError,
     GroupParams,
     InvolutionType,
     Word,
+    encode,
     make_params,
 )
 from necklace_reference import is_minimal_rotation
@@ -110,6 +110,14 @@ def test_block_weights_match_exponent_range():
                 for a in range(1, min(p // 2, max_weight - 1) + 1)
             }
             assert list(got.items()) == list(closed.items())
+    # large even and odd p, cut below, at and above the weight 1 + p/2 that
+    # even p counts once
+    for p in (199_999, 200_000, 200_001, 200_002):
+        params = make_params(p)
+        for max_weight in (p // 2, p // 2 + 1, p // 2 + 2, p):
+            want = Counter(1 + abs(k) for k in params.exponent_range(max_weight - 1))
+            got = params.block_weights(max_weight)
+            assert list(got.items()) == list(want.items()), (p, max_weight)
     # the bound keeps huge p cheap: 11 weights, 2..12, each from k and -k
     assert make_params(10**9).block_weights(12) == {w: 2 for w in range(2, 13)}
 

@@ -11,8 +11,7 @@ Torsion lives only here: a class key is of infinite order, and
 from math import gcd
 from typing import Iterable, Iterator
 
-from hecke_census.necklaces import encode
-from hecke_census.words import IOTA, CyclicWord, DomainError, GroupParams, InvolutionType, Word
+from hecke_census.words import IOTA, CyclicWord, DomainError, GroupParams, InvolutionType, Word, encode
 
 
 def reduce(params: GroupParams, seq: Iterable[int]) -> Word:
