@@ -71,15 +71,26 @@ def build_growth_poly(r: int) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
+def _at_two(coefficients: Sequence[int]) -> int:
+    """``sum(c << j for j, c in enumerate(coefficients))``, by halves: the
+    upper half's value shifted past the lower half's length.  Each sum is
+    as wide as its half, so the cost is n log n in the bit length where a
+    single accumulator costs n^2."""
+    n = len(coefficients)
+    if n <= 64:
+        acc = 0
+        for c in reversed(coefficients):
+            acc = (acc << 1) + c
+        return acc
+    h = n // 2
+    return _at_two(coefficients[:h]) + (_at_two(coefficients[h:]) << h)
+
+
 def eval_at_sqrt2(poly: IntPoly) -> tuple[int, int]:
-    """Exact value at sqrt(2) as (a, b) meaning a + b*sqrt(2)."""
-    a = b = 0
-    for i, c in enumerate(poly.coefficients):
-        if i % 2 == 0:
-            a += c << (i // 2)
-        else:
-            b += c << (i // 2)
-    return a, b
+    """Exact value at sqrt(2) as (a, b) meaning a + b*sqrt(2): a sums the
+    even coefficients c_2j * 2^j, b the odd ones c_(2j+1) * 2^j."""
+    c = poly.coefficients
+    return _at_two(c[0::2]), _at_two(c[1::2])
 
 
 def sqrt2_sign(a: int, b: int) -> int:
@@ -136,11 +147,10 @@ def dominant_root(poly: IntPoly) -> float:
 
     The cell is found from a float estimate (``_root_estimate``), and every
     sign is exact.  Where the estimate is right, the two ends of its cell
-    are the only signs taken.  Otherwise the bracket widens outward from it
-    by 1, 16 and 4096 cells, and bisection finishes inside: at most
-    1 + 3 + 40 signs, and one more at an end of [1, 2], whose sign
-    bisection takes on trust until the final check; 45 whatever the
-    estimate."""
+    are the only signs taken.  Otherwise bisection finishes inside the
+    bracket that those two signs leave: at most 2 + 40 signs, and one more
+    at an end of [1, 2], whose sign bisection takes on trust until the
+    final check; 43 whatever the estimate."""
     a2, b2 = eval_at_sqrt2(poly)
     if sqrt2_sign(a2, b2) >= 0 or poly(2) <= 0:
         raise DomainError("no sign change on [sqrt2, 2]")
@@ -163,11 +173,9 @@ def dominant_root(poly: IntPoly) -> float:
         return False
 
     m = min(max(int(math.ldexp(_root_estimate(poly), k)), lo + 1), hi - 1)
-    up = below(m)
-    for d in (1, 16, 4096):  # gallop outward from the estimate
-        x = m + d if up else m - d
-        if not lo < x < hi or below(x) != up:
-            break
+    x = m + 1 if below(m) else m - 1  # the neighbour on the side of the sign change
+    if lo < x < hi:
+        below(x)
     while hi - lo > 1:
         below((lo + hi) // 2)
     # the root is bracketed strictly.  A rational root of a monic integer

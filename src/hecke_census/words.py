@@ -49,12 +49,12 @@ class UnsupportedParameterError(DomainError):
 
 
 class _Frozen:
-    """Fields named in ``_fields``, which ``__repr__`` prints, and set once:
-    by ``__init__``, or on first read for a ``cached_property``.  The
-    instance dict also holds what ``__init__`` stores besides the fields
-    and the values that ``cached_property`` computes.  Each subclass defines
-    ``__eq__`` and ``__hash__`` on its field tuple itself, because a loop
-    over ``_fields`` would slow the sets of class keys."""
+    """Fields named in ``_fields`` and set once: by ``__init__``, or on
+    first read for a ``cached_property``.  The instance dict also holds what
+    ``__init__`` stores besides the fields and the values that
+    ``cached_property`` computes.  ``__repr__``, ``__eq__`` and ``__hash__``
+    all read ``_fields``: a record prints its fields, hashes as their tuple,
+    and equals only an instance of its own class with an equal tuple."""
 
     _fields: tuple[str, ...] = ()
 
@@ -67,6 +67,17 @@ class _Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 class GroupParams(_Frozen):
@@ -84,14 +95,6 @@ class GroupParams(_Frozen):
         object.__setattr__(self, "p", p)
         if p < 3:
             raise DomainError(f"p must be >= 3, got {p}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p,) == (other.p,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p,))
 
     @property
     def even(self) -> bool:
@@ -203,14 +206,6 @@ class Word(_Frozen):
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "syllables", syllables)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.params, self.syllables) == (other.params, other.syllables)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.syllables))
-
     def __str__(self) -> str:
         if not self.syllables:
             return "1"
@@ -286,14 +281,6 @@ class CyclicWord(_Frozen):
         """``code`` must be a least rotation; the constructor does not rotate it."""
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "code", code)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.params, self.block_exponents) == (other.params, other.block_exponents)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.block_exponents))
 
     @cached_property
     def block_exponents(self) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from hecke_census.census import CensusRow, census
 from hecke_census.formulas import ClaimEntry
 from hecke_census.reciprocal import classify
 from hecke_census.spectral import GrowthReport, IntPoly, build_growth_poly
-from hecke_census.words import GroupParams, make_params
+from hecke_census.words import CyclicWord, GroupParams, Word, _Frozen, make_params
 from word_reference import key, parse
 
 P6 = make_params(6)
@@ -98,6 +98,30 @@ def test_records_compare_by_value(name):
     assert x == y and not x != y
     assert x != z and not x == z
     assert sum(getattr(x, n) != getattr(z, n) for n in names) == 1
+
+
+class _Pair(_Frozen):
+    _fields = ("a", "b")
+
+    def __init__(self, a, b):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+
+class _OtherPair(_Pair):
+    pass
+
+
+def test_frozen_records_share_one_equality_and_hash():
+    """``_Frozen`` alone defines equality and hashing, from ``_fields``."""
+    x = _Pair(1, (2, 3))
+    assert x == _Pair(1, (2, 3)) and not x != _Pair(1, (2, 3))
+    assert x != _Pair(1, (2, 4)) and x != _Pair(0, (2, 3))
+    assert x != _OtherPair(1, (2, 3)) and _OtherPair(1, (2, 3)) != x
+    assert x != (1, (2, 3))
+    assert hash(x) == hash((1, (2, 3)))
+    for cls in (GroupParams, Word, CyclicWord):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
 
 
 def test_cli_import_loads_no_module_that_a_command_can_skip():

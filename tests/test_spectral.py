@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecke_census import spectral
@@ -205,6 +205,7 @@ def _horner_at_sqrt2(coefficients):
 @given(coefficients=st.integers(0, 400).flatmap(
     lambda degree: st.lists(st.integers(-(2**70), 2**70), min_size=degree + 1,
                             max_size=degree + 1)))
+@example(coefficients=list(build_growth_poly(10_000).coefficients))  # halved 7 times
 def test_eval_at_sqrt2_is_horner_in_z_sqrt2(coefficients):
     assert eval_at_sqrt2(IntPoly(tuple(coefficients))) == _horner_at_sqrt2(coefficients)
 
