@@ -8,8 +8,12 @@ recurrence is that of the census series ``h = 1/(1 - B)``, which
 ``census.block_series`` runs.  The dominant root is the midpoint of the
 cell of width 2^-40 where the polynomial changes sign, found from a float
 Newton estimate and confirmed by exact integer signs; the full root set comes
-from a deterministic Aberth-Ehrlich iteration, whose real zeros are then
-correctly rounded by exact integer signs; the maximum root multiplicity s
+from a deterministic Aberth-Ehrlich iteration started on the unit circle,
+whose real zeros are then correctly rounded by exact integer signs.  Its
+Newton correction reads the shorter of the term lists of p and (x - 1)*p:
+for r >= 5 the five terms x^(r+2) - x^(r+1) - 2x^r + x + 1, which are
+x^(r+2) S_p(1/x) for S_p = (1 - x)(1 - B); its Aberth sum runs in C, through
+``map``.  The maximum root multiplicity s
 comes from primitive pseudo-remainder gcds over Z.  The sign probes at
 sqrt(2) are computed in the ring Z[sqrt(2)], no floating point involved.
 
@@ -21,6 +25,8 @@ the ``growth_estimate`` trace is the growth estimate.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import sub, truediv
 from typing import NamedTuple, Sequence
 
 try:  # the C string escaper of json.dumps, which loads without the json package
@@ -222,19 +228,41 @@ def _round_real_zero(poly: IntPoly, x: float) -> float | None:
     return None
 
 
-def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[complex]:
-    """All complex roots by Aberth-Ehrlich iteration, real zeros correctly
-    rounded by exact signs.
+def _newton_terms(poly: IntPoly) -> tuple[tuple[tuple[int, int], ...], bool]:
+    """The terms ``(k, c_k)``, highest degree first, from which ``all_roots``
+    takes its Newton correction, and whether they are those of (x - 1)*poly.
 
-    Deterministic start: points on the circle of radius 1.1 with a fixed
-    angular offset, so root ordering is stable across runs.  Every zero of
-    the growth polynomials but rho < 2 lies in the closed unit disk.  The
-    iterates are updated in place (Gauss-Seidel); an iterate freezes once
-    its step falls to 4e-16 of its modulus, or stops shrinking below 1e-8 of
-    it.  Each iterate that is real to 1e-9 of its modulus then moves to the
+    The nonzero terms of poly and of (x - 1)*poly, whichever list is strictly
+    shorter.  For the growth polynomials with r >= 5 that is
+    x^(r+2) - x^(r+1) - 2x^r + x + 1, the five terms of x^(r+2) S_p(1/x)
+    for S_p = (1 - x)(1 - B); for r <= 4, and for a dense polynomial, the
+    polynomial's own terms."""
+    c = poly.coefficients
+    own = tuple((k, a) for k, a in enumerate(c) if a)[::-1]
+    shifted = tuple((k, a - b) for k, (a, b) in enumerate(zip((0, *c), (*c, 0))) if a != b)[::-1]
+    return (shifted, True) if len(shifted) < len(own) else (own, False)
+
+
+def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[complex]:
+    """All complex roots by Aberth-Ehrlich iteration (Bini, Numer.
+    Algorithms 13, 1996), real zeros correctly rounded by exact signs.
+
+    Deterministic start: points on the unit circle with a fixed angular
+    offset, so root ordering is stable across runs.  Every zero of the
+    growth polynomials but rho < 2 lies in the closed unit disk, and they
+    crowd its boundary.  The Newton correction p/p' reads the term list of
+    ``_newton_terms``, the terms of f = m*p for m = x - 1 or m = 1: f and
+    z*f' by Horner over the gaps between its exponents, then
+    p/p' = f*m*z / (z*f'*m - f*z*m').  On a growth polynomial with r >= 5
+    that is five terms, where a dense Horner pass reads deg + 1.  The Aberth
+    sum over the other iterates runs in C, through ``map``.  The iterates
+    are updated in place (Gauss-Seidel); an iterate freezes once its step
+    falls to 4e-16 of its modulus, or stops shrinking below 1e-8 of it.
+    Each iterate that is real to 1e-9 of its modulus then moves to the
     double nearest the real zero beside it (``_round_real_zero``).  The
-    residual check is absolute: every |p(z)| of the monic polynomial must be
-    at most ``tol``, a NaN residual (an overflow) counting as infinite.
+    residual check is absolute, on the dense monic polynomial: every |p(z)|
+    must be at most ``tol``, a NaN residual (an overflow) counting as
+    infinite.
     """
     import cmath  # imported here, so that a command without roots never loads it
 
@@ -242,8 +270,17 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
     if deg < 1:
         raise DomainError("degree must be >= 1")
     lead = poly.coefficients[-1]
+    if not lead:
+        raise DomainError("leading coefficient must be nonzero")
     rev = [c / lead for c in reversed(poly.coefficients)]
-    zs = [1.1 * cmath.exp(1j * (2 * math.pi * k / deg + 0.4)) for k in range(deg)]
+    zs = [cmath.exp(1j * (2 * math.pi * k / deg + 0.4)) for k in range(deg)]
+    terms, shifted = _newton_terms(poly)
+    # f and z*f' by Horner over the gaps between the exponents, from the top
+    # term down, then times z^low for the lowest exponent low
+    (top, c_top), *rest = terms
+    f0, zdf0 = complex(c_top / lead), complex(top * c_top / lead)
+    steps = [(j - k, c / lead, k * c / lead) for (j, _), (k, c) in zip(terms, rest)]
+    low = terms[-1][0]
 
     def peval(z: complex) -> complex:
         acc = 0j
@@ -259,12 +296,21 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
         moving = []
         for i in active:
             z = zs[i]
-            p = dp = 0j
-            for c in rev:
-                dp = dp * z + p
-                p = p * z + c
-            n = p / dp
-            dz = n / (1 - n * sum(1 / (z - w) for j, w in enumerate(zs) if j != i))
+            f, zdf = f0, zdf0
+            for g, c, kc in steps:
+                w = z**g
+                f = f * w + c
+                zdf = zdf * w + kc
+            if low:
+                w = z**low
+                f *= w
+                zdf *= w
+            m, dm = (z - 1, 1) if shifted else (1, 0)
+            fz = f * z
+            d = zdf * m - fz * dm  # z*p'*m^2: where it is 0, the iterate takes no step
+            n = fz * m / d if d else 0j
+            s = sum(map(truediv, repeat(1 + 0j), map(sub, repeat(z), zs[:i] + zs[i + 1:])))
+            dz = n / (1 - n * s)
             zs[i] = z - dz
             step = abs(dz)
             size = abs(z)

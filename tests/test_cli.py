@@ -350,42 +350,42 @@ def test_claims_does_not_need_all_roots(capsys, p):
 POLY_SHA256 = {
     "poly --r 2": "7ba124093be6e02f1a7c4db1fab5e693641faba02bb0a6aa37494353ba7c16f4",
     "poly --r 3": "2a18c36ed5ad50fa19ba4388aaebec0ff830854e6afc5d09a46c390c93ce9ede",
-    "poly --r 4": "dfc31c17ac08c523ca733848eb6094fe2d627e74f4fd80a6dd9961054a2d038a",
-    "poly --r 5": "a74ec689f369901d135c3b116596bc0d1b8e466f8fc270610e27d3f7e7cde3e7",
-    "poly --r 6": "73a92e26e49552c027a08e45195668c08e71de9341800bddea0699f434533548",
-    "poly --r 7": "1ad226754a75521d3ad460e3947bf1f47032cfcd78c93a3ddb16f907b66e04da",
-    "poly --r 8": "7162c3ffc978cab2d5307d264dda4565173477ebd11f588d503d34120f09e93b",
-    "poly --r 9": "fe1b22f43b6abed7615bfdec50254ea137c438e1822d698cc59b47633196f515",
-    "poly --r 10": "518923c9fcc0e13aee941affc6ccd0ece2259c8aceb3c7d8e5d03a6ea5fb6f0e",
-    "poly --r 11": "7b2d560bb54567d2c1c45120dfa1bab8b16852042ad6517e7fd03001051543cd",
-    "poly --r 12": "51d3f1e11b5c6c7768219f426557148377570d1fa4273345607cd2610dab8573",
-    "poly --r 13": "f2907ce42cf7d08a7034044aa78f8f75e66a4fc9a472a42568b56de6af82856d",
-    "poly --r 14": "f12ddbbb5b69e02f0111e71160c79805aa34489272df83954c5b72f98658c44b",
-    "poly --r 15": "9c0be3def56352f3ce5d8dd99a4fa1aa615fe05f22199f9f35513a0682145065",
-    "poly --r 16": "c066db6c20d6ded41ac2271a4814e1af29025d4154d498b88248ee2d47991ce9",
-    "poly --r 17": "ee2012e3504e5c2bacd34f42b59b2791ed9e855212fa9937e5b228b32b9c3b0b",
-    "poly --r 18": "0a6c4b341b6a7d33303c18259e469a912ba81ae10d2f00a388c035ffd7342b82",
-    "poly --r 19": "07deb2fe3a08d25a926c982c646b3ace2cfce6c7d01606cc15d35e2b882dee49",
-    "poly --r 21": "03d6d2496ca5985312853d97e782626e8ad5ad43ddde3fe822fb980b6a99a454",
-    "poly --r 22": "172a261eaadb8299d15179176e0bec4aaf7cc489b93c1d673f452e5d4401714d",
-    "poly --r 23": "7acc2caa389b27878985c1b02f634d4012c3d85cf8f69fab1bfb1ebacb6491e4",
-    "poly --r 24": "c531726a66e95f36f321b696679c815e3a2c9adc47e29c44617bf89eb29920f4",
-    "poly --r 25": "8a0b354dca8ce0c58422d83495abf7dea9f9bbb9c13485ed7ef05401be8d09be",
-    "poly --r 38": "9ef58fc70f4699a0b73e57cab6a3eaabce792b2c7583fadbf8a9ee15ec9db385",
-    "poly --r 39": "1899f75790a6745a62b06e5574e074961c9a399031316824ccc975ba60eb4e37",
-    "poly --r 40": "c9ed01ce1b6c03ff7afa89fbb375de272e347ee2e80f7e9ea655c98f0800ad1b",
-    "poly --r 41": "97c8e6448a3905d454f5869b4ea3492ccd3a5d566ca8f21a17ff2884610b6fae",
-    "poly --r 42": "2cb7737d1550049b002633826febfe1ea1e34dc91df76e80854b5cea79e07a6d",
-    "poly --r 43": "2b4adeef83fa63795b0460030c5c734b9019c88a9ba69b1222a7ebaca3c5b86d",
-    "poly --r 44": "5a8a201d9dfdf361d11603f81328fc7ed5c8a9f7e18c57a3f32bb6e982da2de7",
-    "poly --r 45": "6c5c6f6548fb440917c9e5d39197c8d58964f1d889aae52228911562dfdaeed0",
-    "poly --r 46": "e13851ecc3f8f38831da7e0fe7c30251e2a9b55dd3f4d13c18cd1a1b3170cda6",
-    "poly --r 47": "4502f8565236b0ee913183eeeca0371fcc2d9d70c3896a5f7d491309a0e50489",
-    "poly --r 48": "774663697de2b09c264ca2a6b3f6ddf40ae248d973e30b140ee18c8c2d242180",
-    "poly --r 49": "4588002a2addf67e0f025162fa22ce16e57fc4536d7718265489e90efd2e4aba",
-    "poly --r 50": "a78901f007be79558324e341230780f0904fec2de49735cab95d8bf3b796785b",
-    "poly --r 51": "a5f29af1e02874052684613f04617b9bbcee772e4b0f90130c722cfd5d121133",
-    "poly --r 52": "e0a153c1690ad5a301ebb4f61ed6fa41f5283819f6dfc3fe08d2ea2ff3162c27",
+    "poly --r 4": "51cc69e5e7c299e16ef0d5537f573d4570bb65385cc548259d6d7bcb3b0860ce",
+    "poly --r 5": "97607203f14211e7aa5a76e311a328c2e1bce33e82677e957de630eb5556ecd7",
+    "poly --r 6": "acbca1cd48eb3fb8162be5709efb91187c1a9c43804b496fbff3894924645d6f",
+    "poly --r 7": "fb6796cb0d82903e07caefc6e3f31ddf72d1d5dcac7ca1814efddfe04682188a",
+    "poly --r 8": "f0ddd4f53e00ca964b8da0277af203b263317cb1db8a7711f7e6ec633454856a",
+    "poly --r 9": "1ef28d3d6286fafd4d660d31df96859b71275269ab57bc47e716220158a89e5f",
+    "poly --r 10": "b12208b3d943abd2e6e3e9891c43b433dec80cd5a334fc694b4bc928d6c4b713",
+    "poly --r 11": "14f88da79eb82f35a1f9923a827cc5966b3b04b9161b08c85d8019378319331a",
+    "poly --r 12": "38628151c7387bc59254f046b8338fe16b5186d563961c0355f1359c8959f8c1",
+    "poly --r 13": "3e065553c1df132bbd180130effe84879a9409fd1468640910ac4eab66ff4f3e",
+    "poly --r 14": "2ca0110b2275c3f7f3ab05c79824426a1bd7eb47df3a87b05704cc3b562574f2",
+    "poly --r 15": "bc187809bde71573bedd989ec2804c4a07a158bd40ca55d1c359295f800d80cf",
+    "poly --r 16": "b729508d8bc150d698b9a1bb93c2c8b5dd37c93cca273d62173c32dce4caaf83",
+    "poly --r 17": "6f2fa7484f46ed2d27b14e869d546b01f179b786eaab3e766482cb49babef88a",
+    "poly --r 18": "67e588a0e43dd8f3ed3ce5abc767c00d6381ff369332c17db0060ab4ddcc5b06",
+    "poly --r 19": "3cc2a60f304172a8b23bb1c9413067671bf86e58f7face7b8a095f0d22dfa4dd",
+    "poly --r 21": "ef7a4d8f548a77e035eeb86bf804d1001123aba6988cc1d58679bf9958ae8e65",
+    "poly --r 22": "c39a4c39781b321097b849fccb022a25a47baacb311822edd2a1cb00ff977f3d",
+    "poly --r 23": "5283b3244bce7b579628b736ad3ecd2b575ce6a17c38c5a47386a3e9df7ce58f",
+    "poly --r 24": "3908d307a05b5566b1ff70ca1e5dcd88bff606b948677bd72a324eda751f8113",
+    "poly --r 25": "0e96bde3a9dede29dddd8dede24f91a9d7ae9e4b23a4537a132e6c418b1f9d2e",
+    "poly --r 38": "0de57f2ee83d08ae8ebc1d9ebd4a0daf71fb7a5e50c79d643cc37602f9e9d419",
+    "poly --r 39": "3a6b9d8ef1d3898861e0f6b73fefa5e59c2248184439dfa7420cee2792196cb4",
+    "poly --r 40": "1ae4f01c4dfeae9694eb49c951867ebf5f40500d3d1d346f03e8c8f9d44e50ae",
+    "poly --r 41": "ec02cf8a9a4a9af8ccf4aeb0b11764a6cbad61258a26d1a9900a3e1bf3db6e95",
+    "poly --r 42": "9107da792082d205729b37359c05855592dbb955b735879a04388fffa225b88b",
+    "poly --r 43": "0b7c10dc2133b4362c2e092fa1c3ee3dfa7a3293b4831fcd4f8deb59f11e859f",
+    "poly --r 44": "cf451d6d471760675776c1215160a81f765d6f1df1a1a3707c1f5c50d13550fc",
+    "poly --r 45": "2a6aca784d290ce2275c63fb2cac295e16f1b8ea592c27e4d5c24766553aaf00",
+    "poly --r 46": "f169eb397344fbf62d1ed1f4881a03dbd9b168d7c55469f55b1ec477f26e2193",
+    "poly --r 47": "18d837ab78f0a71a52626139fc22ac27111a5d232c7b1fa8be43b0259607bf1c",
+    "poly --r 48": "adbf4c42f5aeb7836ebd928238d2f6f0c8525460723ff43ff849c37fc1e8c12f",
+    "poly --r 49": "66ba8fb4e533b90493f834b7af5e877c91ef74762a0bc30b49ef16b32eca255b",
+    "poly --r 50": "86b7ed1f2f8a59006565d2ec0d97524cdc7eb76a9cef9dc8a7f4c6e228d032d8",
+    "poly --r 51": "7ee4728c9882876e1d69564f2b833540328227a7f164e6d96c81ac728b5a313e",
+    "poly --r 52": "fb5b85e9107486f0161eaa52d26a7de0bd26e8109542ae48c6d79217fe9028b0",
     "poly --r 53": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "poly --r 54": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "poly --r 55": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",

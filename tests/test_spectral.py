@@ -13,6 +13,7 @@ from hecke_census.spectral import (
     GrowthReport,
     IntPoly,
     _dyadic_sign,
+    _newton_terms,
     _root_estimate,
     all_roots,
     analyze_growth,
@@ -27,6 +28,7 @@ from hecke_census.spectral import (
     squarefree_multiplicity,
 )
 from hecke_census.words import DomainError, make_params
+import aberth_reference
 
 
 # References: the rational arithmetic the spectral layer used before it
@@ -345,7 +347,7 @@ def test_all_roots_failures_are_those_of_the_rounded_rho():
     # the residual check is absolute, and near rho ~ 2 one ulp of rho moves
     # P_r by P_r'(rho) * 2^-52 ~ 3 * 2^(r-52): whether all_roots fails is a
     # property of P_r at the double nearest rho, not of the iteration path
-    for r in range(2, 61):
+    for r in range(2, 131):
         poly = build_growth_poly(r)
         rho = correctly_rounded_rho(poly)
         if abs(poly(rho)) > 1e-10:
@@ -356,6 +358,88 @@ def test_all_roots_failures_are_those_of_the_rounded_rho():
         roots = all_roots(poly, tol=math.inf)
         assert max(z.real for z in roots if z.imag == 0) == rho, r
         assert complex(-1.0, 0.0) in roots, r
+
+
+def exact_value(poly: IntPoly, z: complex) -> complex:
+    """poly(z), each part rounded once from the exact value: z is
+    (x + iy) / 2^k for integers x, y, and Horner runs on 2^(k*deg) poly(z)
+    in Gaussian integers."""
+    (mx, dx), (my, dy) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(dx, dy)
+    x, y, k = mx * (d // dx), my * (d // dy), d.bit_length() - 1
+    a = b = 0
+    for j, c in enumerate(reversed(poly.coefficients)):
+        a, b = a * x - b * y + (c << (k * j)), a * y + b * x
+    den = 1 << (k * poly.degree)
+    return complex(Fraction(a, den), Fraction(b, den))
+
+
+def test_all_roots_matches_the_dense_horner_reference():
+    # the term list and the start on the unit circle move the complex roots
+    # by rounding only, and every real root is the same correctly rounded
+    # double: rho, -1 and, for even r, the negative zero of Q_r
+    for r in range(2, 131):
+        poly = build_growth_poly(r)
+        roots = all_roots(poly, tol=math.inf)
+        want = aberth_reference.all_roots(poly, tol=math.inf)
+        assert len(roots) == len(want) == r + 1, r
+        assert sum(z.imag == 0 for z in roots) == 2 + (r % 2 == 0), r
+        for z, w in zip(roots, want):
+            if w.imag == 0:
+                assert z == w, r
+            else:
+                assert abs(z - w) <= 1e-12 * abs(w), (r, z, w)
+        for z in roots:
+            if abs(z) < 1.5:
+                scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(poly.coefficients))
+                assert abs(exact_value(poly, z)) <= 1e-14 * scale, (r, z)
+
+
+def test_newton_terms_of_the_growth_polynomials():
+    # x^(r+2) S_p(1/x) = (x - 1) P_r for S_p = (1 - x)(1 - B) of p = 2r
+    for r in range(5, 201):
+        b = make_params(2 * r).block_weights(r + 1)
+        one_minus_b = [1] + [-b.get(w, 0) for w in range(1, r + 2)] + [0]
+        s_p = [c - (j and one_minus_b[j - 1]) for j, c in enumerate(one_minus_b)]
+        want = tuple((r + 2 - j, c) for j, c in enumerate(s_p) if c)
+        assert want == ((r + 2, 1), (r + 1, -1), (r, -2), (1, 1), (0, 1))
+        assert _newton_terms(build_growth_poly(r)) == (want, True), r
+    for r in range(2, 5):
+        poly = build_growth_poly(r)
+        terms, shifted = _newton_terms(poly)
+        assert not shifted and len(terms) <= 5
+        assert terms == tuple((k, c) for k, c in enumerate(poly.coefficients) if c)[::-1]
+
+
+def test_newton_terms_keep_a_polynomial_that_vanishes_at_one():
+    # a dense p and one with a zero at 1 keep their own terms, the (x - 1) p
+    # of each being no shorter.  At a zero of p at 1, f = (x - 1) p would
+    # have a double zero, where f and f' both vanish and the correction
+    # would lose its digits
+    for poly in (IntPoly((1, 2, 3, 4, 5, 6)), IntPoly((-3, 2, 0, 1))):  # (x - 1)(x^2 + x + 3)
+        terms, shifted = _newton_terms(poly)
+        assert not shifted
+        assert terms == tuple((k, c) for k, c in enumerate(poly.coefficients) if c)[::-1]
+        roots = all_roots(poly)  # at the default tol
+        assert len(roots) == poly.degree
+    assert complex(1.0, 0.0) in roots
+
+
+def test_all_roots_of_a_polynomial_with_a_zero_at_zero():
+    # at z = 0 the correction f*m*z / (z*f'*m - f*z*m') is 0/0; the iterate
+    # that reaches the zero takes no step
+    assert all_roots(IntPoly((0, 1, 1))) == [complex(-1.0, 0.0), 0j]
+    # the two iterates of a double zero at 0 approach it together until
+    # f*z underflows, and freeze there
+    roots = all_roots(IntPoly((0, 0, 1, 1)))
+    assert roots[0] == complex(-1.0, 0.0) and max(map(abs, roots[1:])) < 1e-100
+
+
+def test_all_roots_rejects_a_zero_leading_coefficient():
+    with pytest.raises(DomainError, match="leading coefficient must be nonzero"):
+        all_roots(IntPoly((1, 2, 0)))
+    with pytest.raises(DomainError, match="degree must be >= 1"):
+        all_roots(IntPoly((5,)))
 
 
 def test_all_roots_failure_residuals_are_finite():
