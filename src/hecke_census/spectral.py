@@ -8,14 +8,18 @@ recurrence is that of the census series ``h = 1/(1 - B)``, which
 ``census.block_series`` runs.  The dominant root is the midpoint of the
 cell of width 2^-40 where the polynomial changes sign, found from a float
 Newton estimate and confirmed by exact integer signs; the full root set comes
-from a deterministic Aberth-Ehrlich iteration started on the unit circle,
-whose real zeros are then correctly rounded by exact integer signs.  Its
-Newton correction reads the shorter of the term lists of p and (x - 1)*p:
-for r >= 5 the five terms x^(r+2) - x^(r+1) - 2x^r + x + 1, which are
-x^(r+2) S_p(1/x) for S_p = (1 - x)(1 - B); its Aberth sum runs in C, through
-``map``.  The maximum root multiplicity s
-comes from primitive pseudo-remainder gcds over Z.  The sign probes at
-sqrt(2) are computed in the ring Z[sqrt(2)], no floating point involved.
+from a deterministic Aberth-Ehrlich iteration that holds the real zeros on
+the real axis and each pair of conjugate zeros as one upper iterate, started
+on [-1, 1] and on the upper half of the unit circle; its real zeros are then
+correctly rounded by exact integer signs.  Its Newton correction reads the
+shorter of the term lists of p and (x - 1)*p: for r >= 5 the five terms
+x^(r+2) - x^(r+1) - 2x^r + x + 1, which are x^(r+2) S_p(1/x) for
+S_p = (1 - x)(1 - B); its Aberth sum runs in C, through ``map``.  The
+maximum root multiplicity s and the number of real zeros come from one walk
+of the gcd chain p, gcd(p, p'), ... over Z, each gcd the last member of a
+primitive Sturm sequence (pseudo-remainders that keep their signs).  The
+sign probes at sqrt(2) are computed in the ring Z[sqrt(2)], no floating
+point involved.
 
 Each fact has one home: a ``GrowthReport`` derives squarefreeness from s
 and prints the record of ``eisenstein_check`` as it is, and the last pair of
@@ -24,6 +28,7 @@ the ``growth_estimate`` trace is the growth estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import repeat
 from operator import sub, truediv
@@ -247,22 +252,29 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
     """All complex roots by Aberth-Ehrlich iteration (Bini, Numer.
     Algorithms 13, 1996), real zeros correctly rounded by exact signs.
 
-    Deterministic start: points on the unit circle with a fixed angular
-    offset, so root ordering is stable across runs.  Every zero of the
-    growth polynomials but rho < 2 lies in the closed unit disk, and they
-    crowd its boundary.  The Newton correction p/p' reads the term list of
-    ``_newton_terms``, the terms of f = m*p for m = x - 1 or m = 1: f and
-    z*f' by Horner over the gaps between its exponents, then
-    p/p' = f*m*z / (z*f'*m - f*z*m').  On a growth polynomial with r >= 5
-    that is five terms, where a dense Horner pass reads deg + 1.  The Aberth
-    sum over the other iterates runs in C, through ``map``.  The iterates
-    are updated in place (Gauss-Seidel); an iterate freezes once its step
-    falls to 4e-16 of its modulus, or stops shrinking below 1e-8 of it.
-    Each iterate that is real to 1e-9 of its modulus then moves to the
-    double nearest the real zero beside it (``_round_real_zero``).  The
-    residual check is absolute, on the dense monic polynomial: every |p(z)|
-    must be at most ``tol``, a NaN residual (an overflow) counting as
-    infinite.
+    The coefficients are real, so the zeros are k real ones and m pairs of
+    conjugates; k, with multiplicity, is exact (``real_zero_count``).  The
+    iteration holds k real iterates and m upper ones, each upper iterate
+    with its conjugate beside it.  Deterministic start: the real iterates at
+    cos(pi (j + 1/2) / k + 0.2) on [-1, 1], never at 0, the upper ones at
+    exp(i pi (j + 1/2) / m) on the upper half of the unit circle, so root
+    ordering is stable across runs.  Every zero of the growth polynomials
+    but rho < 2 lies in the closed unit disk, and they crowd its boundary.
+    The Newton correction p/p' reads the term list of ``_newton_terms``,
+    the terms of f = q*p for q = x - 1 or q = 1: f and z*f' by Horner over
+    the gaps between its exponents, then p/p' = f*q*z / (z*f'*q - f*z*q').
+    On a growth polynomial with r >= 5 that is five terms, where a dense
+    Horner pass reads deg + 1.  The Aberth sum over all other iterates,
+    conjugates included, runs in C, through ``map``.  The iterates are
+    updated in place (Gauss-Seidel): a real iterate takes the real part of
+    its step, and an upper one writes its conjugate too.  An iterate freezes
+    once its step falls to 4e-16 of its modulus, or stops shrinking below
+    1e-8 of it.  Each finite real iterate then moves to the double nearest
+    the real zero beside it (``_round_real_zero``).  The residual check is
+    absolute, on the dense monic polynomial: every |p(z)| must be at most
+    ``tol``, a NaN residual (an overflow) counting as infinite.  It reads
+    the real and the upper iterates alone: for real coefficients, Horner
+    at the conjugate of z is bitwise the conjugate of Horner at z.
     """
     import cmath  # imported here, so that a command without roots never loads it
 
@@ -273,13 +285,17 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
     if not lead:
         raise DomainError("leading coefficient must be nonzero")
     rev = [c / lead for c in reversed(poly.coefficients)]
-    zs = [cmath.exp(1j * (2 * math.pi * k / deg + 0.4)) for k in range(deg)]
+    k = real_zero_count(poly)
+    m = (deg - k) // 2
+    upper = [cmath.exp(1j * math.pi * (j + 0.5) / m) for j in range(m)]
+    zs = [complex(math.cos(math.pi * (j + 0.5) / k + 0.2), 0.0) for j in range(k)]
+    zs += upper + [z.conjugate() for z in upper]
     terms, shifted = _newton_terms(poly)
     # f and z*f' by Horner over the gaps between the exponents, from the top
     # term down, then times z^low for the lowest exponent low
     (top, c_top), *rest = terms
     f0, zdf0 = complex(c_top / lead), complex(top * c_top / lead)
-    steps = [(j - k, c / lead, k * c / lead) for (j, _), (k, c) in zip(terms, rest)]
+    steps = [(j - i, c / lead, i * c / lead) for (j, _), (i, c) in zip(terms, rest)]
     low = terms[-1][0]
 
     def peval(z: complex) -> complex:
@@ -288,8 +304,8 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
             acc = acc * z + c
         return acc
 
-    last_step = [math.inf] * deg
-    active = range(deg)
+    last_step = [math.inf] * (k + m)
+    active = range(k + m)
     for _ in range(max_iter):
         if not active:
             break
@@ -305,25 +321,30 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
                 w = z**low
                 f *= w
                 zdf *= w
-            m, dm = (z - 1, 1) if shifted else (1, 0)
+            q, dq = (z - 1, 1) if shifted else (1, 0)
             fz = f * z
-            d = zdf * m - fz * dm  # z*p'*m^2: where it is 0, the iterate takes no step
-            n = fz * m / d if d else 0j
+            d = zdf * q - fz * dq  # z*p'*q^2: where it is 0, the iterate takes no step
+            n = fz * q / d if d else 0j
             s = sum(map(truediv, repeat(1 + 0j), map(sub, repeat(z), zs[:i] + zs[i + 1:])))
             dz = n / (1 - n * s)
+            if i < k:  # a real iterate takes the real part of its step
+                dz = complex(dz.real, 0.0)
             zs[i] = z - dz
+            if i >= k:
+                zs[i + m] = zs[i].conjugate()
             step = abs(dz)
             size = abs(z)
             if step > 4e-16 * size and not (last_step[i] <= step < 1e-8 * size):
                 moving.append(i)
             last_step[i] = step
         active = moving
-    for i, z in enumerate(zs):
-        if abs(z.imag) <= 1e-9 * abs(z):
-            x = _round_real_zero(poly, z.real)
+    for i in range(k):
+        x = zs[i].real
+        if math.isfinite(x):  # as_integer_ratio raises on NaN and on an infinity
+            x = _round_real_zero(poly, x)
             if x is not None:
                 zs[i] = complex(x, 0.0)
-    residuals = [abs(peval(z)) for z in zs]
+    residuals = [abs(peval(z)) for z in zs[:k + m]]
     # max() skips a NaN after the first residual: a NaN (an overflow) counts as infinite
     worst = math.inf if any(map(math.isnan, residuals)) else max(residuals)
     if worst > tol:
@@ -346,11 +367,14 @@ def _primitive(p: list[int]) -> list[int]:
 
 
 def _prem(f: list[int], g: list[int]) -> list[int]:
-    """A pseudo-remainder of f by g: lc(g)^e * f mod g for some e >= 0."""
+    """A pseudo-remainder of f by g: |lc(g)|^e * f mod g for some e >= 0, a
+    positive multiple of the remainder over the rationals, so its signs are
+    those of the remainder."""
     f = _strip(list(f))
-    lead = g[-1]
+    lead = abs(g[-1])
+    sign = 1 if g[-1] > 0 else -1
     while len(f) >= len(g) and f != [0]:
-        factor = f[-1]
+        factor = sign * f[-1]
         shift = len(f) - len(g)
         f = [lead * c for c in f]
         for i, c in enumerate(g):
@@ -359,25 +383,57 @@ def _prem(f: list[int], g: list[int]) -> list[int]:
     return f
 
 
-def _int_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """A gcd of integer polynomials by the primitive pseudo-remainder
-    sequence; it has the degree of their gcd over the rationals."""
-    a = _primitive(_strip(list(f.coefficients)))
-    b = _primitive(_strip(list(g.coefficients)))
-    while b != [0]:
-        a, b = b, _primitive(_prem(a, b))
-    return IntPoly(tuple(a))
+def _sturm_chain(f: Sequence[int], g: Sequence[int]) -> list[list[int]]:
+    """The primitive Sturm sequence of f and g: f and g made primitive, then
+    each next member the negated primitive pseudo-remainder of the two
+    before it, up to the last nonzero one, which is a gcd of f and g over
+    the rationals.  Every member is a positive multiple of the one that
+    Euclid's algorithm with negated remainders gives, so for g = f' the
+    sign changes at -inf less those at +inf count the distinct real zeros
+    of f (Sturm's theorem)."""
+    chain = [_primitive(_strip(list(f))), _primitive(_strip(list(g)))]
+    while chain[-1] != [0]:
+        chain.append([-c for c in _primitive(_prem(chain[-2], chain[-1]))])
+    chain.pop()
+    return chain
+
+
+def _sign_changes(signs: list[bool]) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@functools.lru_cache(maxsize=1)
+def _gcd_chain(coefficients: tuple[int, ...]) -> tuple[int, int]:
+    """``(s, k)`` for the polynomial with these coefficients: the largest
+    root multiplicity s and the number k of real zeros, with multiplicity.
+
+    Walks the chain p_0 = p, p_(j+1) = gcd(p_j, p_j'), whose p_j has the
+    distinct zeros of p of multiplicity above j; s is its length, and k
+    sums the Sturm counts of the distinct real zeros of its members.  Kept
+    for the last polynomial, so that ``analyze_growth`` walks the chain once
+    for ``all_roots`` and ``squarefree_multiplicity`` together."""
+    cur = IntPoly(coefficients)
+    s = k = 0
+    while cur.degree > 0:
+        chain = _sturm_chain(cur.coefficients, cur.derivative().coefficients)
+        at_top = [c[-1] > 0 for c in chain]
+        at_bottom = [(c[-1] > 0) != (len(c) % 2 == 0) for c in chain]  # lc * (-1)^degree
+        k += _sign_changes(at_bottom) - _sign_changes(at_top)
+        cur = IntPoly(tuple(chain[-1]))
+        s += 1
+    return s, k
 
 
 def squarefree_multiplicity(poly: IntPoly) -> int:
     """The largest root multiplicity s, by repeated exact gcd; the polynomial
     is squarefree exactly when s is 1."""
-    cur = poly
-    s = 0
-    while cur.degree > 0:
-        cur = _int_gcd(cur, cur.derivative())
-        s += 1
-    return s
+    return _gcd_chain(poly.coefficients)[0]
+
+
+def real_zero_count(poly: IntPoly) -> int:
+    """The number of real zeros, with multiplicity, by Sturm's theorem on
+    each polynomial of the gcd chain of ``squarefree_multiplicity``."""
+    return _gcd_chain(poly.coefficients)[1]
 
 
 def eisenstein_reason(poly: IntPoly) -> str | None:
@@ -472,8 +528,13 @@ class GrowthReport(NamedTuple):
         return self.s == 1
 
     def to_json(self) -> str:
-        """The report as ``json.dumps(doc, indent=2)`` writes it, plus a newline."""
-        roots = [json_block([json_text(z.real), json_text(z.imag)], "    ") for z in self.roots]
+        """The report as ``json.dumps(doc, indent=2)`` writes it, plus a newline.
+        A finite root is written in one f-string, a NaN or an infinity (which
+        ``float.__repr__`` writes as JSON does not) through ``json_text``."""
+        roots = [f"[\n      {float.__repr__(z.real)},\n      {float.__repr__(z.imag)}\n    ]"
+                 if math.isfinite(z.real) and math.isfinite(z.imag)
+                 else json_block([json_text(z.real), json_text(z.imag)], "    ")
+                 for z in self.roots]
         trace = [json_block([json_text(i), json_text(repr(v))], "    ")
                  for i, v in self.ratio_trace]
         return json_block([

@@ -1,6 +1,8 @@
 """The dense-Horner Aberth-Ehrlich iteration that ``spectral.all_roots``
 ran before its Newton correction came from a short term list, kept for
-the tests as a reference.
+the tests as a reference.  It is the asymmetric reference: it updates both
+members of every conjugate pair, each on its own, and lets any iterate
+leave the real axis.
 
 Same start angles on the circle of radius 1.1, same Gauss-Seidel order and
 freeze rule, same exact rounding of the real zeros and the same absolute

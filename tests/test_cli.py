@@ -349,43 +349,43 @@ def test_claims_does_not_need_all_roots(capsys, p):
 # the one-line errors of the failing r are the contract
 POLY_SHA256 = {
     "poly --r 2": "7ba124093be6e02f1a7c4db1fab5e693641faba02bb0a6aa37494353ba7c16f4",
-    "poly --r 3": "2a18c36ed5ad50fa19ba4388aaebec0ff830854e6afc5d09a46c390c93ce9ede",
-    "poly --r 4": "51cc69e5e7c299e16ef0d5537f573d4570bb65385cc548259d6d7bcb3b0860ce",
-    "poly --r 5": "97607203f14211e7aa5a76e311a328c2e1bce33e82677e957de630eb5556ecd7",
+    "poly --r 3": "71c366dc50d38712561fd768bce2d773cd449ec1f7a99da8fabe86731e513654",
+    "poly --r 4": "6c3d07e953c0373e063fa4d3799bc0c3d30aafe74f7a434d6d42f0fea1d7251b",
+    "poly --r 5": "93061be8d78e6453ce4b8d106f907a758b82641ebc80f8f05eaef6fb7af29d2c",
     "poly --r 6": "acbca1cd48eb3fb8162be5709efb91187c1a9c43804b496fbff3894924645d6f",
-    "poly --r 7": "fb6796cb0d82903e07caefc6e3f31ddf72d1d5dcac7ca1814efddfe04682188a",
-    "poly --r 8": "f0ddd4f53e00ca964b8da0277af203b263317cb1db8a7711f7e6ec633454856a",
-    "poly --r 9": "1ef28d3d6286fafd4d660d31df96859b71275269ab57bc47e716220158a89e5f",
-    "poly --r 10": "b12208b3d943abd2e6e3e9891c43b433dec80cd5a334fc694b4bc928d6c4b713",
-    "poly --r 11": "14f88da79eb82f35a1f9923a827cc5966b3b04b9161b08c85d8019378319331a",
-    "poly --r 12": "38628151c7387bc59254f046b8338fe16b5186d563961c0355f1359c8959f8c1",
-    "poly --r 13": "3e065553c1df132bbd180130effe84879a9409fd1468640910ac4eab66ff4f3e",
-    "poly --r 14": "2ca0110b2275c3f7f3ab05c79824426a1bd7eb47df3a87b05704cc3b562574f2",
-    "poly --r 15": "bc187809bde71573bedd989ec2804c4a07a158bd40ca55d1c359295f800d80cf",
-    "poly --r 16": "b729508d8bc150d698b9a1bb93c2c8b5dd37c93cca273d62173c32dce4caaf83",
-    "poly --r 17": "6f2fa7484f46ed2d27b14e869d546b01f179b786eaab3e766482cb49babef88a",
-    "poly --r 18": "67e588a0e43dd8f3ed3ce5abc767c00d6381ff369332c17db0060ab4ddcc5b06",
-    "poly --r 19": "3cc2a60f304172a8b23bb1c9413067671bf86e58f7face7b8a095f0d22dfa4dd",
-    "poly --r 21": "ef7a4d8f548a77e035eeb86bf804d1001123aba6988cc1d58679bf9958ae8e65",
-    "poly --r 22": "c39a4c39781b321097b849fccb022a25a47baacb311822edd2a1cb00ff977f3d",
-    "poly --r 23": "5283b3244bce7b579628b736ad3ecd2b575ce6a17c38c5a47386a3e9df7ce58f",
-    "poly --r 24": "3908d307a05b5566b1ff70ca1e5dcd88bff606b948677bd72a324eda751f8113",
-    "poly --r 25": "0e96bde3a9dede29dddd8dede24f91a9d7ae9e4b23a4537a132e6c418b1f9d2e",
-    "poly --r 38": "0de57f2ee83d08ae8ebc1d9ebd4a0daf71fb7a5e50c79d643cc37602f9e9d419",
-    "poly --r 39": "3a6b9d8ef1d3898861e0f6b73fefa5e59c2248184439dfa7420cee2792196cb4",
-    "poly --r 40": "1ae4f01c4dfeae9694eb49c951867ebf5f40500d3d1d346f03e8c8f9d44e50ae",
-    "poly --r 41": "ec02cf8a9a4a9af8ccf4aeb0b11764a6cbad61258a26d1a9900a3e1bf3db6e95",
-    "poly --r 42": "9107da792082d205729b37359c05855592dbb955b735879a04388fffa225b88b",
-    "poly --r 43": "0b7c10dc2133b4362c2e092fa1c3ee3dfa7a3293b4831fcd4f8deb59f11e859f",
-    "poly --r 44": "cf451d6d471760675776c1215160a81f765d6f1df1a1a3707c1f5c50d13550fc",
-    "poly --r 45": "2a6aca784d290ce2275c63fb2cac295e16f1b8ea592c27e4d5c24766553aaf00",
-    "poly --r 46": "f169eb397344fbf62d1ed1f4881a03dbd9b168d7c55469f55b1ec477f26e2193",
-    "poly --r 47": "18d837ab78f0a71a52626139fc22ac27111a5d232c7b1fa8be43b0259607bf1c",
-    "poly --r 48": "adbf4c42f5aeb7836ebd928238d2f6f0c8525460723ff43ff849c37fc1e8c12f",
-    "poly --r 49": "66ba8fb4e533b90493f834b7af5e877c91ef74762a0bc30b49ef16b32eca255b",
-    "poly --r 50": "86b7ed1f2f8a59006565d2ec0d97524cdc7eb76a9cef9dc8a7f4c6e228d032d8",
-    "poly --r 51": "7ee4728c9882876e1d69564f2b833540328227a7f164e6d96c81ac728b5a313e",
-    "poly --r 52": "fb5b85e9107486f0161eaa52d26a7de0bd26e8109542ae48c6d79217fe9028b0",
+    "poly --r 7": "9e14a1ee30d17fb9265d1f0a7d4e6eef6bc4a0b8ac4381acd0ecd257ec14b065",
+    "poly --r 8": "3dc5a925a46f176bee94653e18d9b9bbce22d8e42f037a18cd273599ff70871e",
+    "poly --r 9": "d7fb688838daa4fb2ea7c3d66c002fa7a86d6ca95cfc63335deb8c1a10002833",
+    "poly --r 10": "2aa6aa574a791daf62b495270c1b477525443643a687be1ca6eee93fb311d967",
+    "poly --r 11": "7fe34b7f8cfe92bd05aaf1ad3d649d9b5dd321ab21998340278c1aa9f780f8a2",
+    "poly --r 12": "855ed23609f4dacccc2c17b560a278e5c91d6dda701decf9aa4693432b50deed",
+    "poly --r 13": "7886412cb2b3ab75b3672856d3d1df067d03ae0ceccbf03a610fa4a7a839c2e5",
+    "poly --r 14": "4b98a5a2130e56effb58b9684d87c3cc67831f5506738a38e5ccff60a199acf2",
+    "poly --r 15": "ade08e82331fd5fd0152ef50b019b63532088deb5a00facbb3d6b8bf9193194f",
+    "poly --r 16": "121ba47ec303731dc91db44e69a3693c73353ff525bdd77b819c4990952d218f",
+    "poly --r 17": "71cd4d64a3e202a5ef480e5c88c883f12e75c41b778b8281b66fff6788886ec0",
+    "poly --r 18": "43ca7819533d988acfb2225498f259ae6b817a00d09249e467c9d5f985f44bf8",
+    "poly --r 19": "549f1d9cc367bbb0ef43bfcdd9363a52ea9bf43dfef6a92b3fb40fc33e910ac7",
+    "poly --r 21": "de8be763acc0747eaf8e0a578e2641d39716b27c3ec847e8e7509c1a895ad49b",
+    "poly --r 22": "b34701d9cbc2670d927c7c342a093f4b619fe8d2bf0fb1074f31862676c0fb6c",
+    "poly --r 23": "4059c1f7c1e715521f888a135f37e359c71d802fa73c2ba875eeb789e33470a2",
+    "poly --r 24": "65bc97187edf45e52224571287e64915a41d4712d2985f998ad18747e78abfd2",
+    "poly --r 25": "b764cf8f640831fc486b4813fe41b2503358fb190f547bb3e10ea00d784f2987",
+    "poly --r 38": "21fe6334011a935d1726b092074c8704adf36cddba0d44a2e91f7983954aa05e",
+    "poly --r 39": "8a4e5caa9b3affa156f6f10e658f3b54c902d2793ac02cebcf8d0531d8019d76",
+    "poly --r 40": "f64fd8f399e4699b3212fca035e0d6a976b07b5f0a9c1df0731ded6cdaccb763",
+    "poly --r 41": "2da3a5a9552d6564e9d3ebfcdc45e1e871420484cceba5c665b52311fdca60be",
+    "poly --r 42": "e7a8dc0b7c7762a67829522464005415ddc07ec4006a6dd40af661cb09ec98c1",
+    "poly --r 43": "09db69cda2522bae3bf4b3854c5fc7dfd7cab061e0e506388bb71682c4f270be",
+    "poly --r 44": "1799a050fb6f40490feb88c2ae2d064206c6823e248dfc6db0de11ea08838aa7",
+    "poly --r 45": "d16b3ce890567104668ac0dbe8018d0d105d316188040059c1651d1e0da393f6",
+    "poly --r 46": "3d3d247c52d1cf01fc0a518074228a9b65ca406214c2ecb7ee5678f7cd500c74",
+    "poly --r 47": "d25e94dd7e073d9b078a22a74507d133e8783549c01162853bb883b5efb77b17",
+    "poly --r 48": "46139fb038da97ca575506d03b028066b955a7af443ebf07588ed43fc698320a",
+    "poly --r 49": "152d4a088c4466b2b142f37a830abcc51e5afe89d9af1458d93d1c563d135110",
+    "poly --r 50": "fbb139bf5c378ccc15d47f3c8342d3e44f750e6b20399dd01012965eaa843182",
+    "poly --r 51": "a86982fa42e17bb7bc0784d2e5edb96bf4ce44714f71b55b3376a6c355daffff",
+    "poly --r 52": "d7ce26196e7014ca1c4cdb7c4ff347a580d48feede07683d3cdfc3b5c4128329",
     "poly --r 53": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "poly --r 54": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "poly --r 55": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
@@ -396,7 +396,7 @@ POLY_SHA256 = {
     "poly --r 60": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "poly --r 105": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "poly --r 121": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
-    "growth --p 6 --max-len 20 --extend-to 400": "bee765b92dd9f7fab53a6e1921ca0f43d6fca1891f78d0332bad29d2e56423d5",
+    "growth --p 6 --max-len 20 --extend-to 400": "df7c4d251708983f3bb5272f2df8b7526ac60696bf22fdd66c832529f7491a12",
 }
 
 

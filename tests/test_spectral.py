@@ -15,6 +15,7 @@ from hecke_census.spectral import (
     _dyadic_sign,
     _newton_terms,
     _root_estimate,
+    _sturm_chain,
     all_roots,
     analyze_growth,
     build_growth_poly,
@@ -24,6 +25,7 @@ from hecke_census.spectral import (
     eval_at_sqrt2,
     growth_estimate,
     json_text,
+    real_zero_count,
     sqrt2_sign,
     squarefree_multiplicity,
 )
@@ -331,13 +333,21 @@ def correctly_rounded_rho(poly: IntPoly) -> float:
 
 def test_all_roots_residual_and_count():
     # every r with a growth polynomial that all_roots solves at the default tol
-    for r in [*range(2, 20), *range(21, 26), *range(38, 53)]:
+    accepted = {*range(2, 20), *range(21, 26), *range(38, 53)}
+    for r in range(2, 131):
         poly = build_growth_poly(r)
-        roots = all_roots(poly)
+        roots = all_roots(poly, tol=math.inf)
         assert len(roots) == r + 1
+        # exactly k real roots, and every other root's conjugate among the
+        # roots: a nonzero imaginary part compares equal only to itself, so
+        # the closure is bitwise
+        assert sum(z.imag == 0.0 for z in roots) == real_zero_count(poly) == 2 + (r % 2 == 0), r
+        assert all(z.imag == 0.0 or z.conjugate() in roots for z in roots), r
+        if r not in accepted:
+            continue
+        assert all_roots(poly) == roots, r
         for z in roots:
             assert abs(poly(z)) < 1e-8
-            assert min(abs(z.conjugate() - w) for w in roots) <= 1e-12, r
         # Vieta: P_r has no x^r term, and its roots multiply to (-1)^(r+1) c_0
         assert abs(sum(roots)) <= 1e-12 * (r + 1), r
         assert abs(math.prod(roots) - (-1) ** (r + 1) * poly.coefficients[0]) <= 1e-9, r
@@ -457,6 +467,18 @@ def test_all_roots_rejects_a_nan_residual_wherever_it_is():
         all_roots(IntPoly((-10**300, 10**300, 0, 0, 1)))
 
 
+def test_all_roots_keeps_an_overflowed_real_iterate_from_the_exact_rounding():
+    # both zeros of x^2 + 10^308 x - 1 are real and doubles (near 10^-308
+    # and -10^308), but the real iterates overflow to NaN, on which the
+    # exact rounding's float.as_integer_ratio would raise ValueError
+    poly = IntPoly((-1, 10**308, 1))
+    assert real_zero_count(poly) == 2
+    with pytest.raises(ArithmeticError, match="residual inf exceeds"):
+        all_roots(poly)
+    roots = all_roots(poly, tol=math.inf)
+    assert len(roots) == 2 and all(math.isnan(z.real) and z.imag == 0.0 for z in roots)
+
+
 def test_all_roots_within_dominant_modulus():
     for r in range(2, 7):
         poly = build_growth_poly(r)
@@ -510,6 +532,56 @@ def test_squarefree_matches_fraction_reference(linear, quadratic, lead):
     assert got == fraction_squarefree_multiplicity(poly)
     if factors:
         assert got == max(m for _, m in factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    linear=st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3).filter(bool),
+                              st.integers(1, 3)),
+                    max_size=4),
+    quadratic=st.lists(st.tuples(st.integers(1, 3), st.integers(-5, 5), st.integers(1, 4),
+                                 st.integers(1, 2)), max_size=3),
+    lead=st.integers(-4, 4).filter(bool),
+)
+def test_real_zero_count_of_products_of_known_factors(linear, quadratic, lead):
+    # lead times (c*x - a)^m for each linear factor and (a*x^2 + b*x + c)^m
+    # with b^2 < 4ac for each quadratic: exactly the linear factors' zeros
+    # are real, so their multiplicities sum to the count.  Factors may
+    # repeat a zero, and a negative lead or c tests the signs of the chain
+    coeffs = [lead]
+    for a, c, m in linear:
+        for _ in range(m):
+            coeffs = _poly_mul(coeffs, [-a, c])
+    for a, b, extra, m in quadratic:
+        c = b * b // (4 * a) + extra
+        for _ in range(m):
+            coeffs = _poly_mul(coeffs, [c, b, a])
+    poly = IntPoly(tuple(coeffs))
+    assert real_zero_count(poly) == sum(m for *_, m in linear)
+    assert squarefree_multiplicity(poly) == fraction_squarefree_multiplicity(poly)
+
+
+def test_real_zero_count_of_the_growth_polynomials():
+    # rho, -1 and, for even r, the negative zero of Q_r
+    for r in range(2, 131):
+        assert real_zero_count(build_growth_poly(r)) == 2 + (r % 2 == 0), r
+
+
+def test_analyze_growth_runs_the_remainder_chain_once(monkeypatch):
+    # all_roots and squarefree_multiplicity share one walk of the gcd chain,
+    # which for the squarefree P_r is one Sturm sequence
+    calls = []
+
+    def counted(f, g):
+        calls.append(len(f))
+        return _sturm_chain(f, g)
+
+    monkeypatch.setattr(spectral, "_sturm_chain", counted)
+    for r in (3, 40):
+        spectral._gcd_chain.cache_clear()
+        del calls[:]
+        report = analyze_growth(r)
+        assert report.s == 1 and calls == [r + 2], r
 
 
 def test_squarefree_detects_multiplicity():
