@@ -47,6 +47,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .necklaces import reflection_category
+from .spectral import json_block
 from .words import WEIGHTS, CyclicWord, DomainError, GroupParams
 
 _ONE_BYTE = [bytes((o,)) for o in range(len(WEIGHTS))]  # a child of pre is pre + _ONE_BYTE[o]
@@ -276,22 +277,13 @@ def table_to_csv(table: CensusTable) -> str:
 
 
 def table_to_json(table: CensusTable) -> str:
-    import json  # imported here, so that the CSV and the other commands never load it
-
-    doc = {
-        "p": table.params.p,
-        "max_len": table.max_len,
-        "rows": [
-            {
-                "len": length,
-                "symmetric": str(row.symmetric),
-                "p_reciprocal": str(row.p_reciprocal),
-                "symmetric_p": str(row.symmetric_p),
-                "power": str(row.power),
-                "reciprocal_total": str(row.reciprocal_total),
-                "all_classes": str(row.all_classes),
-            }
-            for length, row in sorted(table.rows.items())
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The table as ``json.dumps(doc, indent=2)`` writes it, plus a newline,
+    one f-string per row, the counts as decimal strings."""
+    rows = [f'{{\n      "len": {length},\n      "symmetric": "{row.symmetric}",\n'
+            f'      "p_reciprocal": "{row.p_reciprocal}",\n'
+            f'      "symmetric_p": "{row.symmetric_p}",\n      "power": "{row.power}",\n'
+            f'      "reciprocal_total": "{row.reciprocal_total}",\n'
+            f'      "all_classes": "{row.all_classes}"\n    }}'
+            for length, row in sorted(table.rows.items())]
+    return (f'{{\n  "p": {table.params.p},\n  "max_len": {table.max_len},\n'
+            f'  "rows": {json_block(rows, "  ")}\n}}\n')

@@ -35,6 +35,7 @@ from .necklaces import reflection_category
 from .spectral import (
     build_growth_poly,
     dominant_root,
+    encode_basestring_ascii,
     eisenstein_reason,
     eval_at_sqrt2,
     growth_estimate,
@@ -242,20 +243,16 @@ class ClaimEntry(NamedTuple):
     status: str  # PASS | MISMATCH | NOT-APPLICABLE
     paper_ref: str
 
-    def to_json(self, pad: str) -> str:
-        """The entry as ``json.dumps(..., indent=2)`` writes it at the indent
-        ``pad``, every value through ``_jsonable``."""
-        inner = pad + "  "
-        params = json_block([f"{json_text(k)}: {json_text(_jsonable(v), inner + '  ')}"
-                             for k, v in self.params.items()], inner, "{}")
-        return json_block([
-            f'"id": {json_text(self.claim_id)}',
-            f'"params": {params}',
-            f'"expected": {json_text(_jsonable(self.expected), inner)}',
-            f'"observed": {json_text(_jsonable(self.observed), inner)}',
-            f'"status": {json_text(self.status)}',
-            f'"paper_ref": {json_text(self.paper_ref)}',
-        ], pad, "{}")
+
+# The ledger's scalars as ``json.dumps`` writes them after ``_jsonable``,
+# keyed by exact type, so that a bool never takes the int entry.
+_LEDGER_SCALARS = {
+    str: encode_basestring_ascii,
+    int: '"{}"'.format,
+    float: '"{!r}"'.format,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda v: "null",
+}
 
 
 def _jsonable(v):
@@ -285,10 +282,32 @@ class ClaimLedger:
 
     def to_json(self) -> str:
         """The ledger as ``json.dumps({"claims": [...]}, indent=2)`` writes it,
-        plus a newline: each entry's params, expected and observed values
-        through ``_jsonable``."""
-        claims = json_block([e.to_json("    ") for e in self.entries], "  ")
-        return f'{{\n  "claims": {claims}\n}}\n'
+        plus a newline, with each entry's params, expected and observed values
+        through ``_jsonable``: one f-string per entry, whose values are
+        written by ``_LEDGER_SCALARS`` or, outside it, by ``json_text``."""
+        write, text = _LEDGER_SCALARS.get, encode_basestring_ascii
+        entries = []
+        for claim_id, params, expected, observed, status, paper_ref in self.entries:
+            if params:
+                members = []
+                for k, v in params.items():
+                    w = write(type(v))
+                    members.append(f"{text(k)}: "
+                                   + (w(v) if w else json_text(_jsonable(v), "        ")))
+                params = "{\n        " + ",\n        ".join(members) + "\n      }"
+            else:
+                params = "{}"
+            w = write(type(expected))
+            expected = w(expected) if w else json_text(_jsonable(expected), "      ")
+            w = write(type(observed))
+            observed = w(observed) if w else json_text(_jsonable(observed), "      ")
+            entries.append(f'{{\n      "id": {text(claim_id)},\n'
+                           f'      "params": {params},\n'
+                           f'      "expected": {expected},\n'
+                           f'      "observed": {observed},\n'
+                           f'      "status": {text(status)},\n'
+                           f'      "paper_ref": {text(paper_ref)}\n    }}')
+        return f'{{\n  "claims": {json_block(entries, "  ")}\n}}\n'
 
 
 def _even(l: int, params: GroupParams) -> int:

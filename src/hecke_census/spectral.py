@@ -471,10 +471,11 @@ def json_block(members: list[str], pad: str, brackets: str = "[]") -> str:
     """Encoded members as the JSON array, or object with ``brackets="{}"``,
     that ``json.dumps(..., indent=2)`` writes at the indent ``pad``.
 
-    The report writers write their fixed shapes through it and
-    ``json_text`` in place of ``json.dumps``: with ``indent`` set, that
-    falls back to its pure-Python encoder.  Their output is byte for byte
-    that of ``json.dumps(doc, indent=2)``."""
+    The writers of the growth report, the claims ledger and the census table
+    write their fixed shapes in f-strings, and their variable-length arrays
+    through it, in place of ``json.dumps``: with ``indent`` set, that falls
+    back to its pure-Python encoder.  Their output is byte for byte that of
+    ``json.dumps(doc, indent=2)``."""
     if not members:
         return brackets
     inner = "\n" + pad + "  "
@@ -484,9 +485,11 @@ def json_block(members: list[str], pad: str, brackets: str = "[]") -> str:
 def json_text(value, pad: str = "") -> str:
     """``value`` as ``json.dumps(value, indent=2)`` writes it at the indent
     ``pad``, strings through the escaper that ``json.dumps`` uses itself.
-    Scalars, lists, tuples and dicts with string keys are written here; any
-    other value goes to ``json.dumps``.  No command's report holds such a
-    value, so writing one never imports ``json``."""
+
+    The one fallback of the report writers, for a value outside their fixed
+    shapes.  Scalars, lists, tuples and dicts with string keys are written
+    here; any other value goes to ``json.dumps``.  No command's report holds
+    such a value, so writing one never imports ``json``."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -514,6 +517,9 @@ def json_text(value, pad: str = "") -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
+_EISENSTEIN_KEYS = ("satisfied", "prime", "shifted_coefficients", "reason")
+
+
 class GrowthReport(NamedTuple):
     r: int
     poly: IntPoly
@@ -529,24 +535,35 @@ class GrowthReport(NamedTuple):
 
     def to_json(self) -> str:
         """The report as ``json.dumps(doc, indent=2)`` writes it, plus a newline.
-        A finite root is written in one f-string, a NaN or an infinity (which
-        ``float.__repr__`` writes as JSON does not) through ``json_text``."""
+
+        Each finite root and each ratio-trace pair is one f-string, and the
+        integer lists go through ``int.__repr__``.  A NaN or an infinity
+        (which ``float.__repr__`` writes as JSON does not) and an Eisenstein
+        record of another shape than ``eisenstein_check``'s go through
+        ``json_text``."""
         roots = [f"[\n      {float.__repr__(z.real)},\n      {float.__repr__(z.imag)}\n    ]"
                  if math.isfinite(z.real) and math.isfinite(z.imag)
                  else json_block([json_text(z.real), json_text(z.imag)], "    ")
                  for z in self.roots]
-        trace = [json_block([json_text(i), json_text(repr(v))], "    ")
-                 for i, v in self.ratio_trace]
-        return json_block([
-            f'"r": {json_text(self.r)}',
-            f'"coefficients": {json_text(self.poly.coefficients, "  ")}',
-            f'"rho": {json_text(repr(self.rho))}',
-            f'"s": {json_text(self.s)}',
-            f'"squarefree": {json_text(self.squarefree)}',
-            f'"eisenstein": {json_text(self.eisenstein, "  ")}',
-            f'"roots": {json_block(roots, "  ")}',
-            f'"ratio_trace": {json_block(trace, "  ")}',
-        ], "", "{}") + "\n"
+        trace = [f'[\n      {i!r},\n      "{v!r}"\n    ]' for i, v in self.ratio_trace]
+        e = self.eisenstein
+        if tuple(e) == _EISENSTEIN_KEYS:
+            shifted = json_block(list(map(int.__repr__, e["shifted_coefficients"])), "    ")
+            eisenstein = (f'{{\n    "satisfied": {json_text(e["satisfied"])},\n'
+                          f'    "prime": {json_text(e["prime"])},\n'
+                          f'    "shifted_coefficients": {shifted},\n'
+                          f'    "reason": {json_text(e["reason"])}\n  }}')
+        else:
+            eisenstein = json_text(e, "  ")
+        coefficients = json_block(list(map(int.__repr__, self.poly.coefficients)), "  ")
+        return (f'{{\n  "r": {self.r!r},\n'
+                f'  "coefficients": {coefficients},\n'
+                f'  "rho": "{self.rho!r}",\n'
+                f'  "s": {self.s!r},\n'
+                f'  "squarefree": {json_text(self.squarefree)},\n'
+                f'  "eisenstein": {eisenstein},\n'
+                f'  "roots": {json_block(roots, "  ")},\n'
+                f'  "ratio_trace": {json_block(trace, "  ")}\n}}\n')
 
 
 def analyze_growth(r: int) -> GrowthReport:

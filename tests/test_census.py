@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hecke_census.census import (
     CSV_HEADER,
@@ -380,6 +380,46 @@ CENSUS_CSV_SHA256 = {
 def test_census_csv_pinned(p, max_len):
     text = table_to_csv(census(make_params(p), max_len))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CENSUS_CSV_SHA256[(p, max_len)]
+
+
+# sha256 of the census JSON, the bytes that ``census --p P --max-len L``
+# writes in its default format, as ``json.dumps(doc, indent=2)`` wrote them
+CENSUS_JSON_SHA256 = {
+    (3, 300): "30ca4e595189c8d965147092de258569876b8b39fe98d751e25ce8311e949b01",
+    (5, 2000): "a38ed8690164f428d3cc53fd249641d7eb14b636618c10b68ed4a4c077816b55",
+    (6, 2000): "8c7182aa5529616558746ec3d7ed8e3f1e76a3298eab0e9c3c868602d54805ef",
+    (8, 1000): "0b28564e47dac4bb115305e72f938aff9c4d145ea122205b4edad6de6706d516",
+    (41, 1000): "4f87c4173c7e832b68314810d725bafa6477aef5335b66e4cfa7bd834333de45",
+    (300, 600): "8d923d8fc9c22527cfb6b9e204c3fc679e2f79497809539081db8dec0ddffba0",
+    (10**6, 2000): "63b41ab9e46789f307696f34f2b18238ed9d331df3c0e1ce97a091fe60855267",
+    (10**9, 600): "152741e0ccb7469d49221c42609a91f1c26827eb5a3e425e98d0b1079bb7bc1f",
+}
+
+
+@pytest.mark.parametrize("p,max_len", sorted(CENSUS_JSON_SHA256))
+def test_census_json_pinned(p, max_len):
+    text = table_to_json(census(make_params(p), max_len))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CENSUS_JSON_SHA256[(p, max_len)]
+
+
+def census_doc(table) -> dict:
+    """The document that ``table_to_json`` writes, for ``json.dumps``."""
+    columns = CSV_HEADER.split(",")[1:]
+    return {
+        "p": table.params.p,
+        "max_len": table.max_len,
+        "rows": [{"len": length, **{c: str(getattr(row, c)) for c in columns}}
+                 for length, row in sorted(table.rows.items())],
+    }
+
+
+@pytest.mark.parametrize("p", [*range(3, 41), 10**6])
+@settings(max_examples=8, deadline=None)
+@given(max_len=st.integers(2, 120))
+@example(max_len=120)
+def test_census_json_is_that_of_json_dumps(p, max_len):
+    table = census(make_params(p), max_len)
+    assert table_to_json(table) == json.dumps(census_doc(table), indent=2) + "\n"
 
 
 def test_engine_ignores_exponents_beyond_the_budget():

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hecke_census.census import census
@@ -564,6 +565,32 @@ def test_ledger_json_is_that_of_json_dumps():
     full = claims_check(params, census(params, 18))
     for ledger in (ClaimLedger(), odd, full):
         assert ledger.to_json() == json.dumps(ledger_doc(ledger), indent=2) + "\n"
+
+
+# any text, lone surrogates and control characters included
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.5e-308])
+# ints within Python's default digit limit for int -> str
+_INTS = st.integers() | st.integers(-(10**4300 - 1), 10**4300 - 1)
+_NESTED = st.recursive(
+    st.none() | st.booleans() | _INTS | _FLOATS | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+_LEDGER_VALUES = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT | st.fractions() | _NESTED
+_ENTRIES = st.lists(st.tuples(_TEXT, st.dictionaries(_TEXT, _LEDGER_VALUES, max_size=4),
+                              _LEDGER_VALUES, _LEDGER_VALUES, _TEXT, _TEXT), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=_ENTRIES)
+@example(entries=[("\ud800", {}, -0.0, math.nan, "\x00\x1f\x7f", "é ∞ 𝔽 \udfff"),
+                  ("", {"b": True, "n": None, "f": -math.inf}, Fraction(-7, 3), [], "", "")])
+def test_ledger_json_of_any_values_is_that_of_json_dumps(entries):
+    ledger = ClaimLedger()
+    for entry in entries:
+        ledger.add(*entry)
+    assert ledger.to_json() == json.dumps(ledger_doc(ledger), indent=2) + "\n"
 
 
 # params keys, in order, of the census-reading entries that are not fixtures

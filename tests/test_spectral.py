@@ -671,6 +671,22 @@ def test_growth_report_json_is_that_of_json_dumps():
     assert "NaN" in cases[2].to_json() and "-Infinity" in cases[3].to_json()
 
 
+_REPORT_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.integers(2, 19),
+       coefficients=st.lists(st.integers(), min_size=1, max_size=8),
+       trace=st.lists(st.tuples(st.integers(0, 10**6), _REPORT_FLOATS), max_size=6),
+       roots=st.lists(st.builds(complex, _REPORT_FLOATS, _REPORT_FLOATS), max_size=4))
+def test_growth_report_json_of_any_trace_and_roots_is_that_of_json_dumps(
+        r, coefficients, trace, roots):
+    poly = IntPoly(tuple(coefficients))
+    report = analyze_growth(r)._replace(poly=poly, eisenstein=eisenstein_check(poly),
+                                        ratio_trace=tuple(trace), roots=tuple(roots))
+    assert report.to_json() == json.dumps(report_doc(report), indent=2) + "\n"
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
