@@ -8,9 +8,12 @@ categories are those of the source paper, arXiv:2411.00739.  Summed over
 the block count n, the Burnside terms are coefficients of two series in
 ``B(x) = sum_k x^(1+|k|)``, whose coefficients are
 ``GroupParams.block_weights`` (Flajolet and Sedgewick, Analytic
-Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)``, from
-``block_series``, the one loop that runs the recurrence of a series over
-``1 - B``, and ``g = x B' h``, x times the derivative of ``-log(1 - B)``.
+Combinatorics, 2009, I.2 and V.1): ``h = 1/(1 - B)`` and ``g = x B' h``,
+x times the derivative of ``-log(1 - B)``.  ``block_series``, the one loop
+that runs the recurrence of a series over a law, runs both over whichever
+law has fewer terms within the budget: ``1 - B``, or the five-term
+``S_p = (1 - x)(1 - B)``, which makes them O(L) at any p (Stanley,
+Enumerative Combinatorics 1, Theorem 4.1.1; ``census_series``).
 
 - Rotations: ``all_classes(L) = (1/L) sum_{d|L} phi(d) g[L/d]``.
 - Reflections: a class is reciprocal when one of the n maps
@@ -151,12 +154,15 @@ def _children(pre: bytes, u: int, q: int, room: list[int], buckets: list[list[by
         buckets[u + WEIGHTS[o]].append(pre + _ONE_BYTE[o])
 
 
-def block_series(weights: dict[int, int], terms: list, n: int) -> list:
+def block_series(weights: dict[int, int], terms: list, n: int,
+                 numerator: dict[int, int] | None = None) -> list:
     """``terms`` continued to index n, as a new list, by the recurrence over
-    ``1 - sum_w weights[w] x^w`` (w >= 1): ``a_j = sum_{w <= j} weights[w] a_{j-w}``."""
-    a, items = list(terms), sorted(weights.items())
+    ``1 - sum_w weights[w] x^w`` (w >= 1):
+    ``a_j = numerator[j] + sum_{w <= j} weights[w] a_{j-w}``, the missing
+    numerator terms 0.  The numerator is that of the series past ``terms``."""
+    a, items, extra = list(terms), sorted(weights.items()), (numerator or {}).get
     for j in range(len(a), n + 1):
-        s = 0
+        s = extra(j, 0)
         for w, c in items:
             if w > j:
                 break
@@ -165,56 +171,78 @@ def block_series(weights: dict[int, int], terms: list, n: int) -> list:
     return a
 
 
-def _exact_div(num: int, den: int, what: str, length: int) -> int:
-    q, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(
-            f"census engine: {what} {num} (len={length}) is not divisible by {den}"
-        )
-    return q
+def census_series(params: GroupParams, max_len: int, sparse: bool) -> tuple[list, list]:
+    """The series ``h = 1/(1 - B)`` and ``g = x B' h`` to index ``max_len``,
+    both from ``block_series`` over one law L: ``1 - B``, or, when
+    ``sparse``, ``S_p = (1 - x)(1 - B)`` (``GroupParams.sparse_weights``).
+    Over L, ``h = (1 - x)^e / L`` and ``g = -x L'/L - e x/(1 - x)``, with
+    e = 1 for ``S_p`` and 0 for ``1 - B``; ``-x L'/L`` has the numerator
+    ``sum_w w c_w x^w`` (Newton's identities for the power sums of the
+    zeros of L)."""
+    law = params.sparse_weights() if sparse else params.block_weights(max_len)
+    h = block_series(law, [1, 0] if sparse else [1], max_len)
+    g = block_series(law, [0], max_len, {w: w * c for w, c in law.items()})
+    if sparse:
+        g = [0] + [u - 1 for u in g[1:]]
+    return h, g
+
+
+def _inexact(what: str, num: int, den: int, length: int) -> ArithmeticError:
+    return ArithmeticError(
+        f"census engine: {what} {num} (len={length}) is not divisible by {den}"
+    )
 
 
 def census(params: GroupParams, max_len: int) -> CensusTable:
     """Exact per-length, per-category class counts up to ``max_len``, by
-    Burnside's lemma over the dihedral action (see the module docstring)."""
+    Burnside's lemma over the dihedral action (see the module docstring).
+
+    The series h and g run over whichever law has fewer terms that the
+    budget reaches: ``1 - B``, with ``min(p/2, max_len - 1)`` weights, or
+    the at most four of ``S_p = (1 - x)(1 - B)``, which makes their cost
+    O(max_len) at any p (``census_series``)."""
     if max_len < 2:
         raise DomainError("max_len must be >= 2")
-    weights = params.block_weights(max_len)
-    h, g = block_series(weights, [1], max_len), [0] * (max_len + 1)
-    for w, c in weights.items():  # g = x B' h
-        for j in range(w, max_len + 1):
-            g[j] += w * c * h[j - w]
-    phi = list(range(max_len + 1))  # Euler's totient, by sieve
-    for i in range(2, max_len + 1):
+    h, g = census_series(params, max_len, min(params.p // 2, max_len - 1) > 4)
+    top = max_len // 2  # g[1] = 0, so only k >= 2, and d <= max_len/2, count below
+    phi = list(range(top + 1))  # Euler's totient, by sieve
+    for i in range(2, top + 1):
         if phi[i] == i:
-            for j in range(i, max_len + 1, i):
+            for j in range(i, top + 1, i):
                 phi[j] -= phi[j] // i
     rotation_fixed = [0] * (max_len + 1)
-    for d in range(1, max_len + 1):
-        for k in range(1, max_len // d + 1):
-            rotation_fixed[d * k] += phi[d] * g[k]
-    fixed_block = params.r + 1 if params.even else 0  # weight of g^r
-
-    def axis(length: int) -> int:
-        """Tuples fixed by one reflection with g^r on its axis: the other
-        blocks are matched with their negatives."""
-        rest = length - fixed_block
-        return h[rest // 2] if fixed_block and rest >= 0 and rest % 2 == 0 else 0
-
+    for d in range(1, top + 1):
+        phi_d = phi[d]
+        for k in range(2, max_len // d + 1):
+            rotation_fixed[d * k] += phi_d * g[k]
+    # symmetric_p starts as O(L): the tuples fixed by a reflection with g^r,
+    # of weight f, on its axis, the other blocks matched with their negatives;
+    # the row pass adds D(L).  gamma[m] = h[m - f], and power[L] = [f | L]
+    f = params.r + 1 if params.even else 0
+    symmetric_p, gamma, power = [0] * (max_len + 1), [0] * (max_len + 1), [0] * (max_len + 1)
+    if params.even and f <= max_len:
+        symmetric_p[f::2] = h[:len(range(f, max_len + 1, 2))]
+        gamma[f:] = h[:max_len + 1 - f]
+        power[::f] = [1] * len(range(0, max_len + 1, f))
     rows = {}
-    symmetric_p = [0] * (max_len + 1)
     for length in range(2, max_len + 1):
-        symmetric = p_reciprocal = 0
-        symmetric_p[length] = axis(length)
-        if length % 2 == 0:
-            odd_roots = symmetric_p[length // 2]  # D(L)
-            iota, gamma = h[length // 2], axis(length - fixed_block)
-            symmetric = _exact_div(iota - odd_roots, 2, "iota-axis count", length)
-            p_reciprocal = _exact_div(gamma - odd_roots, 2, "gamma-axis count", length)
-            symmetric_p[length] += odd_roots
-        all_classes = _exact_div(rotation_fixed[length], length, "rotation-fixed sum", length)
-        power = int(params.even and length % fixed_block == 0)
-        rows[length] = CensusRow(symmetric, p_reciprocal, symmetric_p[length], power, all_classes)
+        all_classes, rem = divmod(rotation_fixed[length], length)
+        if rem:
+            raise _inexact("rotation-fixed sum", rotation_fixed[length], length, length)
+        if length % 2:
+            rows[length] = CensusRow(0, 0, symmetric_p[length], power[length], all_classes)
+            continue
+        half = length // 2
+        odd_roots = symmetric_p[half]  # D(L)
+        symmetric, rem = divmod(h[half] - odd_roots, 2)
+        if rem:
+            raise _inexact("iota-axis count", h[half] - odd_roots, 2, length)
+        p_reciprocal, rem = divmod(gamma[half] - odd_roots, 2)
+        if rem:
+            raise _inexact("gamma-axis count", gamma[half] - odd_roots, 2, length)
+        symmetric_p[length] += odd_roots
+        rows[length] = CensusRow(symmetric, p_reciprocal, symmetric_p[length], power[length],
+                                 all_classes)
     return CensusTable(params, max_len, rows)
 
 
@@ -266,13 +294,10 @@ def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]
 
 
 def table_to_csv(table: CensusTable) -> str:
-    lines = [CSV_HEADER]
+    lines, rows = [CSV_HEADER], table.rows
     for length in range(2, table.max_len + 1):
-        row = table.rows[length]
-        lines.append(
-            f"{length},{row.symmetric},{row.p_reciprocal},{row.symmetric_p},"
-            f"{row.power},{row.reciprocal_total},{row.all_classes}"
-        )
+        s, pr, sp, pw, al = rows[length]
+        lines.append(f"{length},{s},{pr},{sp},{pw},{s + pr + sp},{al}")
     return "\n".join(lines) + "\n"
 
 

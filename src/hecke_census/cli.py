@@ -4,6 +4,11 @@ A run is fully determined by its command line: no configuration files,
 no environment variables, no randomness.  All serialized output is
 UTF-8 and newline-terminated, and is byte-identical across re-runs.
 
+A command's argv is parsed once, by that command's own parser; only a
+call that it cannot take whole (no command, an unknown one, ``-h`` before
+the command, or arguments left over) goes through the top-level parser, so
+that every usage error prints what the full parser prints.
+
 Exit codes: 0 all hard assertions pass, 1 hard invariant failure or
 numeric failure (a root iteration that does not converge), 2 usage
 error.  MISMATCH entries in the claims ledger are findings, not failures.
@@ -33,8 +38,9 @@ from .spectral import (
 from .words import CyclicWord, DomainError, GroupParams, make_params
 
 
-@cache  # it holds no per-call state, and building it costs most of a small run
-def _build_parser() -> argparse.ArgumentParser:
+@cache  # they hold no per-call state, and building them costs most of a small run
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each command, by name."""
     parser = argparse.ArgumentParser(
         prog="hecke-census",
         description="Exact census of reciprocal conjugacy classes in Z_2 * Z_p.",
@@ -65,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="scaled hand-verified fixture and invariant suite")
     sp.add_argument("--out", default=None)
-    return parser
+    return parser, sub.choices
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -213,8 +219,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or rest:  # the full parser prints the usage error
+        args = parser.parse_args(argv)
     # exact counts may pass the int <-> str digit limit of Python >= 3.10.7
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if digit_limit is not None:

@@ -223,12 +223,21 @@ def marmolejo_word_count(l: int) -> int:
 def recurrence_extend(seed: list[int], r: int, count: int) -> list[int]:
     """Append ``count`` further terms of the class-count recurrence of order
     r + 1, a_l = sum_w b_w a_{l-w} over the block weights b_w of p = 2r, which
-    is a_l = 2*sum_{j=1}^{r-1} a_{l-j-1} + a_{l-r-1}."""
+    is a_l = 2*sum_{j=1}^{r-1} a_{l-j-1} + a_{l-r-1}.
+
+    From r = 5 on, the four weights of ``S_p = (1 - x)(1 - B)`` are fewer
+    than the r of B.  The seed need not satisfy that recurrence, so the
+    first new term comes from the order-(r+1) one; from then on the sparse
+    one holds, since the order-(r+1) one holds at l and at l - 1."""
     if r < 2:
         raise DomainError("r must be >= 2")
     if len(seed) < r + 1:
         raise DomainError(f"seed must have at least r+1 = {r + 1} terms")
-    return block_series(make_params(2 * r).block_weights(r + 1), seed, len(seed) + count - 1)
+    params, n = make_params(2 * r), len(seed) + count - 1
+    if r < 5:
+        return block_series(params.block_weights(r + 1), seed, n)
+    terms = block_series(params.block_weights(r + 1), seed, min(n, len(seed)))
+    return block_series(params.sparse_weights(), terms, n)
 
 
 # ---------------------------------------------------------------------------

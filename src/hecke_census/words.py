@@ -154,6 +154,16 @@ class GroupParams(_Frozen):
             weights[top + 1] = 1  # -p/2 is not canonical
         return weights
 
+    def sparse_weights(self) -> dict[int, int]:
+        """``S_p = (1 - x)(1 - B) = 1 - sum_w c_w x^w`` as ``{w: c_w}``, in the
+        form of ``block_weights``: ``1 - x - 2x^2 + x^(r+1) + x^(r+2)`` for
+        p = 2r and ``1 - x - 2x^2 + 2x^(d+1)`` for odd p, d = (p + 1)/2 the
+        degree of B.  So a series over ``1 - B`` can run a recurrence of at
+        most four terms, whatever p is."""
+        if self.even:
+            return {1: 1, 2: 2, self.r + 1: -1, self.r + 2: -1}
+        return {1: 1, 2: 2, (self.p + 3) // 2: -2}
+
 
 def make_params(p: int) -> GroupParams:
     """``GroupParams(p)``, which rejects p < 3 itself."""

@@ -3,8 +3,10 @@ exactly-once emission, determinism."""
 
 import gc
 import hashlib
+import importlib
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,6 +16,7 @@ from hecke_census.census import (
     CensusRow,
     _scan,
     census,
+    census_series,
     enumerate_classes,
     enumeration_census,
     table_to_csv,
@@ -349,6 +352,92 @@ def test_series_match_block_power_reference(p, max_len):
     """The two series equal the B(x)^m engine far past the enumeration's reach."""
     params = make_params(p)
     assert census(params, max_len).rows == _block_power_rows(params, max_len)
+
+
+def _dense_series(params, max_len):
+    """h = 1/(1 - B) and g = x B' h by sums over every block weight: the
+    O(max_len * min(p, max_len)) loops that the sparse law replaces."""
+    weights = params.block_weights(max_len)
+    h = [1] + [0] * max_len
+    for j in range(1, max_len + 1):
+        h[j] = sum(c * h[j - w] for w, c in weights.items() if w <= j)
+    g = [0] * (max_len + 1)
+    for w, c in weights.items():
+        for j in range(w, max_len + 1):
+            g[j] += w * c * h[j - w]
+    return h, g
+
+
+@pytest.mark.parametrize(
+    "p,max_len", [(p, 300) for p in range(3, 41)] + [(10**6, 3000), (10**9 + 1, 1500)]
+)
+def test_sparse_and_dense_series_match_the_weight_sums(p, max_len):
+    """Both laws that ``census_series`` runs give the series of the sums over
+    every block weight, for even and odd p, with B truncated by the budget
+    (p > 2 * max_len) or whole."""
+    params = make_params(p)
+    want = _dense_series(params, max_len)
+    assert census_series(params, max_len, sparse=True) == want
+    if p < 100:
+        assert census_series(params, max_len, sparse=False) == want
+
+
+@pytest.mark.parametrize("p", [*range(3, 41), 300, 301])
+def test_sparse_weights_are_those_of_one_minus_x_times_one_minus_b(p):
+    params = make_params(p)
+    top = p // 2 + 2  # the degree of (1 - x)(1 - B)
+    law = dict.fromkeys(range(top + 1), 0)
+    for w, c in [(0, -1), *params.block_weights(top).items()]:  # -(1 - B)
+        law[w] -= c
+        law[w + 1] += c
+    assert {w: -c for w, c in law.items() if c and w} == params.sparse_weights()
+    assert law[0] == 1
+
+
+CENSUS = importlib.import_module("hecke_census.census")  # the package exports census()
+
+
+def _bumped(index, series_with_numerator):
+    """``block_series`` with term ``index`` of one of census's two calls
+    raised by 1: that of g, which passes a numerator, or that of h."""
+    real = CENSUS.block_series
+
+    def bumped(weights, terms, n, numerator=None):
+        a = real(weights, terms, n, numerator)
+        if (numerator is not None) == series_with_numerator:
+            a[index] += 1
+        return a
+
+    return bumped
+
+
+@pytest.mark.parametrize("p", [6, 41])  # over 1 - B, and over S_p
+@pytest.mark.parametrize("bump,message", [
+    ((2, True), "rotation-fixed sum 5 (len=2) is not divisible by 2"),
+    ((1, False), "iota-axis count 1 (len=2) is not divisible by 2"),
+])
+def test_census_raises_on_an_inexact_division(monkeypatch, p, bump, message):
+    """g[2] = 4 at every p made odd, and h[1] = 0 made odd."""
+    monkeypatch.setattr(CENSUS, "block_series", _bumped(*bump))
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(f'census engine: {message}')}$"):
+        census(make_params(p), 8)
+
+
+def test_census_raises_on_an_odd_gamma_axis_count(monkeypatch):
+    """No series that passes the iota-axis checks fails this one (a random
+    search over series and axis weights found none), so divmod reports a
+    remainder at its third call: rotation, iota, then gamma at length 2."""
+    calls = []
+
+    def remainder_at_gamma(num, den):
+        calls.append(num)
+        q, rem = divmod(num, den)
+        return (q, 1) if len(calls) == 3 else (q, rem)
+
+    monkeypatch.setattr(CENSUS, "divmod", remainder_at_gamma, raising=False)
+    message = "census engine: gamma-axis count 0 (len=2) is not divisible by 2"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        census(make_params(6), 8)
 
 
 @pytest.mark.parametrize("p", [6, 8, 10, 14])

@@ -14,7 +14,7 @@ import pytest
 import hecke_census
 from hecke_census import cli, reciprocal
 from hecke_census.census import census, table_to_csv
-from hecke_census.cli import _build_parser, main
+from hecke_census.cli import _parsers, main
 from hecke_census.necklaces import Category
 from hecke_census.words import InvolutionType, Word, make_params
 from word_reference import key
@@ -439,6 +439,60 @@ def test_odd_p_claims_rejected(capsys):
     assert code == 2
 
 
+# argv for which main, which hands a known command's argv to that command's
+# parser alone, must do what the full parser does: the first thirteen exit 0
+DISPATCH_ARGV = (
+    ["census", "--p", "6", "--max-len", "8", "--format", "csv"],
+    ["census", "--p", "6", "--max-len", "8"],
+    ["census", "--max-len=8", "--p=5", "--format=csv"],
+    ["census", "--p", "5", "--p", "6", "--max-len", "4", "--format", "csv"],
+    ["census", "--p", "6", "--max", "4", "--format", "csv"],
+    ["claims", "--p", "6", "--max-len", "8"],
+    ["growth", "--p", "6", "--max-len", "20", "--extend-to", "100"],
+    ["poly", "--r", "3"],
+    ["verify"],
+    ["-h"],
+    ["-h", "census"],
+    ["census", "-h"],
+    ["census", "--p", "6", "--max-len", "8", "-h"],
+    [],
+    ["nosuch"],
+    ["cen", "--p", "6", "--max-len", "8"],
+    ["census", "--p", "6"],
+    ["census", "--p", "x", "--max-len", "4"],
+    ["census", "--p", "6", "--max-len", "4", "--format", "xml"],
+    ["census", "--p", "2", "--max-len", "4"],
+    ["census", "--p", "6", "--max-len", "4", "--bogus"],
+    ["census", "--p", "6", "--max-len", "4", "extra"],
+    ["poly", "--r", "3", "--p", "6"],
+    ["--", "census", "--p", "6", "--max-len", "4"],
+    ["census", "--", "--p", "6", "--max-len", "4"],
+    ["census", "--p", "6", "--max-len", "4", "--"],
+)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_command_parses_once_and_prints_what_the_full_parser_prints(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
+    parser = _parsers()[0]
+    with monkeypatch.context() as patch:  # a valid call never reaches the full parser
+        patch.setattr(parser, "parse_args", None)
+        assert _outcome(capsys, DISPATCH_ARGV[0])[0] == 0
+    once = [_outcome(capsys, argv) for argv in DISPATCH_ARGV]
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))  # no command parsed alone
+    for argv, got in zip(DISPATCH_ARGV, once):
+        assert got == _outcome(capsys, argv), argv
+    assert [code for code, _, _ in once] == [0] * 13 + [2] * (len(DISPATCH_ARGV) - 13)
+
+
 def test_one_parser_per_process_prints_what_a_fresh_process_prints(capsys, monkeypatch):
     # the parser is built once and reused: a usage error, then --format csv,
     # then the JSON default must each print what a new process prints.  The
@@ -468,7 +522,7 @@ def test_one_parser_per_process_prints_what_a_fresh_process_prints(capsys, monke
                                capture_output=True, text=True, env=env, check=False)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert code == 0 and out.startswith("{")
-    assert _build_parser() is _build_parser()
+    assert _parsers() is _parsers()
 
 
 def _import_statements(capsys, monkeypatch, argv):

@@ -273,7 +273,9 @@ def _explicit_recurrence(seed, r, count):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_recurrence_extend_explicit_form(data):
-    r = data.draw(st.integers(min_value=2, max_value=12), label="r")
+    # from r = 5 on, the extension runs the sparse recurrence over S_p after
+    # one term of the dense one; an arbitrary seed does not satisfy the former
+    r = data.draw(st.integers(min_value=2, max_value=40), label="r")
     term = data.draw(st.sampled_from([
         st.integers(min_value=-10**6, max_value=10**6),
         st.fractions(min_value=-100, max_value=100, max_denominator=36),
