@@ -41,12 +41,14 @@ that run of leaves without visiting them.  ``tally`` counts buckets by
 category, those of ``reciprocal.normal_form_generate`` (the reciprocal
 classes) too.  A key of ``enumerate_classes`` holds its bytes, as every
 class key does (``CyclicWord.code``, the classifier's input), and its
-bucket, as its length; its blocks are decoded from the bytes only if they
-are read.
+bucket, as its length, in the tuple that is its storage, built in C
+(``CyclicWord.of_length``); its blocks are decoded from the bytes only if
+they are read.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .necklaces import reflection_category
@@ -275,22 +277,19 @@ def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]
     Ordered by (word length, class-key order).  ``_scan`` lists least
     rotations in byte order, which is class-key order, one bucket per
     length, so no sort is needed.  Unlike ``census``, this holds the bytes
-    of every class before yielding the first.
+    of every class before yielding the first.  The scan runs on the first
+    ``next()``, so that is where a ``DomainError`` comes.
 
-    Each key is ``CyclicWord(params, s)`` for the scan's bytes s, with its
-    bucket as its word length.  Its instance dict is filled in one update
-    from a dict per bucket, and its blocks are decoded only when first
-    read, so a sweep that only classifies decodes nothing.
+    Each key equals ``CyclicWord(params, s)`` for the scan's bytes s.  It is
+    built in C, with no Python frame per key, by ``CyclicWord.of_length``,
+    with its bucket as its word length.  Its blocks are decoded only when
+    first read, so a sweep that only classifies decodes nothing.
     """
-    new = object.__new__
-    for length, bucket in enumerate(_scan(params, max_len)):
-        shared = {"params": params, "_length": length}
-        for s in bucket:
-            c = new(CyclicWord)
-            d = vars(c)
-            d.update(shared)
-            d["code"] = s
-            yield c
+    def keys() -> Iterator[Iterator[CyclicWord]]:
+        for length, bucket in enumerate(_scan(params, max_len)):
+            yield CyclicWord.of_length(params, length, bucket)
+
+    return chain.from_iterable(keys())
 
 
 def table_to_csv(table: CensusTable) -> str:

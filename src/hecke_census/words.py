@@ -37,7 +37,10 @@ peeling matching syllables off both ends at once.
 from __future__ import annotations
 
 import enum
+from collections import _tuplegetter  # the field accessor of namedtuple
 from functools import cached_property
+from itertools import repeat
+from typing import Iterable, Iterator
 
 
 class DomainError(ValueError):
@@ -48,13 +51,32 @@ class UnsupportedParameterError(DomainError):
     """Raised when an operation requires even p but p is odd."""
 
 
+def _unordered(op: str):
+    """The order method ``op`` of a record, which has no order: a
+    ``TypeError``, as for any two objects without one.  Against a tuple it
+    raises itself, since ``NotImplemented`` would hand the comparison to
+    the tuple, which would order a tuple-based record by its storage."""
+
+    def compare(self, other):
+        if isinstance(other, tuple):
+            raise TypeError(f"{op!r} not supported between instances of "
+                            f"{type(self).__name__!r} and {type(other).__name__!r}")
+        return NotImplemented
+
+    return compare
+
+
 class _Frozen:
     """Fields named in ``_fields`` and set once: by ``__init__``, or on
     first read for a ``cached_property``.  The instance dict also holds what
     ``__init__`` stores besides the fields and the values that
     ``cached_property`` computes.  ``__repr__``, ``__eq__`` and ``__hash__``
     all read ``_fields``: a record prints its fields, hashes as their tuple,
-    and equals only an instance of its own class with an equal tuple."""
+    and equals only an instance of its own class with an equal tuple.
+    Records have no order.  A record may keep its storage in a ``tuple``
+    base, as ``CyclicWord`` does, but that tuple is not its API: equality,
+    hashing and order are the record's, so a tuple never equals a record,
+    nor orders one by its storage."""
 
     _fields: tuple[str, ...] = ()
 
@@ -71,13 +93,16 @@ class _Frozen:
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and self._values() == other._values()
+
+    def __ne__(self, other) -> bool:
+        return not self.__eq__(other)
 
     def __hash__(self) -> int:
         return hash(self._values())
+
+    __lt__, __le__, __gt__, __ge__ = map(_unordered, ("<", "<=", ">", ">="))
 
 
 class GroupParams(_Frozen):
@@ -267,9 +292,7 @@ class Word(_Frozen):
         return InvolutionType.NOT_INVOLUTION
 
 
-
-
-class CyclicWord(_Frozen):
+class CyclicWord(_Frozen, tuple):
     """Rotation-canonical cyclically reduced word: the key of an
     infinite-order conjugacy class.
 
@@ -280,17 +303,34 @@ class CyclicWord(_Frozen):
     classified is never decoded.  ``repr``, equality and hashing read
     ``(params, block_exponents)``: a tuple of ints hashes alike in every
     process, bytes do not, so set orders do not depend on
-    ``PYTHONHASHSEED``.  ``syllables`` and the word length are derived.
+    ``PYTHONHASHSEED``.  ``syllables`` is derived.
+
+    Its storage is the tuple ``(params, code, word length)``, read as a
+    NamedTuple reads its fields, which lets ``of_length`` build keys in C,
+    as ``census.enumerate_classes`` does with the length of each bucket.
+    That tuple is not its API: a key never equals, hashes or orders as its
+    tuple (see ``_Frozen``), and pickling and copying rebuild it from
+    ``(params, code)``.
     """
 
     _fields = ("params", "block_exponents")
-    params: GroupParams
-    code: bytes
+    params = _tuplegetter(0, "The group parameters.")
+    code = _tuplegetter(1, "The bytes of the blocks, in their least rotation.")
 
-    def __init__(self, params: GroupParams, code: bytes) -> None:
+    def __new__(cls, params: GroupParams, code: bytes) -> "CyclicWord":
         """``code`` must be a least rotation; the constructor does not rotate it."""
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "code", code)
+        return tuple.__new__(cls, (params, code, sum([WEIGHTS[o] for o in code])))
+
+    def __getnewargs__(self) -> tuple[GroupParams, bytes]:
+        return self.params, self.code
+
+    @classmethod
+    def of_length(cls, params: GroupParams, length: int,
+                  codes: Iterable[bytes]) -> Iterator["CyclicWord"]:
+        """The keys of the least rotations ``codes``, all of word length
+        ``length``, which is taken, not summed: each key's storage is filled
+        by ``tuple.__new__``, in C, with no Python frame per key."""
+        return map(tuple.__new__, repeat(cls), zip(repeat(params), codes, repeat(length)))
 
     @cached_property
     def block_exponents(self) -> tuple[int, ...]:
@@ -300,28 +340,20 @@ class CyclicWord(_Frozen):
     def syllables(self) -> tuple[int, ...]:
         return tuple(s for k in self.block_exponents for s in (IOTA, k))
 
-    @cached_property
-    def _length(self) -> int:
-        """The word length.  The enumeration oracle fills it with the length
-        of the bucket it generated the class in; any other key sums the
-        weights of its bytes on first use."""
-        return sum([WEIGHTS[o] for o in self.code])
-
     def word_length(self) -> int:
-        return self._length
+        return self[2]
 
     def to_word(self) -> Word:
         return Word(self.params, self.syllables)
 
     def primitive_decomposition(self) -> tuple["CyclicWord", int]:
-        """Minimal-period root ``c0`` and ``m`` with ``self = c0^m``.  A period
-        of a least rotation is its own least rotation, so it keys the root."""
+        """Minimal-period root ``c0`` and ``m`` with ``self = c0^m``.  The
+        least period d is the first place after 0 where the code occurs in
+        its square, and it divides the length.  A period of a least rotation
+        is its own least rotation, so it keys the root."""
         s = self.code
-        n = len(s)
-        for d in range(1, n + 1):
-            if n % d == 0 and s == s[d:] + s[:d]:
-                return CyclicWord(self.params, s[:d]), n // d
-        raise AssertionError("unreachable: period n always works")
+        d = (s + s).find(s, 1)
+        return CyclicWord(self.params, s[:d]), len(s) // d
 
     def __str__(self) -> str:
         return str(self.to_word())

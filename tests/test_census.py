@@ -517,6 +517,16 @@ def test_engine_ignores_exponents_beyond_the_budget():
     assert all(rows == tables[0] for rows in tables)
 
 
+def test_enumeration_raises_on_its_first_next():
+    """``enumerate_classes`` scans on the first ``next()``, not at the call."""
+    classes = enumerate_classes(make_params(300), 130)
+    with pytest.raises(DomainError, match=r"\|k\| > 128"):
+        next(classes)
+    classes = enumerate_classes(make_params(6), 1)
+    with pytest.raises(DomainError, match="max_len must be >= 2"):
+        next(classes)
+
+
 def test_blocks_beyond_one_byte_are_a_domain_error():
     # |k| <= 128 has a byte in every Z_p; a budget or a class past that does not
     params = make_params(300)

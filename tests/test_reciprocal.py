@@ -355,13 +355,15 @@ def test_enumeration_is_not_re_encoded(monkeypatch, p, max_len):
 @pytest.mark.parametrize("p", range(3, 13))
 def test_enumerated_code_is_the_encoded_key(p):
     """Every enumerated class carries ``encode`` of its blocks as its code
-    and their length as its word length, holds every field, and
-    equals, hashes and prints like the key the constructor builds."""
+    and their length as its word length, holds its bucket's length in its
+    length slot, and equals, hashes and prints like the key the
+    constructor builds."""
     params = make_params(p)
-    names = set(CyclicWord._fields)
-    for c in enumerate_classes(params, 14):
+    keys = list(enumerate_classes(params, 14))
+    buckets = [(length, s) for length, bucket in enumerate(_scan(params, 14)) for s in bucket]
+    assert [(c[2], c.code) for c in keys] == buckets
+    for c in keys:
         blocks = c.block_exponents
-        assert names <= vars(c).keys(), c
         assert c.code == encode(blocks), c
         assert c.word_length() == len(blocks) + sum(map(abs, blocks)), c
         assert repr(c) == repr(CyclicWord(params, encode(blocks))), c
@@ -401,17 +403,18 @@ def test_keys_built_elsewhere_classify_by_their_encoded_blocks(monkeypatch, p):
 
 
 def test_code_stays_out_of_repr_and_equality():
-    """A key's byte code and its cached word length are in no field,
-    ``repr``, equality or hash: those read the blocks."""
+    """A key's byte code and its word length are in no field, ``repr``,
+    equality or hash: those read the blocks."""
     c = next(c for c in enumerate_classes(P6, 6) if c.block_exponents == (1, 2))
     fresh = CyclicWord(P6, encode((1, 2)))
-    assert "_length" in vars(c) and "_length" not in vars(fresh)  # filled by the enumeration
+    assert c[2] == fresh[2] == 5  # the enumeration's bucket, the constructor's sum
     assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
-    forged = CyclicWord(P6, encode((1, 2)))
-    assert forged.block_exponents == (1, 2)  # decoded, then the bytes are forged
-    vars(forged).update(code=b"\xff", _length=99)
-    assert forged == c and hash(forged) == hash(c) and repr(forged) == repr(c)
+    forged = tuple.__new__(CyclicWord, (P6, b"\xff", 99))
+    vars(forged)["block_exponents"] = (1, 2)  # decoded, as if from other bytes
+    assert (forged.code, forged.word_length()) == (b"\xff", 99)
+    assert forged == c and not forged != c and c == forged and not c != forged
+    assert hash(forged) == hash(c) and repr(forged) == repr(c)
     assert "code" not in repr(c) and repr(c.code) not in repr(c)
-    assert "_length" not in repr(c)
-    assert {"code", "_length"}.isdisjoint(CyclicWord._fields)
-    assert fresh.word_length() == 5 and vars(fresh)["_length"] == 5  # computed on first use
+    assert "99" not in repr(forged) and repr(b"\xff") not in repr(forged)
+    assert "code" not in CyclicWord._fields
+    assert fresh.word_length() == 5

@@ -1,13 +1,18 @@
 """Word arithmetic: group laws, the cyclic core, involutions, class keys."""
 
+import copy
+import operator
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecke_census.census import enumerate_classes
 from hecke_census.words import (
     IOTA,
+    CyclicWord,
     DomainError,
     GroupParams,
     InvolutionType,
@@ -301,6 +306,78 @@ def test_primitive_root_is_the_from_blocks_key(data, p):
     assert root == key(params, root.block_exponents)
     assert k % m == 0
     assert key(params, root.block_exponents * k) == c
+
+
+def _divisor_loop_decomposition(c):
+    """The least period by trying each divisor d of the length in turn."""
+    s = c.code
+    n = len(s)
+    for d in range(1, n + 1):
+        if n % d == 0 and s == s[d:] + s[:d]:
+            return CyclicWord(c.params, s[:d]), n // d
+
+
+@pytest.mark.parametrize("p", range(3, 13))
+def test_primitive_decomposition_matches_the_divisor_loop(p):
+    for c in enumerate_classes(make_params(p), 14):
+        root, m = c.primitive_decomposition()
+        ref_root, ref_m = _divisor_loop_decomposition(c)
+        assert (root.code, root.word_length(), m) == (ref_root.code, ref_root.word_length(),
+                                                       ref_m), c
+        assert root == ref_root and root.code * m == c.code, c
+
+
+# ---------------------------------------------------------------------------
+# class keys: a tuple is their storage, not their API
+
+
+_ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def test_keys_survive_pickle_and_copy():
+    for c in (key(P6, (2, 1, -3)), next(enumerate_classes(P7, 4)), key(P4, (1, -1) * 3)):
+        c.block_exponents  # a cached value rides along in the instance dict
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [pickle.loads(pickle.dumps(c, proto)) for proto in protocols]
+        for d in (*copies, copy.copy(c), copy.deepcopy(c)):
+            assert type(d) is CyclicWord and d == c and hash(d) == hash(c), (c, d)
+            stored = (d.params, d.code, d.word_length())
+            assert stored == (c.params, c.code, c.word_length()), (c, d)
+
+
+def test_keys_and_tuples_are_never_equal():
+    c = next(c for c in enumerate_classes(P6, 6) if c.block_exponents == (1, 2))
+    for t in (tuple(c), (P6, c.code, c.word_length()), (P6, c.block_exponents)):
+        assert not c == t and not t == c and c != t and t != c, t
+        assert c.__eq__(t) is False and c.__ne__(t) is True, t
+    forged = tuple.__new__(CyclicWord, (P6, b"\x07", 8))  # other bytes, the same blocks
+    vars(forged)["block_exponents"] = (1, 2)
+    assert forged == c and c == forged and not forged != c and not c != forged
+
+
+def test_records_are_unordered_against_records_and_tuples():
+    """No record orders, not even a key against a tuple, which would read
+    its storage if the comparison fell through to ``tuple``."""
+    a, b = key(P6, (1, 2)), key(P6, (1, 3))
+    records = (a, b, P6, P7, w(P6, "i g^1"), w(P6, "i g^2"))
+    others = (tuple(a), tuple(b), (6,), (P6, (0, 1)), 6)
+    for x in records:
+        for y in records + others:
+            for op in _ORDER:
+                with pytest.raises(TypeError):
+                    op(x, y)
+                with pytest.raises(TypeError):
+                    op(y, x)
+
+
+def test_records_equal_no_other_class():
+    word = w(P6, "i g^1")
+    for x, others in ((P6, [(6,), 6, P7, word]), (word, [(P6, (0, 1)), P6, tuple(word.syllables)])):
+        for y in others:
+            assert x.__eq__(y) is False and x.__ne__(y) is True, (x, y)
+            assert not x == y and not y == x and x != y and y != x, (x, y)
+    assert P6 == make_params(6) and not P6 != make_params(6)
+    assert word == w(P6, "i g^1") and not word != w(P6, "i g^1")
 
 
 def test_cyclic_words_distinguish_p():
