@@ -1,4 +1,9 @@
-"""Exact census of reciprocal conjugacy classes in the groups Z_2 * Z_p."""
+"""Exact census of reciprocal conjugacy classes in the groups Z_2 * Z_p.
+
+``hecke_census.census`` is the function ``census``, which the package
+re-exports over its submodule of that name; the module is
+``sys.modules["hecke_census.census"]``.
+"""
 
 from .words import (
     CyclicWord,

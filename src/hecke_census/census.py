@@ -52,12 +52,10 @@ from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .necklaces import reflection_category
-from .spectral import json_block
 from .words import WEIGHTS, CyclicWord, DomainError, GroupParams
+from .writers import table_to_csv, table_to_json  # re-exported: callers read them here
 
 _ONE_BYTE = [bytes((o,)) for o in range(len(WEIGHTS))]  # a child of pre is pre + _ONE_BYTE[o]
-
-CSV_HEADER = "len,symmetric,p_reciprocal,symmetric_p,power,reciprocal_total,all_classes"
 
 # Hand-verified counts (p, column, word length, expected), checked by
 # ``hecke-census verify`` and the acceptance suite.
@@ -290,24 +288,3 @@ def enumerate_classes(params: GroupParams, max_len: int) -> Iterator[CyclicWord]
             yield CyclicWord.of_length(params, length, bucket)
 
     return chain.from_iterable(keys())
-
-
-def table_to_csv(table: CensusTable) -> str:
-    lines, rows = [CSV_HEADER], table.rows
-    for length in range(2, table.max_len + 1):
-        s, pr, sp, pw, al = rows[length]
-        lines.append(f"{length},{s},{pr},{sp},{pw},{s + pr + sp},{al}")
-    return "\n".join(lines) + "\n"
-
-
-def table_to_json(table: CensusTable) -> str:
-    """The table as ``json.dumps(doc, indent=2)`` writes it, plus a newline,
-    one f-string per row, the counts as decimal strings."""
-    rows = [f'{{\n      "len": {length},\n      "symmetric": "{row.symmetric}",\n'
-            f'      "p_reciprocal": "{row.p_reciprocal}",\n'
-            f'      "symmetric_p": "{row.symmetric_p}",\n      "power": "{row.power}",\n'
-            f'      "reciprocal_total": "{row.reciprocal_total}",\n'
-            f'      "all_classes": "{row.all_classes}"\n    }}'
-            for length, row in sorted(table.rows.items())]
-    return (f'{{\n  "p": {table.params.p},\n  "max_len": {table.max_len},\n'
-            f'  "rows": {json_block(rows, "  ")}\n}}\n')

@@ -20,7 +20,7 @@ import argparse
 import sys
 from functools import cache
 
-from .census import FIXTURES, census, enumeration_census, table_to_csv, table_to_json
+from .census import FIXTURES, census, enumeration_census
 from .formulas import (
     claims_check,
     lemma26_sum,
@@ -36,6 +36,7 @@ from .spectral import (
     squarefree_multiplicity,
 )
 from .words import CyclicWord, DomainError, GroupParams, make_params
+from .writers import table_to_csv, table_to_json
 
 
 @cache  # they hold no per-call state, and building them costs most of a small run

@@ -14,9 +14,10 @@ Formulas return an ``int``, or a ``Fraction`` where the published 1/2 or
 MISMATCH finding.
 
 ``lemma26_sum`` is the one Lemma 2.6 sum.  The class-count recurrence is
-that of the census series h, run by ``census.block_series`` alone: through
-``recurrence_extend`` the piecewise families extend their printed seed and
-the recurrence claims the census column's r + 1 preceding terms.
+that of the census series h, run by ``census.block_series`` alone: the
+piecewise families extend their printed seed through ``recurrence_extend``,
+and a recurrence claim extends the census column's r + 1 preceding terms
+by one term.
 
 The claims that read the census are the ``Claim`` rows of ``CLAIMS`` and
 ``QUOTED_CLAIMS``, written by one loop; a new such claim is one more row.
@@ -35,15 +36,13 @@ from .necklaces import reflection_category
 from .spectral import (
     build_growth_poly,
     dominant_root,
-    encode_basestring_ascii,
     eisenstein_reason,
     eval_at_sqrt2,
     growth_estimate,
-    json_block,
-    json_text,
     sqrt2_sign,
 )
 from .words import DomainError, GroupParams, make_params
+from .writers import ledger_to_json
 
 
 class NotApplicable(Exception):
@@ -225,17 +224,15 @@ def recurrence_extend(seed: list[int], r: int, count: int) -> list[int]:
     r + 1, a_l = sum_w b_w a_{l-w} over the block weights b_w of p = 2r, which
     is a_l = 2*sum_{j=1}^{r-1} a_{l-j-1} + a_{l-r-1}.
 
-    From r = 5 on, the four weights of ``S_p = (1 - x)(1 - B)`` are fewer
-    than the r of B.  The seed need not satisfy that recurrence, so the
-    first new term comes from the order-(r+1) one; from then on the sparse
-    one holds, since the order-(r+1) one holds at l and at l - 1."""
+    Past the first new term it runs over the four weights of
+    ``S_p = (1 - x)(1 - B)``.  The seed need not satisfy that recurrence, so
+    the first new term comes from the order-(r+1) one; from then on the
+    sparse one holds, since the order-(r+1) one holds at l and at l - 1."""
     if r < 2:
         raise DomainError("r must be >= 2")
     if len(seed) < r + 1:
         raise DomainError(f"seed must have at least r+1 = {r + 1} terms")
     params, n = make_params(2 * r), len(seed) + count - 1
-    if r < 5:
-        return block_series(params.block_weights(r + 1), seed, n)
     terms = block_series(params.block_weights(r + 1), seed, min(n, len(seed)))
     return block_series(params.sparse_weights(), terms, n)
 
@@ -253,29 +250,6 @@ class ClaimEntry(NamedTuple):
     paper_ref: str
 
 
-# The ledger's scalars as ``json.dumps`` writes them after ``_jsonable``,
-# keyed by exact type, so that a bool never takes the int entry.
-_LEDGER_SCALARS = {
-    str: encode_basestring_ascii,
-    int: '"{}"'.format,
-    float: '"{!r}"'.format,
-    bool: ("false", "true").__getitem__,
-    type(None): lambda v: "null",
-}
-
-
-def _jsonable(v):
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return repr(v)
-    if hasattr(v, "denominator"):  # a Fraction: ints were written above, floats have none
-        return f"{v.numerator}/{v.denominator}"
-    return v
-
-
 class ClaimLedger:
     def __init__(self) -> None:
         self.entries: list[ClaimEntry] = []
@@ -291,32 +265,9 @@ class ClaimLedger:
 
     def to_json(self) -> str:
         """The ledger as ``json.dumps({"claims": [...]}, indent=2)`` writes it,
-        plus a newline, with each entry's params, expected and observed values
-        through ``_jsonable``: one f-string per entry, whose values are
-        written by ``_LEDGER_SCALARS`` or, outside it, by ``json_text``."""
-        write, text = _LEDGER_SCALARS.get, encode_basestring_ascii
-        entries = []
-        for claim_id, params, expected, observed, status, paper_ref in self.entries:
-            if params:
-                members = []
-                for k, v in params.items():
-                    w = write(type(v))
-                    members.append(f"{text(k)}: "
-                                   + (w(v) if w else json_text(_jsonable(v), "        ")))
-                params = "{\n        " + ",\n        ".join(members) + "\n      }"
-            else:
-                params = "{}"
-            w = write(type(expected))
-            expected = w(expected) if w else json_text(_jsonable(expected), "      ")
-            w = write(type(observed))
-            observed = w(observed) if w else json_text(_jsonable(observed), "      ")
-            entries.append(f'{{\n      "id": {text(claim_id)},\n'
-                           f'      "params": {params},\n'
-                           f'      "expected": {expected},\n'
-                           f'      "observed": {observed},\n'
-                           f'      "status": {text(status)},\n'
-                           f'      "paper_ref": {text(paper_ref)}\n    }}')
-        return f'{{\n  "claims": {json_block(entries, "  ")}\n}}\n'
+        plus a newline, each entry's params, expected and observed values
+        through ``writers._jsonable``."""
+        return ledger_to_json(self.entries)
 
 
 def _even(l: int, params: GroupParams) -> int:
@@ -348,7 +299,7 @@ def _recurrence(length):
     def printed(l: int, params: GroupParams, column):
         r = params.r
         preceding = [column[length(m, params)] for m in range(l - r - 1, l)]
-        return recurrence_extend(preceding, r, 1)[-1]
+        return block_series(params.block_weights(r + 1), preceding, r + 1)[-1]
 
     return printed
 

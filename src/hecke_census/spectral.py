@@ -22,8 +22,9 @@ sign probes at sqrt(2) are computed in the ring Z[sqrt(2)], no floating
 point involved.
 
 Each fact has one home: a ``GrowthReport`` derives squarefreeness from s
-and prints the record of ``eisenstein_check`` as it is, and the last pair of
-the ``growth_estimate`` trace is the growth estimate.
+and holds the record of ``eisenstein_check`` as it is, the last pair of the
+``growth_estimate`` trace is the growth estimate, and ``writers`` writes the
+report.
 """
 
 from __future__ import annotations
@@ -34,12 +35,8 @@ from itertools import repeat
 from operator import sub, truediv
 from typing import NamedTuple, Sequence
 
-try:  # the C string escaper of json.dumps, which loads without the json package
-    from _json import encode_basestring_ascii
-except ImportError:  # an interpreter without json's C accelerator
-    from json.encoder import encode_basestring_ascii
-
 from .words import DomainError, make_params
+from .writers import growth_to_json
 
 
 class IntPoly(NamedTuple):
@@ -467,66 +464,17 @@ def eisenstein_check(poly: IntPoly) -> dict:
             "shifted_coefficients": list(poly.shift().coefficients), "reason": reason}
 
 
-def json_block(members: list[str], pad: str, brackets: str = "[]") -> str:
-    """Encoded members as the JSON array, or object with ``brackets="{}"``,
-    that ``json.dumps(..., indent=2)`` writes at the indent ``pad``.
-
-    The writers of the growth report, the claims ledger and the census table
-    write their fixed shapes in f-strings, and their variable-length arrays
-    through it, in place of ``json.dumps``: with ``indent`` set, that falls
-    back to its pure-Python encoder.  Their output is byte for byte that of
-    ``json.dumps(doc, indent=2)``."""
-    if not members:
-        return brackets
-    inner = "\n" + pad + "  "
-    return brackets[0] + inner + ("," + inner).join(members) + "\n" + pad + brackets[1]
-
-
-def json_text(value, pad: str = "") -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it at the indent
-    ``pad``, strings through the escaper that ``json.dumps`` uses itself.
-
-    The one fallback of the report writers, for a value outside their fixed
-    shapes.  Scalars, lists, tuples and dicts with string keys are written
-    here; any other value goes to ``json.dumps``.  No command's report holds
-    such a value, so writing one never imports ``json``."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        return json_block([json_text(v, inner) for v in value], pad)
-    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
-        return json_block([f"{json_text(k)}: {json_text(v, inner)}" for k, v in value.items()],
-                          pad, "{}")
-    import json
-
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
-
-
-_EISENSTEIN_KEYS = ("satisfied", "prime", "shifted_coefficients", "reason")
-
-
 class GrowthReport(NamedTuple):
+    """The spectral facts of the growth polynomial of r.  ``eisenstein`` is
+    the record of ``eisenstein_check``, the one shape that ``to_json``
+    writes."""
+
     r: int
     poly: IntPoly
     rho: float
     roots: tuple[complex, ...]
     s: int  # the largest root multiplicity
-    eisenstein: dict  # the record of ``eisenstein_check``
+    eisenstein: dict
     ratio_trace: tuple[tuple[int, float], ...] = ()
 
     @property
@@ -534,36 +482,8 @@ class GrowthReport(NamedTuple):
         return self.s == 1
 
     def to_json(self) -> str:
-        """The report as ``json.dumps(doc, indent=2)`` writes it, plus a newline.
-
-        Each finite root and each ratio-trace pair is one f-string, and the
-        integer lists go through ``int.__repr__``.  A NaN or an infinity
-        (which ``float.__repr__`` writes as JSON does not) and an Eisenstein
-        record of another shape than ``eisenstein_check``'s go through
-        ``json_text``."""
-        roots = [f"[\n      {float.__repr__(z.real)},\n      {float.__repr__(z.imag)}\n    ]"
-                 if math.isfinite(z.real) and math.isfinite(z.imag)
-                 else json_block([json_text(z.real), json_text(z.imag)], "    ")
-                 for z in self.roots]
-        trace = [f'[\n      {i!r},\n      "{v!r}"\n    ]' for i, v in self.ratio_trace]
-        e = self.eisenstein
-        if tuple(e) == _EISENSTEIN_KEYS:
-            shifted = json_block(list(map(int.__repr__, e["shifted_coefficients"])), "    ")
-            eisenstein = (f'{{\n    "satisfied": {json_text(e["satisfied"])},\n'
-                          f'    "prime": {json_text(e["prime"])},\n'
-                          f'    "shifted_coefficients": {shifted},\n'
-                          f'    "reason": {json_text(e["reason"])}\n  }}')
-        else:
-            eisenstein = json_text(e, "  ")
-        coefficients = json_block(list(map(int.__repr__, self.poly.coefficients)), "  ")
-        return (f'{{\n  "r": {self.r!r},\n'
-                f'  "coefficients": {coefficients},\n'
-                f'  "rho": "{self.rho!r}",\n'
-                f'  "s": {self.s!r},\n'
-                f'  "squarefree": {json_text(self.squarefree)},\n'
-                f'  "eisenstein": {eisenstein},\n'
-                f'  "roots": {json_block(roots, "  ")},\n'
-                f'  "ratio_trace": {json_block(trace, "  ")}\n}}\n')
+        """The report as ``json.dumps(doc, indent=2)`` writes it, plus a newline."""
+        return growth_to_json(self)
 
 
 def analyze_growth(r: int) -> GrowthReport:

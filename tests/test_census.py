@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hecke_census.census import (
-    CSV_HEADER,
     CensusRow,
     _scan,
     census,
@@ -26,6 +25,7 @@ from hecke_census.census import (
 from hecke_census.reciprocal import classify, normal_form_generate, reciprocator_witnesses
 from hecke_census.spectral import build_growth_poly, dominant_root
 from hecke_census.words import DomainError, InvolutionType, decode, encode, make_params
+from hecke_census.writers import CSV_HEADER
 from composition_reference import block_powers
 from necklace_reference import is_minimal_rotation
 from word_reference import all_reduced_words, cyclic_reduce, inverse_key, key

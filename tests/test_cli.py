@@ -3,11 +3,13 @@
 import builtins
 import hashlib
 import importlib.resources as resources
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -565,3 +567,29 @@ def test_commands_run_a_fixed_number_of_import_statements(capsys, monkeypatch):
     # a class key reads its codec from its own module: a warm verify, which
     # decodes and measures every normal form it keys, imports nothing
     assert _import_statements(capsys, monkeypatch, ["verify"]) == []
+
+
+# the names that perfbench/tracing.py patches and no longer finds: none of
+# them is in the package, and the benchmark reads their metrics as 0
+STALE_TRACE_NAMES = ["hecke_census.formulas.census", "hecke_census.words.reduce_syllables",
+                     "CyclicWord.from_blocks", "?.rev_neg"]
+
+
+def test_the_benchmark_tracer_finds_every_name_but_the_stale_ones():
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # the modules by their short names, as the benchmark loads them: the
+    # package's own attribute ``census`` is the function
+    lib = SimpleNamespace(**{name.removeprefix("hecke_census."): module
+                             for name, module in sys.modules.items()
+                             if name.startswith("hecke_census.")})
+    tracer = tracing.Tracer()
+    tracer.install(lib)
+    try:
+        assert tracer.missing == STALE_TRACE_NAMES
+    finally:
+        tracer.uninstall()
+    # the benchmark's self-test writes its faulty CSV through the census module
+    assert sys.modules["hecke_census.census"].table_to_csv is cli.table_to_csv

@@ -14,7 +14,6 @@ from hecke_census.cli import main
 from hecke_census.formulas import (
     ClaimLedger,
     NotApplicable,
-    _jsonable,
     bounded_compositions,
     claims_check,
     lemma26_sum,
@@ -31,6 +30,7 @@ from hecke_census.formulas import (
 )
 from hecke_census.spectral import IntPoly, build_growth_poly, dominant_root, eisenstein_check
 from hecke_census.words import DomainError, make_params
+from hecke_census.writers import _jsonable
 from composition_reference import block_powers, bounded_compositions_dp, compositions
 from ledger_queries import find_entries, ledger_ids
 
