@@ -266,7 +266,7 @@ class ClaimLedger:
     def to_json(self) -> str:
         """The ledger as ``json.dumps({"claims": [...]}, indent=2)`` writes it,
         plus a newline, each entry's params, expected and observed values
-        through ``writers._jsonable``."""
+        through ``writers._ledger_value``."""
         return ledger_to_json(self.entries)
 
 

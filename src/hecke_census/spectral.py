@@ -7,15 +7,12 @@ reciprocal of the dominant zero of ``1 - B``, and the class-count
 recurrence is that of the census series ``h = 1/(1 - B)``, which
 ``census.block_series`` runs.  The dominant root is the midpoint of the
 cell of width 2^-40 where the polynomial changes sign, found from a float
-Newton estimate and confirmed by exact integer signs; the full root set comes
-from a deterministic Aberth-Ehrlich iteration that holds the real zeros on
-the real axis and each pair of conjugate zeros as one upper iterate, started
-on [-1, 1] and on the upper half of the unit circle; its real zeros are then
-correctly rounded by exact integer signs.  Its Newton correction reads the
-shorter of the term lists of p and (x - 1)*p: for r >= 5 the five terms
-x^(r+2) - x^(r+1) - 2x^r + x + 1, which are x^(r+2) S_p(1/x) for
-S_p = (1 - x)(1 - B); its Aberth sum runs in C, through ``map``.  The
-maximum root multiplicity s and the number of real zeros come from one walk
+Newton estimate and confirmed by exact integer signs.  Every zero of
+p = (x + 1) Q_r but -1 and rho is the fixed point of its own contraction
+of the unit disk, a branch of x^r = 1/(2 - x), which the zeros of the
+three-term form (x - 1) Q_r = x^(r+1) - 2x^r + 1 solve; the real zeros are
+then correctly rounded by exact integer signs.  The maximum root
+multiplicity s and the number of real zeros come from one walk
 of the gcd chain p, gcd(p, p'), ... over Z, each gcd the last member of a
 primitive Sturm sequence (pseudo-remainders that keep their signs).  The
 sign probes at sqrt(2) are computed in the ring Z[sqrt(2)], no floating
@@ -29,10 +26,7 @@ report.
 
 from __future__ import annotations
 
-import functools
 import math
-from itertools import repeat
-from operator import sub, truediv
 from typing import NamedTuple, Sequence
 
 from .words import DomainError, make_params
@@ -230,70 +224,68 @@ def _round_real_zero(poly: IntPoly, x: float) -> float | None:
     return None
 
 
-def _newton_terms(poly: IntPoly) -> tuple[tuple[tuple[int, int], ...], bool]:
-    """The terms ``(k, c_k)``, highest degree first, from which ``all_roots``
-    takes its Newton correction, and whether they are those of (x - 1)*poly.
-
-    The nonzero terms of poly and of (x - 1)*poly, whichever list is strictly
-    shorter.  For the growth polynomials with r >= 5 that is
-    x^(r+2) - x^(r+1) - 2x^r + x + 1, the five terms of x^(r+2) S_p(1/x)
-    for S_p = (1 - x)(1 - B); for r <= 4, and for a dense polynomial, the
-    polynomial's own terms."""
-    c = poly.coefficients
-    own = tuple((k, a) for k, a in enumerate(c) if a)[::-1]
-    shifted = tuple((k, a - b) for k, (a, b) in enumerate(zip((0, *c), (*c, 0))) if a != b)[::-1]
-    return (shifted, True) if len(shifted) < len(own) else (own, False)
+def _fixed_point(step_map, z, max_iter: int):
+    """Iterates z <- step_map(z) until the step falls to 4e-16 of |z|, or
+    stops shrinking below 1e-8 of it, or max_iter steps are taken."""
+    last = math.inf
+    for _ in range(max_iter):
+        new = step_map(z)
+        step, size = abs(new - z), abs(z)
+        z = new
+        if step <= 4e-16 * size or last <= step < 1e-8 * size:
+            break
+        last = step
+    return z
 
 
 def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[complex]:
-    """All complex roots by Aberth-Ehrlich iteration (Bini, Numer.
-    Algorithms 13, 1996), real zeros correctly rounded by exact signs.
+    """All r + 1 zeros of the growth polynomial P_r, each the fixed point
+    of its own contraction, the real zeros correctly rounded by exact signs.
 
-    The coefficients are real, so the zeros are k real ones and m pairs of
-    conjugates; k, with multiplicity, is exact (``real_zero_count``).  The
-    iteration holds k real iterates and m upper ones, each upper iterate
-    with its conjugate beside it.  Deterministic start: the real iterates at
-    cos(pi (j + 1/2) / k + 0.2) on [-1, 1], never at 0, the upper ones at
-    exp(i pi (j + 1/2) / m) on the upper half of the unit circle, so root
-    ordering is stable across runs.  Every zero of the growth polynomials
-    but rho < 2 lies in the closed unit disk, and they crowd its boundary.
-    The Newton correction p/p' reads the term list of ``_newton_terms``,
-    the terms of f = q*p for q = x - 1 or q = 1: f and z*f' by Horner over
-    the gaps between its exponents, then p/p' = f*q*z / (z*f'*q - f*z*q').
-    On a growth polynomial with r >= 5 that is five terms, where a dense
-    Horner pass reads deg + 1.  The Aberth sum over all other iterates,
-    conjugates included, runs in C, through ``map``.  The iterates are
-    updated in place (Gauss-Seidel): a real iterate takes the real part of
-    its step, and an upper one writes its conjugate too.  An iterate freezes
-    once its step falls to 4e-16 of its modulus, or stops shrinking below
-    1e-8 of it.  Each finite real iterate then moves to the double nearest
-    the real zero beside it (``_round_real_zero``).  The residual check is
-    absolute, on the dense monic polynomial: every |p(z)| must be at most
-    ``tol``, a NaN residual (an overflow) counting as infinite.  It reads
-    the real and the upper iterates alone: for real coefficients, Horner
-    at the conjugate of z is bitwise the conjugate of Horner at z.
+    P_r = (x + 1) Q_r, and F = (x - 1) Q_r = x^(r+1) - 2x^r + 1, whose zeros
+    solve x^r = 1/(2 - x).  On the closed unit disk |2 - x| >= 1, with
+    equality only at x = 1, so for w_j = exp(2 pi i j / r), j = 0..r-1,
+    the branch T_j(x) = w_j (2 - x)^(-1/r) (the principal root) maps the
+    disk into itself with |T_j'| <= 1/r: a contraction with one fixed point
+    z_j, and each zero of F in the disk is the fixed point of exactly one
+    T_j.  So F has the r distinct zeros z_j in the disk and rho in (1, 2).
+    z_0 = 1 is the zero that x - 1 adds, and T_j(1) = w_j, so every other
+    |z_j| = |2 - z_j|^(-1/r) is strictly below 1.  z_(r-j) is the conjugate
+    of z_j, z_j is real only for j = r/2, and for 1 <= j < r/2 it lies in
+    the upper half plane, since |arg(2 - x)| <= pi/6 on the disk.  P_r is
+    squarefree, and its real zeros are -1, rho and, for even r, z_(r/2).
+
+    -1 is exact.  rho comes from Newton's method on F/x^r = x - 2 + x^(-r),
+    convex on x > 0 with zeros 1 and rho, so that from 2 its iterates fall
+    monotonically to rho and never overflow; z_(r/2) comes from T_(r/2);
+    each upper z_j from T_j (``_fixed_point``), then one Newton step on F.
+    Each real zero then moves to the double nearest it
+    (``_round_real_zero``).  The residual check is absolute, on the dense
+    monic polynomial: every |P_r(z)| must be at most ``tol``, a NaN
+    residual (an overflow) counting as infinite.  It reads the real and the
+    upper zeros alone: for real coefficients, Horner at the conjugate of z
+    is bitwise the conjugate of Horner at z.  Any other polynomial raises
+    ``DomainError``.
     """
-    import cmath  # imported here, so that a command without roots never loads it
-
-    deg = poly.degree
-    if deg < 1:
-        raise DomainError("degree must be >= 1")
-    lead = poly.coefficients[-1]
-    if not lead:
-        raise DomainError("leading coefficient must be nonzero")
-    rev = [c / lead for c in reversed(poly.coefficients)]
-    k = real_zero_count(poly)
-    m = (deg - k) // 2
-    upper = [cmath.exp(1j * math.pi * (j + 0.5) / m) for j in range(m)]
-    zs = [complex(math.cos(math.pi * (j + 0.5) / k + 0.2), 0.0) for j in range(k)]
-    zs += upper + [z.conjugate() for z in upper]
-    terms, shifted = _newton_terms(poly)
-    # f and z*f' by Horner over the gaps between the exponents, from the top
-    # term down, then times z^low for the lowest exponent low
-    (top, c_top), *rest = terms
-    f0, zdf0 = complex(c_top / lead), complex(top * c_top / lead)
-    steps = [(j - i, c / lead, i * c / lead) for (j, _), (i, c) in zip(terms, rest)]
-    low = terms[-1][0]
+    r = poly.degree - 1
+    if r < 2 or poly != build_growth_poly(r):
+        raise DomainError("all_roots solves the growth polynomials P_r alone")
+    e = -1.0 / r
+    reals = [_fixed_point(lambda x: x - (x - 2 + x**-r) / (1 - r * x ** (-r - 1)), 2.0, max_iter)]
+    if r % 2 == 0:
+        reals.append(_fixed_point(lambda x: -(2 - x) ** e, -1.0, max_iter))
+    zs = [complex(-1.0, 0.0)]
+    for x in reals:
+        rounded = _round_real_zero(poly, x)
+        zs.append(complex(x if rounded is None else rounded, 0.0))
+    upper = []
+    for j in range(1, (r + 1) // 2):
+        w = complex(math.cos(2 * math.pi * j / r), math.sin(2 * math.pi * j / r))
+        z = _fixed_point(lambda x: w * (2 - x) ** e, w, max_iter)
+        zr = z**r
+        upper.append(z - (zr * (z - 2) + 1) / (zr * (r + 1 - 2 * r / z)))
+    zs += upper
+    rev = [float(c) for c in reversed(poly.coefficients)]
 
     def peval(z: complex) -> complex:
         acc = 0j
@@ -301,53 +293,14 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
             acc = acc * z + c
         return acc
 
-    last_step = [math.inf] * (k + m)
-    active = range(k + m)
-    for _ in range(max_iter):
-        if not active:
-            break
-        moving = []
-        for i in active:
-            z = zs[i]
-            f, zdf = f0, zdf0
-            for g, c, kc in steps:
-                w = z**g
-                f = f * w + c
-                zdf = zdf * w + kc
-            if low:
-                w = z**low
-                f *= w
-                zdf *= w
-            q, dq = (z - 1, 1) if shifted else (1, 0)
-            fz = f * z
-            d = zdf * q - fz * dq  # z*p'*q^2: where it is 0, the iterate takes no step
-            n = fz * q / d if d else 0j
-            s = sum(map(truediv, repeat(1 + 0j), map(sub, repeat(z), zs[:i] + zs[i + 1:])))
-            dz = n / (1 - n * s)
-            if i < k:  # a real iterate takes the real part of its step
-                dz = complex(dz.real, 0.0)
-            zs[i] = z - dz
-            if i >= k:
-                zs[i + m] = zs[i].conjugate()
-            step = abs(dz)
-            size = abs(z)
-            if step > 4e-16 * size and not (last_step[i] <= step < 1e-8 * size):
-                moving.append(i)
-            last_step[i] = step
-        active = moving
-    for i in range(k):
-        x = zs[i].real
-        if math.isfinite(x):  # as_integer_ratio raises on NaN and on an infinity
-            x = _round_real_zero(poly, x)
-            if x is not None:
-                zs[i] = complex(x, 0.0)
-    residuals = [abs(peval(z)) for z in zs[:k + m]]
+    residuals = [abs(peval(z)) for z in zs]
     # max() skips a NaN after the first residual: a NaN (an overflow) counts as infinite
     worst = math.inf if any(map(math.isnan, residuals)) else max(residuals)
     if worst > tol:
         raise ArithmeticError(
             f"root iteration residual {worst:.3e} exceeds tolerance {tol:.3e}"
         )
+    zs += [z.conjugate() for z in upper]
     return sorted(zs, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
 
 
@@ -399,16 +352,13 @@ def _sign_changes(signs: list[bool]) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-@functools.lru_cache(maxsize=1)
 def _gcd_chain(coefficients: tuple[int, ...]) -> tuple[int, int]:
     """``(s, k)`` for the polynomial with these coefficients: the largest
     root multiplicity s and the number k of real zeros, with multiplicity.
 
     Walks the chain p_0 = p, p_(j+1) = gcd(p_j, p_j'), whose p_j has the
     distinct zeros of p of multiplicity above j; s is its length, and k
-    sums the Sturm counts of the distinct real zeros of its members.  Kept
-    for the last polynomial, so that ``analyze_growth`` walks the chain once
-    for ``all_roots`` and ``squarefree_multiplicity`` together."""
+    sums the Sturm counts of the distinct real zeros of its members."""
     cur = IntPoly(coefficients)
     s = k = 0
     while cur.degree > 0:

@@ -85,8 +85,9 @@ def table_to_json(table) -> str:
 
 
 def _jsonable(v):
-    """A ledger value as the ledger writes it: a number as its decimal
-    string, a fraction as ``"n/d"``, any other value as it is."""
+    """The JSON value of a ledger value, the one that ``_ledger_value``
+    writes: a number as its decimal string, a fraction as ``"n/d"``, any
+    other value as it is."""
     if isinstance(v, bool):
         return v
     if isinstance(v, int):
@@ -98,18 +99,35 @@ def _jsonable(v):
     return v
 
 
+def _ledger_value(v, pad: str) -> str:
+    """``json_text(_jsonable(v), pad)`` in one call: a number or a fraction
+    is written as the string of its digits, which need no escaping; only a
+    list or a dict goes on to ``json_text``."""
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return f'"{v}"'
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, float):
+        return f'"{v!r}"'
+    if hasattr(v, "denominator"):  # a Fraction: ints were written above, floats have none
+        return f'"{v.numerator}/{v.denominator}"'
+    return json_text(v, pad)
+
+
 def ledger_to_json(entries) -> str:
     """The ledger entries as ``{"claims": [...]}``, one f-string per entry,
-    whose params, expected and observed values go through ``_jsonable``."""
+    whose params, expected and observed values go through ``_ledger_value``."""
     text = encode_basestring_ascii
     claims = []
     for claim_id, params, expected, observed, status, paper_ref in entries:
-        params = json_block([f"{text(k)}: {json_text(_jsonable(v), '        ')}"
+        params = json_block([f"{text(k)}: {_ledger_value(v, '        ')}"
                              for k, v in params.items()], "      ", "{}")
         claims.append(f'{{\n      "id": {text(claim_id)},\n'
                       f'      "params": {params},\n'
-                      f'      "expected": {json_text(_jsonable(expected), "      ")},\n'
-                      f'      "observed": {json_text(_jsonable(observed), "      ")},\n'
+                      f'      "expected": {_ledger_value(expected, "      ")},\n'
+                      f'      "observed": {_ledger_value(observed, "      ")},\n'
                       f'      "status": {text(status)},\n'
                       f'      "paper_ref": {text(paper_ref)}\n    }}')
     return f'{{\n  "claims": {json_block(claims, "  ")}\n}}\n'

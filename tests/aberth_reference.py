@@ -1,13 +1,14 @@
-"""The dense-Horner Aberth-Ehrlich iteration that ``spectral.all_roots``
-ran before its Newton correction came from a short term list, kept for
-the tests as a reference.  It is the asymmetric reference: it updates both
-members of every conjugate pair, each on its own, and lets any iterate
-leave the real axis.
+"""A general root finder, the dense-Horner Aberth-Ehrlich iteration
+(Bini, Numer. Algorithms 13, 1996), kept for the tests as the reference
+for ``spectral.all_roots``, which solves the growth polynomials alone, each
+zero from its own branch map.  It knows nothing of their structure: it
+updates both members of every conjugate pair, each on its own, and lets
+any iterate leave the real axis.
 
-Same start angles on the circle of radius 1.1, same Gauss-Seidel order and
-freeze rule, same exact rounding of the real zeros and the same absolute
-residual check; p/p' by a Horner pass over every coefficient, and the
-Aberth sum by a generator.
+Start angles on the circle of radius 1.1, Gauss-Seidel updates, the freeze
+rule of ``all_roots``, the same exact rounding of the real zeros and the
+same absolute residual check; p/p' by a Horner pass over every
+coefficient, and the Aberth sum by a generator.
 """
 
 import cmath

@@ -352,42 +352,42 @@ def test_claims_does_not_need_all_roots(capsys, p):
 POLY_SHA256 = {
     "poly --r 2": "7ba124093be6e02f1a7c4db1fab5e693641faba02bb0a6aa37494353ba7c16f4",
     "poly --r 3": "71c366dc50d38712561fd768bce2d773cd449ec1f7a99da8fabe86731e513654",
-    "poly --r 4": "6c3d07e953c0373e063fa4d3799bc0c3d30aafe74f7a434d6d42f0fea1d7251b",
-    "poly --r 5": "93061be8d78e6453ce4b8d106f907a758b82641ebc80f8f05eaef6fb7af29d2c",
-    "poly --r 6": "acbca1cd48eb3fb8162be5709efb91187c1a9c43804b496fbff3894924645d6f",
-    "poly --r 7": "9e14a1ee30d17fb9265d1f0a7d4e6eef6bc4a0b8ac4381acd0ecd257ec14b065",
-    "poly --r 8": "3dc5a925a46f176bee94653e18d9b9bbce22d8e42f037a18cd273599ff70871e",
-    "poly --r 9": "d7fb688838daa4fb2ea7c3d66c002fa7a86d6ca95cfc63335deb8c1a10002833",
-    "poly --r 10": "2aa6aa574a791daf62b495270c1b477525443643a687be1ca6eee93fb311d967",
-    "poly --r 11": "7fe34b7f8cfe92bd05aaf1ad3d649d9b5dd321ab21998340278c1aa9f780f8a2",
-    "poly --r 12": "855ed23609f4dacccc2c17b560a278e5c91d6dda701decf9aa4693432b50deed",
-    "poly --r 13": "7886412cb2b3ab75b3672856d3d1df067d03ae0ceccbf03a610fa4a7a839c2e5",
-    "poly --r 14": "4b98a5a2130e56effb58b9684d87c3cc67831f5506738a38e5ccff60a199acf2",
-    "poly --r 15": "ade08e82331fd5fd0152ef50b019b63532088deb5a00facbb3d6b8bf9193194f",
-    "poly --r 16": "121ba47ec303731dc91db44e69a3693c73353ff525bdd77b819c4990952d218f",
-    "poly --r 17": "71cd4d64a3e202a5ef480e5c88c883f12e75c41b778b8281b66fff6788886ec0",
-    "poly --r 18": "43ca7819533d988acfb2225498f259ae6b817a00d09249e467c9d5f985f44bf8",
-    "poly --r 19": "549f1d9cc367bbb0ef43bfcdd9363a52ea9bf43dfef6a92b3fb40fc33e910ac7",
-    "poly --r 21": "de8be763acc0747eaf8e0a578e2641d39716b27c3ec847e8e7509c1a895ad49b",
-    "poly --r 22": "b34701d9cbc2670d927c7c342a093f4b619fe8d2bf0fb1074f31862676c0fb6c",
-    "poly --r 23": "4059c1f7c1e715521f888a135f37e359c71d802fa73c2ba875eeb789e33470a2",
-    "poly --r 24": "65bc97187edf45e52224571287e64915a41d4712d2985f998ad18747e78abfd2",
-    "poly --r 25": "b764cf8f640831fc486b4813fe41b2503358fb190f547bb3e10ea00d784f2987",
-    "poly --r 38": "21fe6334011a935d1726b092074c8704adf36cddba0d44a2e91f7983954aa05e",
-    "poly --r 39": "8a4e5caa9b3affa156f6f10e658f3b54c902d2793ac02cebcf8d0531d8019d76",
-    "poly --r 40": "f64fd8f399e4699b3212fca035e0d6a976b07b5f0a9c1df0731ded6cdaccb763",
-    "poly --r 41": "2da3a5a9552d6564e9d3ebfcdc45e1e871420484cceba5c665b52311fdca60be",
-    "poly --r 42": "e7a8dc0b7c7762a67829522464005415ddc07ec4006a6dd40af661cb09ec98c1",
-    "poly --r 43": "09db69cda2522bae3bf4b3854c5fc7dfd7cab061e0e506388bb71682c4f270be",
-    "poly --r 44": "1799a050fb6f40490feb88c2ae2d064206c6823e248dfc6db0de11ea08838aa7",
-    "poly --r 45": "d16b3ce890567104668ac0dbe8018d0d105d316188040059c1651d1e0da393f6",
-    "poly --r 46": "3d3d247c52d1cf01fc0a518074228a9b65ca406214c2ecb7ee5678f7cd500c74",
-    "poly --r 47": "d25e94dd7e073d9b078a22a74507d133e8783549c01162853bb883b5efb77b17",
-    "poly --r 48": "46139fb038da97ca575506d03b028066b955a7af443ebf07588ed43fc698320a",
-    "poly --r 49": "152d4a088c4466b2b142f37a830abcc51e5afe89d9af1458d93d1c563d135110",
-    "poly --r 50": "fbb139bf5c378ccc15d47f3c8342d3e44f750e6b20399dd01012965eaa843182",
-    "poly --r 51": "a86982fa42e17bb7bc0784d2e5edb96bf4ce44714f71b55b3376a6c355daffff",
-    "poly --r 52": "d7ce26196e7014ca1c4cdb7c4ff347a580d48feede07683d3cdfc3b5c4128329",
+    "poly --r 4": "737b679a8f1b32891f4336e944fe3e05ae1453079c429f024032cc0b687419ea",
+    "poly --r 5": "a74ec689f369901d135c3b116596bc0d1b8e466f8fc270610e27d3f7e7cde3e7",
+    "poly --r 6": "cf100efc433e6163c779a92a2392913f679763e196af0ff9779f9a7462a5bf55",
+    "poly --r 7": "99c9bd2033b65a01e02ada59184fcadf2835e72f297230398d8345a16bd7490b",
+    "poly --r 8": "0e53b80cc5693d07bed70b16a0c2177b408f5b2f9e7424ba1a424bed4549bce5",
+    "poly --r 9": "a8115a5049005dde5d113a673414754ef6583aeda6c9ea9e6758baf11ee3eebd",
+    "poly --r 10": "9c528323e91afd4442dae634386afb0304fa8347bfe8f2a7a613f7a6c92c6655",
+    "poly --r 11": "ec5f0f0a4d70a773e03672a69e22f2a82a7466e656dd94e4806033bff768ae66",
+    "poly --r 12": "3d694660b5f37e6b89a913f2528805859b29fb26e821806f32b14ac4decd2bb7",
+    "poly --r 13": "e35c11065fa83cc840fea0b855fd569b0ca5dd45fca919d0e0e714d79ae6b8b4",
+    "poly --r 14": "ec541d0f12b7491e48a2af0a0871ef767866625a99a0e129adffdd6e67762e7a",
+    "poly --r 15": "ddf1bddfb7a01c0429be404563fb60954044a9daf777f200377d8f8f73f291f1",
+    "poly --r 16": "eb53abe60230d895eef377bf89f80a92f2547b6b14cf88b8be2daf25f7953c51",
+    "poly --r 17": "e3f5a834314662ebe2d2fb646ee89804f973cdee92cffd8c59a9099a3b9e6787",
+    "poly --r 18": "cc9102a9a27e102a023985fc541caea436ec3bcfe8d9108d47a227af3e9bff8d",
+    "poly --r 19": "6264c1141197261d2428d6748b5817ab2a0f4366c9e1d284720833d668abe4b6",
+    "poly --r 21": "91d156c84c42297941ff05b12b5591470790ae42e0db1b2fb5fd1e9e6f9d0b9f",
+    "poly --r 22": "494b8bb3179371a0a688eec47bf74ec75e2a851b6f5caff2a6daf2ab4deb739b",
+    "poly --r 23": "2eca0db1d9c3079feebcbbca1d684fbf9f3fa4c22a70dc3dd12ee8b89552958a",
+    "poly --r 24": "ce2d10144f703a88e973348515a3a40a4cd80776137dc60537334139865a7378",
+    "poly --r 25": "599bbe192ba1a096e65d61466993aa928fcc0d6424b7c7f3dc4932530a6acb13",
+    "poly --r 38": "6e86637adb40160de0e9b83f0e8358d8801622b411941ba3a9c6abce9363290e",
+    "poly --r 39": "a056b6317271fcf8b862285e71b43132bd20afc9b0b5ae513f747c9ea4596558",
+    "poly --r 40": "91fb8085f17250b623949ed327f6b283ab84c8faabc71f368f1958604969f1da",
+    "poly --r 41": "2ed7908c5f0d9365b1d1cbf7469195c034cb5db88bdcf4938699c504bc4d9394",
+    "poly --r 42": "8ec6f22f25e6576661bdc2d8034a6c8c281638b98dd8f7b2b8279eb068495714",
+    "poly --r 43": "87c147b0bc0bc02332a83c2286ca00c3ddbde721e63880ad0f60cc909d1344cc",
+    "poly --r 44": "8099ecaa86ad9c40b105c3bda3d3f0a7f3e300a5d44e0ecc74cb73d81953c618",
+    "poly --r 45": "25a7a3c17349137b532562cdb168622b4346baa3a2ff35e031c0a2a0b7c8373d",
+    "poly --r 46": "6ee8de97a43bb3bcfda0824d3145ff6f3e6b2dc67021c01b1f1bd4ab3eec07b5",
+    "poly --r 47": "59182d23410afff5b147288927800a45298082f36d99df442bd82035e281201e",
+    "poly --r 48": "d858104ade5f2ffd4a381b760bb17e90e70c9768204f407fa6e91bd74badaaf3",
+    "poly --r 49": "61f7b1e8c707ed352cb4150104be4e0ed62218d330877f7b711b5ec50d54c779",
+    "poly --r 50": "2afbc2a8160791f81fc27acb119acd66d423ae5bacee3e864eaacd76faf65569",
+    "poly --r 51": "75a3197939916c5b0804b217ffecf8311fdfc98c5c0579642153c9be6a3e9802",
+    "poly --r 52": "16c3d65d7da0910f52997fce29a51874c91058158fc47e7575a8f3b6bcc03e23",
     "poly --r 53": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "poly --r 54": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "poly --r 55": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
@@ -398,6 +398,9 @@ POLY_SHA256 = {
     "poly --r 60": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "poly --r 105": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "poly --r 121": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
+    # rho rounds to 2.0 from r = 54 on, where P_r = 3, and rho^r passes the
+    # largest double after r = 1024: the same one-line error, no overflow
+    "poly --r 1100": "c1e3a72347b406e7f9ac39faf47f58d270f6df33cf4279a585003daa8a71469d",
     "growth --p 6 --max-len 20 --extend-to 400": "df7c4d251708983f3bb5272f2df8b7526ac60696bf22fdd66c832529f7491a12",
 }
 
@@ -498,9 +501,9 @@ def test_a_command_parses_once_and_prints_what_the_full_parser_prints(capsys, mo
 def test_one_parser_per_process_prints_what_a_fresh_process_prints(capsys, monkeypatch):
     # the parser is built once and reused: a usage error, then --format csv,
     # then the JSON default must each print what a new process prints.  The
-    # fresh processes are the first to load json (census), fractions (claims
-    # at p = 4, whose ledger has a value of 1/2) and cmath (poly, growth)
-    # where the command uses them
+    # fresh processes are the first to load json (census) and fractions
+    # (claims at p = 4, whose ledger has a value of 1/2) where the command
+    # uses them
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(hecke_census.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
@@ -547,8 +550,8 @@ def _import_statements(capsys, monkeypatch, argv):
 
 
 def test_commands_run_a_fixed_number_of_import_statements(capsys, monkeypatch):
-    # fractions and cmath are imported where a command uses them, never
-    # once per value: a larger run runs no more import statements
+    # fractions is imported where a command uses it, never once per value:
+    # a larger run runs no more import statements
     claims = [_import_statements(capsys, monkeypatch, ["claims", "--p", "6", "--max-len", n])
               for n in ("12", "40")]
     assert claims[0] == claims[1] and len(claims[0]) == 1

@@ -126,8 +126,9 @@ def test_frozen_records_share_one_equality_and_hash():
 
 def test_cli_import_loads_no_module_that_a_command_can_skip():
     """Each CLI run is a fresh process.  dataclasses and inspect cost about
-    as much to import as the whole package; json, fractions (with decimal
-    and numbers) and cmath are imported only by the code that uses them."""
+    as much to import as the whole package; json and fractions (with
+    decimal and numbers) are imported only by the code that uses them, and
+    cmath by none."""
     skippable = ["dataclasses", "inspect", "json", "fractions", "decimal", "numbers", "cmath"]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
             "import hecke_census.cli; "

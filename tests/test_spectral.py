@@ -13,7 +13,6 @@ from hecke_census.spectral import (
     GrowthReport,
     IntPoly,
     _dyadic_sign,
-    _newton_terms,
     _root_estimate,
     _sturm_chain,
     all_roots,
@@ -385,9 +384,9 @@ def exact_value(poly: IntPoly, z: complex) -> complex:
 
 
 def test_all_roots_matches_the_dense_horner_reference():
-    # the term list and the start on the unit circle move the complex roots
-    # by rounding only, and every real root is the same correctly rounded
-    # double: rho, -1 and, for even r, the negative zero of Q_r
+    # the branch maps move the complex roots by rounding only, and every
+    # real root is the same correctly rounded double: rho, -1 and, for
+    # even r, the negative zero of Q_r
     for r in range(2, 131):
         poly = build_growth_poly(r)
         roots = all_roots(poly, tol=math.inf)
@@ -405,51 +404,31 @@ def test_all_roots_matches_the_dense_horner_reference():
                 assert abs(exact_value(poly, z)) <= 1e-14 * scale, (r, z)
 
 
-def test_newton_terms_of_the_growth_polynomials():
-    # x^(r+2) S_p(1/x) = (x - 1) P_r for S_p = (1 - x)(1 - B) of p = 2r
-    for r in range(5, 201):
+def test_three_term_form_of_the_growth_polynomials():
+    # x^(r+2) S_p(1/x) = (x - 1) P_r for S_p = (1 - x)(1 - B) of p = 2r, and
+    # (x - 1) P_r = (x + 1) F for the three terms F = x^(r+1) - 2x^r + 1
+    # whose branches all_roots follows
+    for r in range(2, 201):
         b = make_params(2 * r).block_weights(r + 1)
         one_minus_b = [1] + [-b.get(w, 0) for w in range(1, r + 2)] + [0]
         s_p = [c - (j and one_minus_b[j - 1]) for j, c in enumerate(one_minus_b)]
-        want = tuple((r + 2 - j, c) for j, c in enumerate(s_p) if c)
-        assert want == ((r + 2, 1), (r + 1, -1), (r, -2), (1, 1), (0, 1))
-        assert _newton_terms(build_growth_poly(r)) == (want, True), r
-    for r in range(2, 5):
-        poly = build_growth_poly(r)
-        terms, shifted = _newton_terms(poly)
-        assert not shifted and len(terms) <= 5
-        assert terms == tuple((k, c) for k, c in enumerate(poly.coefficients) if c)[::-1]
+        c = build_growth_poly(r).coefficients
+        shifted = [b - a for a, b in zip((*c, 0), (0, *c))]
+        assert shifted == s_p[::-1], r
+        f = [1] + [0] * (r - 1) + [-2, 1]
+        assert shifted == [a + b for a, b in zip((0, *f), (*f, 0))], r
 
 
-def test_newton_terms_keep_a_polynomial_that_vanishes_at_one():
-    # a dense p and one with a zero at 1 keep their own terms, the (x - 1) p
-    # of each being no shorter.  At a zero of p at 1, f = (x - 1) p would
-    # have a double zero, where f and f' both vanish and the correction
-    # would lose its digits
-    for poly in (IntPoly((1, 2, 3, 4, 5, 6)), IntPoly((-3, 2, 0, 1))):  # (x - 1)(x^2 + x + 3)
-        terms, shifted = _newton_terms(poly)
-        assert not shifted
-        assert terms == tuple((k, c) for k, c in enumerate(poly.coefficients) if c)[::-1]
-        roots = all_roots(poly)  # at the default tol
-        assert len(roots) == poly.degree
-    assert complex(1.0, 0.0) in roots
-
-
-def test_all_roots_of_a_polynomial_with_a_zero_at_zero():
-    # at z = 0 the correction f*m*z / (z*f'*m - f*z*m') is 0/0; the iterate
-    # that reaches the zero takes no step
-    assert all_roots(IntPoly((0, 1, 1))) == [complex(-1.0, 0.0), 0j]
-    # the two iterates of a double zero at 0 approach it together until
-    # f*z underflows, and freeze there
-    roots = all_roots(IntPoly((0, 0, 1, 1)))
-    assert roots[0] == complex(-1.0, 0.0) and max(map(abs, roots[1:])) < 1e-100
-
-
-def test_all_roots_rejects_a_zero_leading_coefficient():
-    with pytest.raises(DomainError, match="leading coefficient must be nonzero"):
-        all_roots(IntPoly((1, 2, 0)))
-    with pytest.raises(DomainError, match="degree must be >= 1"):
-        all_roots(IntPoly((5,)))
+def test_all_roots_rejects_any_polynomial_but_a_growth_polynomial():
+    # among them the inputs of the general solver's tests: a zero at 0, a
+    # zero at 1, a dense polynomial, and coefficients past the double range
+    for poly in (IntPoly((1, 2, 0)), IntPoly((5,)), IntPoly((-1, 1)), IntPoly((0, 1, 1)),
+                 IntPoly((0, 0, 1, 1)), IntPoly((-3, 2, 0, 1)), IntPoly((1, 2, 3, 4, 5, 6)),
+                 IntPoly((-1, 10**308, 1)), IntPoly((-10**300, 10**300, 0, 0, 1)),
+                 IntPoly((-1, -2, 0, 2)), IntPoly((-1, -2, -2, 0, 1, 0)),
+                 IntPoly((1, 2, 2, 0, -1)), IntPoly(build_growth_poly(5).coefficients[1:])):
+        with pytest.raises(DomainError, match="growth polynomials P_r alone"):
+            all_roots(poly)
 
 
 def test_all_roots_failure_residuals_are_finite():
@@ -461,22 +440,27 @@ def test_all_roots_failure_residuals_are_finite():
             assert math.isfinite(residual), (r, str(exc))
 
 
-def test_all_roots_rejects_a_nan_residual_wherever_it_is():
-    # the root at 1 comes first with a finite residual; the three others overflow
+def test_all_roots_rejects_a_nan_residual_wherever_it_is(monkeypatch):
+    # -1 comes first with a zero residual; a NaN put at rho after it still
+    # counts as infinite
+    monkeypatch.setattr(spectral, "_round_real_zero", lambda poly, x: math.nan)
     with pytest.raises(ArithmeticError, match="residual inf exceeds"):
-        all_roots(IntPoly((-10**300, 10**300, 0, 0, 1)))
+        all_roots(build_growth_poly(5))
 
 
-def test_all_roots_keeps_an_overflowed_real_iterate_from_the_exact_rounding():
-    # both zeros of x^2 + 10^308 x - 1 are real and doubles (near 10^-308
-    # and -10^308), but the real iterates overflow to NaN, on which the
-    # exact rounding's float.as_integer_ratio would raise ValueError
-    poly = IntPoly((-1, 10**308, 1))
-    assert real_zero_count(poly) == 2
-    with pytest.raises(ArithmeticError, match="residual inf exceeds"):
-        all_roots(poly)
-    roots = all_roots(poly, tol=math.inf)
-    assert len(roots) == 2 and all(math.isnan(z.real) and z.imag == 0.0 for z in roots)
+def test_all_roots_inner_zeros_lie_strictly_inside_the_unit_circle():
+    # every zero of P_r but rho and -1 is a fixed point z_j, j != 0, of a
+    # contraction of the closed unit disk, and |z_j| < 1; the real ones are
+    # rho, -1 and, for even r, z_(r/2)
+    for r in range(2, 131):
+        poly = build_growth_poly(r)
+        roots = all_roots(poly, tol=math.inf)
+        rho = max(z.real for z in roots if z.imag == 0)
+        inner = [z for z in roots if z not in (rho, -1)]
+        assert len(inner) == r - 1 and max(map(abs, inner)) < 1, r
+        real = [z for z in roots if z.imag == 0]
+        assert len(real) == 2 + (r % 2 == 0) == real_zero_count(poly), r
+        assert all(z.real < 0 for z in inner if z.imag == 0), r
 
 
 def test_all_roots_within_dominant_modulus():
@@ -568,8 +552,8 @@ def test_real_zero_count_of_the_growth_polynomials():
 
 
 def test_analyze_growth_runs_the_remainder_chain_once(monkeypatch):
-    # all_roots and squarefree_multiplicity share one walk of the gcd chain,
-    # which for the squarefree P_r is one Sturm sequence
+    # squarefree_multiplicity walks the gcd chain, which for the squarefree
+    # P_r is one Sturm sequence, and all_roots reads none
     calls = []
 
     def counted(f, g):
@@ -578,7 +562,6 @@ def test_analyze_growth_runs_the_remainder_chain_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "_sturm_chain", counted)
     for r in (3, 40):
-        spectral._gcd_chain.cache_clear()
         del calls[:]
         report = analyze_growth(r)
         assert report.s == 1 and calls == [r + 2], r
@@ -653,12 +636,11 @@ def test_analyze_growth_report_fields():
 
 def test_growth_report_json_is_that_of_json_dumps():
     report = analyze_growth(3)  # an empty ratio_trace
-    nan_roots = all_roots(IntPoly((0, -10**300, 10**300, 1)), tol=math.inf)
-    assert any(math.isnan(z.real) for z in nan_roots)
+    nan_roots = (complex(-1.0, 0.0), complex(math.nan, 0.0), complex(0.5, math.nan))
     cases = [
         report,
         report._replace(ratio_trace=((1, 1.5), (2, -0.0), (3, 5e-324), (4, 1e300))),
-        report._replace(roots=tuple(nan_roots)),
+        report._replace(roots=nan_roots),
         report._replace(roots=(complex(-0.0, 5e-324), complex(1e300, -1e300),
                                complex(math.inf, -math.inf))),
         report._replace(eisenstein=eisenstein_check(IntPoly((1, 0, 1)))),  # a None reason
