@@ -33,6 +33,7 @@ from .spectral import (
     build_growth_poly,
     dominant_root,
     growth_estimate,
+    growth_multiplicity,
     squarefree_multiplicity,
 )
 from .words import CyclicWord, DomainError, GroupParams, make_params
@@ -189,9 +190,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     rho2, rho3 = (dominant_root(build_growth_poly(rr)) for rr in (2, 3))
     check("rho(r=2) golden", abs(rho2 - 1.6180339887) < 1e-9, f"rho={rho2!r}")
     check("rho(r=3) golden", abs(rho3 - 1.8392867552) < 1e-9, f"rho={rho3!r}")
+    # the gcd chain and the three-term criterion that analyze_growth reads
     check(
         "squarefree r=2..10",
-        all(squarefree_multiplicity(build_growth_poly(rr)) == 1 for rr in range(2, 11)),
+        all(squarefree_multiplicity(build_growth_poly(rr)) == growth_multiplicity(rr) == 1
+            for rr in range(2, 11)),
     )
 
     # normal-form soundness, from the normal-form loop above

@@ -10,13 +10,15 @@ cell of width 2^-40 where the polynomial changes sign, found from a float
 Newton estimate and confirmed by exact integer signs.  Every zero of
 p = (x + 1) Q_r but -1 and rho is the fixed point of its own contraction
 of the unit disk, a branch of x^r = 1/(2 - x), which the zeros of the
-three-term form (x - 1) Q_r = x^(r+1) - 2x^r + 1 solve; the real zeros are
-then correctly rounded by exact integer signs.  The maximum root
-multiplicity s and the number of real zeros come from one walk
-of the gcd chain p, gcd(p, p'), ... over Z, each gcd the last member of a
-primitive Sturm sequence (pseudo-remainders that keep their signs).  The
-sign probes at sqrt(2) are computed in the ring Z[sqrt(2)], no floating
-point involved.
+three-term form F = (x - 1) Q_r = x^(r+1) - 2x^r + 1 solve; the real zeros
+are then correctly rounded by exact integer signs, read from F.  The
+maximum root multiplicity s comes from F as well: F' has one zero that F
+could share, and an integer identity decides whether it does.  The general
+routes stay as references: the gcd chain p, gcd(p, p'), ... over Z, each
+gcd the last member of a primitive Sturm sequence (pseudo-remainders that
+keep their signs), gives s and the number of real zeros of any integer
+polynomial.  The sign probes at sqrt(2) are computed in the ring
+Z[sqrt(2)], no floating point involved.
 
 Each fact has one home: a ``GrowthReport`` derives squarefreeness from s
 and holds the record of ``eisenstein_check`` as it is, the last pair of the
@@ -27,6 +29,7 @@ report.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple, Sequence
 
 from .words import DomainError, make_params
@@ -54,13 +57,24 @@ class IntPoly(NamedTuple):
         )
 
     def shift(self) -> "IntPoly":
-        """Coefficients of p(x + 1), by repeated synthetic division by x - 1:
-        additions only."""
-        c = list(self.coefficients)
-        for i in range(self.degree):
-            for j in range(self.degree - 1, i - 1, -1):
-                c[j] += c[j + 1]
-        return IntPoly(tuple(c))
+        """Coefficients of p(x + 1), read off the one integer p(2^K + 1) =
+        sum c'_i 2^(iK) as signed base-2^K digits.  c'_i = sum_j c_j C(j, i),
+        so |c'_i| <= 2^deg * sum_j |c_j|, and K, a whole number of bytes,
+        leaves every |c'_i| below 2^(K-1): offset by 2^(K-1), each digit is
+        one slice of the bytes of the sum."""
+        c = self.coefficients
+        n = len(c)
+        width = (n + sum(map(abs, c)).bit_length()) // 8 + 1  # K = 8 * width
+        k = 8 * width
+        acc = 0
+        for a in reversed(c):
+            acc = (acc << k) + acc + a
+        acc += int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")  # 2^(K-1) in each digit
+        data = acc.to_bytes(n * width, "little")
+        half = 1 << (k - 1)
+        return IntPoly(tuple(
+            int.from_bytes(data[i:i + width], "little") - half for i in range(0, n * width, width)
+        ))
 
 
 def build_growth_poly(r: int) -> IntPoly:
@@ -191,34 +205,51 @@ def dominant_root(poly: IntPoly) -> float:
     return (lo + hi) / 2 ** (k + 1)
 
 
-def _float_sign(poly: IntPoly, x: float) -> int:
-    """Sign of poly(x) at a double x, exactly: x is m / 2^k."""
+def _growth_sign(r: int, m: int, k: int) -> int:
+    """Sign of P_r(m / 2^k), exactly, from the three-term form: two integer
+    powers where ``_dyadic_sign`` takes r + 1 Horner steps.
+
+    P_r = (x + 1) Q_r and F = (x - 1) Q_r, so away from x = 1 the sign of
+    P_r is sign(x + 1) sign(F) sign(x - 1), with
+    2^(k(r+1)) F(m / 2^k) = m^r (m - 2^(k+1)) + 2^(k(r+1)); and
+    P_r(1) = 2(1 - r) < 0."""
+    one = 1 << k
+    outside = abs(m) - one  # the sign of (x + 1)(x - 1)
+    if not outside:
+        return -1 if m > 0 else 0
+    f = m**r * (m - 2 * one) + (1 << k * (r + 1))
+    return (f > 0) - (f < 0) if outside > 0 else (f < 0) - (f > 0)
+
+
+def _float_sign(sign, x: float) -> int:
+    """sign(m, k) at the double x = m / 2^k."""
     m, d = x.as_integer_ratio()
-    return _dyadic_sign(poly, m, d.bit_length() - 1)
+    return sign(m, d.bit_length() - 1)
 
 
-def _round_real_zero(poly: IntPoly, x: float) -> float | None:
-    """The double nearest a real zero of poly within 64 ulps of x, or None.
+def _round_real_zero(sign, x: float) -> float | None:
+    """The double nearest a real zero within 64 ulps of x, or None, of the
+    polynomial whose exact sign at m / 2^k is sign(m, k).
 
     Walks outward from x, one ulp each way per step, to the first pair of
-    adjacent doubles a, b across which poly changes sign (or a double where
-    it vanishes), and returns the one of a, b on the zero's side of their
-    midpoint.  Every sign is exact."""
-    s = _float_sign(poly, x)
+    adjacent doubles a, b across which the sign changes (or a double where
+    it is 0), and returns the one of a, b on the zero's side of their
+    midpoint."""
+    s = _float_sign(sign, x)
     if s == 0:
         return x
     lo = hi = x
     for _ in range(64):
         below, above = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
         for a, b in ((lo, below), (hi, above)):
-            sb = _float_sign(poly, b)
+            sb = _float_sign(sign, b)
             if sb == 0:
                 return b
             if sb != s:
                 ma, da = a.as_integer_ratio()
                 mb, db = b.as_integer_ratio()
                 d = max(da, db)  # 2^k, and (a + b) / 2 = (ma*d/da + mb*d/db) / 2^(k+1)
-                mid = _dyadic_sign(poly, ma * (d // da) + mb * (d // db), d.bit_length())
+                mid = sign(ma * (d // da) + mb * (d // db), d.bit_length())
                 return a if mid == sb else b
         lo, hi = below, above
     return None
@@ -258,14 +289,14 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
     -1 is exact.  rho comes from Newton's method on F/x^r = x - 2 + x^(-r),
     convex on x > 0 with zeros 1 and rho, so that from 2 its iterates fall
     monotonically to rho and never overflow; z_(r/2) comes from T_(r/2);
-    each upper z_j from T_j (``_fixed_point``), then one Newton step on F.
-    Each real zero then moves to the double nearest it
-    (``_round_real_zero``).  The residual check is absolute, on the dense
-    monic polynomial: every |P_r(z)| must be at most ``tol``, a NaN
-    residual (an overflow) counting as infinite.  It reads the real and the
-    upper zeros alone: for real coefficients, Horner at the conjugate of z
-    is bitwise the conjugate of Horner at z.  Any other polynomial raises
-    ``DomainError``.
+    each upper z_j from T_j (the loop of ``_fixed_point``, inline), then one
+    Newton step on F.  Each real zero then moves to the double nearest it
+    (``_round_real_zero``, on the signs of ``_growth_sign``).  The residual
+    check is absolute, on the dense monic polynomial: every |P_r(z)| must
+    be at most ``tol``, a NaN residual (an overflow) counting as infinite.
+    It reads the real and the upper zeros alone: for real coefficients,
+    Horner at the conjugate of z is bitwise the conjugate of Horner at z.
+    Any other polynomial raises ``DomainError``.
     """
     r = poly.degree - 1
     if r < 2 or poly != build_growth_poly(r):
@@ -274,14 +305,22 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
     reals = [_fixed_point(lambda x: x - (x - 2 + x**-r) / (1 - r * x ** (-r - 1)), 2.0, max_iter)]
     if r % 2 == 0:
         reals.append(_fixed_point(lambda x: -(2 - x) ** e, -1.0, max_iter))
+    sign = partial(_growth_sign, r)
     zs = [complex(-1.0, 0.0)]
     for x in reals:
-        rounded = _round_real_zero(poly, x)
+        rounded = _round_real_zero(sign, x)
         zs.append(complex(x if rounded is None else rounded, 0.0))
     upper = []
     for j in range(1, (r + 1) // 2):
         w = complex(math.cos(2 * math.pi * j / r), math.sin(2 * math.pi * j / r))
-        z = _fixed_point(lambda x: w * (2 - x) ** e, w, max_iter)
+        z, last = w, math.inf  # _fixed_point of x -> w (2 - x)^e, without a call per step
+        for _ in range(max_iter):
+            new = w * (2 - z) ** e
+            step, size = abs(new - z), abs(z)
+            z = new
+            if step <= 4e-16 * size or last <= step < 1e-8 * size:
+                break
+            last = step
         zr = z**r
         upper.append(z - (zr * (z - 2) + 1) / (zr * (r + 1 - 2 * r / z)))
     zs += upper
@@ -300,8 +339,12 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
         raise ArithmeticError(
             f"root iteration residual {worst:.3e} exceeds tolerance {tol:.3e}"
         )
+    # round(-y, 9) == -round(y, 9), so a conjugate's key is its upper zero's
+    # with the second entry negated
+    keys = [(round(z.real, 9), round(z.imag, 9)) for z in zs]
+    keys += [(a, -b) for a, b in keys[len(zs) - len(upper):]]
     zs += [z.conjugate() for z in upper]
-    return sorted(zs, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
+    return [zs[i] for i in sorted(range(len(zs)), key=keys.__getitem__)]
 
 
 def _strip(p: list[int]) -> list[int]:
@@ -369,6 +412,22 @@ def _gcd_chain(coefficients: tuple[int, ...]) -> tuple[int, int]:
         cur = IntPoly(tuple(chain[-1]))
         s += 1
     return s, k
+
+
+def growth_multiplicity(r: int) -> int:
+    """The largest root multiplicity s of P_r, from the three-term form, with
+    no gcd chain.
+
+    Q_r(-1) is 1 or -2, so -1 is a simple zero of P_r = (x + 1) Q_r, and a
+    repeated zero of P_r is one of F = (x - 1) Q_r = x^(r+1) - 2x^r + 1.
+    F' = x^(r-1) ((r + 1) x - 2r) and F(0) = 1, so F can repeat only
+    c = 2r / (r + 1), where F(c) = 1 - 2^(r+1) r^r / (r + 1)^(r+1) and
+    F''(c) = 2r c^(r-2) is not 0: s is 2 exactly when
+    (r + 1)^(r+1) = 2^(r+1) r^r, and 1 otherwise.  For r >= 2 that never
+    holds (for even r the two sides differ in parity, and for odd r, r^r
+    cannot divide the coprime (r + 1)^(r+1)), but it is computed here, not
+    assumed.  ``squarefree_multiplicity`` is the general route."""
+    return 2 if (r + 1) ** (r + 1) == 2 ** (r + 1) * r**r else 1
 
 
 def squarefree_multiplicity(poly: IntPoly) -> int:
@@ -445,7 +504,7 @@ def analyze_growth(r: int) -> GrowthReport:
         poly=poly,
         rho=rho,
         roots=roots,
-        s=squarefree_multiplicity(poly),
+        s=growth_multiplicity(r),
         eisenstein=eisenstein_check(poly),
     )
 

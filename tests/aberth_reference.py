@@ -6,15 +6,17 @@ updates both members of every conjugate pair, each on its own, and lets
 any iterate leave the real axis.
 
 Start angles on the circle of radius 1.1, Gauss-Seidel updates, the freeze
-rule of ``all_roots``, the same exact rounding of the real zeros and the
-same absolute residual check; p/p' by a Horner pass over every
-coefficient, and the Aberth sum by a generator.
+rule of ``all_roots``, the same exact rounding of the real zeros, but on
+the dense signs of ``_dyadic_sign`` where ``all_roots`` reads the
+three-term form, and the same absolute residual check; p/p' by a Horner
+pass over every coefficient, and the Aberth sum by a generator.
 """
 
 import cmath
 import math
+from functools import partial
 
-from hecke_census.spectral import IntPoly, _round_real_zero
+from hecke_census.spectral import IntPoly, _dyadic_sign, _round_real_zero
 
 
 def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[complex]:
@@ -50,9 +52,10 @@ def all_roots(poly: IntPoly, tol: float = 1e-10, max_iter: int = 1000) -> list[c
                 moving.append(i)
             last_step[i] = step
         active = moving
+    sign = partial(_dyadic_sign, poly)
     for i, z in enumerate(zs):
         if abs(z.imag) <= 1e-9 * abs(z):
-            x = _round_real_zero(poly, z.real)
+            x = _round_real_zero(sign, z.real)
             if x is not None:
                 zs[i] = complex(x, 0.0)
     residuals = [abs(peval(z)) for z in zs]

@@ -251,6 +251,14 @@ def test_verify_names_the_first_classification_disagreement(capsys, monkeypatch)
     verify_fails(capsys, "classification cross-validation", "disagreement at i g^1 i g^-1 (p=4)")
 
 
+def test_verify_fails_when_the_gcd_chain_and_the_three_term_criterion_disagree(capsys, monkeypatch):
+    # a criterion that calls P_7 non-squarefree against the gcd chain
+    criterion = cli.growth_multiplicity
+    monkeypatch.setattr(cli, "growth_multiplicity", lambda r: criterion(r) + (r == 7))
+    failed = VERIFY_OUT.replace("[PASS] squarefree r=2..10\n", "[FAIL] squarefree r=2..10\n")
+    assert run(capsys, "verify") == (1, failed.replace("17/17", "16/17"))
+
+
 def test_verify_runs_no_root_iteration(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify must not run the root iteration")

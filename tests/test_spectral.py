@@ -13,6 +13,7 @@ from hecke_census.spectral import (
     GrowthReport,
     IntPoly,
     _dyadic_sign,
+    _growth_sign,
     _root_estimate,
     _sturm_chain,
     all_roots,
@@ -23,6 +24,7 @@ from hecke_census.spectral import (
     eisenstein_reason,
     eval_at_sqrt2,
     growth_estimate,
+    growth_multiplicity,
     real_zero_count,
     sqrt2_sign,
     squarefree_multiplicity,
@@ -183,6 +185,72 @@ def test_shift_matches_binomial_expansion():
         assert poly.shift().coefficients == _binomial_shift(poly, 1), r
     for poly in [IntPoly((5,)), IntPoly((0, 1)), IntPoly((3, -1, 4, -1, 5))]:
         assert poly.shift().coefficients == _binomial_shift(poly, 1)
+
+
+def synthetic_division_shift(poly: IntPoly) -> tuple[int, ...]:
+    """Coefficients of p(x + 1) by repeated synthetic division by x - 1, the
+    loop that ``IntPoly.shift`` ran before it read them off one value."""
+    c = list(poly.coefficients)
+    for i in range(poly.degree):
+        for j in range(poly.degree - 1, i - 1, -1):
+            c[j] += c[j + 1]
+    return tuple(c)
+
+
+def test_shift_matches_synthetic_division_on_the_growth_polynomials():
+    for r in range(2, 401):
+        poly = build_growth_poly(r)
+        assert poly.shift().coefficients == synthetic_division_shift(poly), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=61))
+@example([])
+@example([0])
+@example([0] * 61)
+@example([7, 0, -1, 0])  # a zero leading coefficient
+@example([10**40] * 61)
+@example([-(10**40)] * 61)
+@example([1, -(10**40)])
+def test_shift_matches_synthetic_division(coefficients):
+    poly = IntPoly(tuple(coefficients))
+    assert poly.shift().coefficients == synthetic_division_shift(poly)
+
+
+def _growth_sign_probes(r: int):
+    """(m, k) at +-1, 0, 2, and at the 64 doubles on each side of every real
+    zero of P_r with the midpoint of each neighbouring pair: the signs that
+    ``_round_real_zero`` reads."""
+    yield from ((1, 0), (-1, 0), (0, 0), (2, 0), (1 << 5, 5), (-(1 << 60), 60))
+    for z in all_roots(build_growth_poly(r), tol=math.inf):
+        if z.imag:
+            continue
+        x = z.real
+        for _ in range(64):
+            x = math.nextafter(x, -math.inf)
+        for _ in range(129):
+            y = math.nextafter(x, math.inf)
+            (ma, da), (mb, db) = x.as_integer_ratio(), y.as_integer_ratio()
+            d = max(da, db)
+            yield ma, da.bit_length() - 1
+            yield ma * (d // da) + mb * (d // db), d.bit_length()
+            x = y
+
+
+def test_growth_sign_matches_the_dense_signs_at_the_real_zeros():
+    for r in range(2, 131):
+        poly = build_growth_poly(r)
+        for m, k in _growth_sign_probes(r):
+            assert _growth_sign(r, m, k) == _dyadic_sign(poly, m, k), (r, m, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=st.integers(2, 130), m=st.integers(-(2**70), 2**70), k=st.integers(0, 64))
+@example(r=2, m=1 << 64, k=64)
+@example(r=3, m=-(1 << 64), k=64)
+@example(r=4, m=0, k=64)
+def test_growth_sign_matches_the_dense_signs(r, m, k):
+    assert _growth_sign(r, m, k) == _dyadic_sign(build_growth_poly(r), m, k)
 
 
 @pytest.mark.parametrize("r", range(2, 11))
@@ -551,9 +619,9 @@ def test_real_zero_count_of_the_growth_polynomials():
         assert real_zero_count(build_growth_poly(r)) == 2 + (r % 2 == 0), r
 
 
-def test_analyze_growth_runs_the_remainder_chain_once(monkeypatch):
-    # squarefree_multiplicity walks the gcd chain, which for the squarefree
-    # P_r is one Sturm sequence, and all_roots reads none
+def test_analyze_growth_runs_no_remainder_chain(monkeypatch):
+    # s comes from growth_multiplicity and the real zeros from all_roots,
+    # so no Sturm sequence is built
     calls = []
 
     def counted(f, g):
@@ -562,9 +630,13 @@ def test_analyze_growth_runs_the_remainder_chain_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "_sturm_chain", counted)
     for r in (3, 40):
-        del calls[:]
         report = analyze_growth(r)
-        assert report.s == 1 and calls == [r + 2], r
+        assert report.s == 1 and calls == [], r
+
+
+def test_growth_multiplicity_matches_the_gcd_chain():
+    for r in range(2, 401):
+        assert growth_multiplicity(r) == squarefree_multiplicity(build_growth_poly(r)), r
 
 
 def test_squarefree_detects_multiplicity():
